@@ -88,13 +88,23 @@ def empty_collection(max_dim: int = 0) -> Collection:
 
 def check_collection(a: Collection) -> Report:
     """The arity map must be globular: arities of src and tgt are the arity's
-    boundary."""
+    boundary.  A contraction cell carries its own arity, src and tgt, and
+    the tables must agree with them."""
+    from .contraction import CtrCell
+
     rep = Report("collection")
     for k in range(a.max_dim + 1):
         for c in a.cells_at(k):
             if c not in a.arity[k]:
                 rep.add("cell has no arity", witness=(k, c))
                 continue
+            if isinstance(c, CtrCell):
+                if a.arity_of(k, c) != c.theta:
+                    rep.add("arity of a contraction cell differs from its theta", witness=(k, c))
+                if k >= 1 and a.carrier.src[k].get(c) != c.a:
+                    rep.add("src of a contraction cell differs from its a", witness=(k, c))
+                if k >= 1 and a.carrier.tgt[k].get(c) != c.b:
+                    rep.add("tgt of a contraction cell differs from its b", witness=(k, c))
             if a.arity_of(k, c).dim != k:
                 rep.add("arity dimension differs from cell dimension", witness=(k, c))
                 continue

@@ -43,10 +43,6 @@ class ContractionStructure:
     gamma: dict[tuple[object, object, PastingDiagram], object]
 
 
-def empty_contraction(over: Collection) -> ContractionStructure:
-    return ContractionStructure(over, 0, {})
-
-
 def admissible_triples(coll: Collection, k: int, bounds: Bounds) -> list[tuple]:
     """All (a, b, theta) requiring a contraction k-cell: a, b parallel
     (k-1)-cells with equal arity, theta a k-diagram bounding that arity with
@@ -57,7 +53,7 @@ def admissible_triples(coll: Collection, k: int, bounds: Bounds) -> list[tuple]:
     lower = coll.cells_at(k - 1)
     for a in lower:
         for b in lower:
-            if k - 1 >= 1 and not parallel(coll.carrier, a, b):
+            if k - 1 >= 1 and not parallel(coll.carrier, k - 1, a, b):
                 continue
             ar = coll.arity_of(k - 1, a)
             if ar != coll.arity_of(k - 1, b):

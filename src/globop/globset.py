@@ -38,12 +38,6 @@ class GlobularSet:
     def tgt_of(self, k: int, c):
         return self.tgt[k][c]
 
-    def dim_of(self, c) -> int:
-        for k, layer in enumerate(self.cells):
-            if c in layer:
-                return k
-        raise KeyError(c)
-
 
 def glob_set(cells_by_dim, src, tgt) -> GlobularSet:
     """Build a GlobularSet from per-dimension sequences and dict tables."""
@@ -60,14 +54,13 @@ def empty_glob_set(max_dim: int) -> GlobularSet:
     return GlobularSet(((),) * n, ({},) * n, ({},) * n)
 
 
-def parallel(a_set: GlobularSet, a, b) -> bool:
-    """All 0-cells are parallel; higher cells must share source and target."""
-    ka, kb = a_set.dim_of(a), a_set.dim_of(b)
-    if ka != kb:
-        raise ValueError(f"cells of dimension {ka} and {kb} are never compared")
-    if ka == 0:
+def parallel(a_set: GlobularSet, k: int, a, b) -> bool:
+    """Whether the k-cells ``a`` and ``b`` are parallel: all 0-cells are,
+    higher cells must share source and target.  The dimension is passed in
+    because one identifier may name cells of several dimensions."""
+    if k == 0:
         return True
-    return a_set.src_of(ka, a) == a_set.src_of(ka, b) and a_set.tgt_of(ka, a) == a_set.tgt_of(ka, b)
+    return a_set.src_of(k, a) == a_set.src_of(k, b) and a_set.tgt_of(k, a) == a_set.tgt_of(k, b)
 
 
 def check_globularity(a_set: GlobularSet) -> Report:

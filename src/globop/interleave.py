@@ -17,7 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .collection import Bounds, Collection, Overflow, check_collection, empty_collection
+from .collection import (
+    Bounds,
+    Collection,
+    Overflow,
+    check_collection,
+    empty_collection,
+    truncate,
+)
 from .contraction import (
     ContractionStructure,
     CtrCell,
@@ -31,9 +38,9 @@ from .operad import (
     NodeTerm,
     OperadStructure,
     UnitTerm,
+    cell_products,
     free_operad_dim0,
     free_operad_step,
-    mult_table,
 )
 from .pasting import all_cells, labelled
 from .report import Report
@@ -100,18 +107,20 @@ def start_state(a: Collection, bounds: Bounds) -> OwcState:
 
 def step_contraction(s: OwcState) -> OwcState:
     """The lifted free contraction step (k, k) -> (k + 1, k).  Asserts the
-    k-operad multiplication tables are bit-identical before and after."""
+    layers of dimension <= k are unchanged: cells in order, src, tgt and
+    arity.  The new operad reuses the old multiplication, whose closures
+    read only their own collection, so its multiplication table is a
+    function of those layers and stays bit-identical."""
     i, j = s.stage
     if i != j:
         raise ValueError(f"contraction step needs stage (k, k), got {s.stage}")
-    before = mult_table(s.operad, s.bounds)
     res = free_contraction_step(s.collection, s.contraction, s.bounds)
-    new_operad = OperadStructure(
-        res.collection, s.operad.up_to_dim, dict(s.operad.units), s.operad.mult_fn
-    )
-    after = mult_table(new_operad, s.bounds)
-    if before != after:
+    k = s.operad.up_to_dim
+    if truncate(res.collection, k) != truncate(s.collection, k):
         raise AssertionError("contraction step disturbed the operad multiplication")
+    new_operad = OperadStructure(
+        res.collection, k, dict(s.operad.units), s.operad.mult_fn
+    )
     provenance = dict(s.provenance)
     for cell in res.new_cells:
         provenance[(res.new_dim, cell)] = Provenance(f"contraction-{res.new_dim}")
@@ -260,10 +269,8 @@ def operad_morphism_check(
     for d in range(up_to + 1):
         if f.apply(d, s_op.units[d]) != t_op.units[d]:
             rep.add("unit not preserved", witness=d)
-    table = mult_table(s_op, bounds, dims=range(up_to + 1))
+    table = cell_products(s_op, bounds, dims=range(up_to + 1))
     for (d, a, labels), r in table.items():
-        if not s_op.over.has_cell(d, r):
-            continue
         shape = s_op.over.arity_of(d, a)
         mapped = labelled(
             shape,

@@ -436,16 +436,53 @@ def mult_table(op: OperadStructure, bounds: Bounds, dims=None) -> dict:
         for a in op.over.cells_at(d):
             shape = op.over.arity_of(d, a)
             for phi in collection_labellings(shape, op.over):
-                composed = subst_arities(
-                    shape,
-                    tuple(
-                        op.over.arity_of(x.dim, phi.label_of(x))
-                        for x in all_cells(shape)
-                    ),
-                )
-                if size(composed) > bounds.max_arity_size:
+                if size(_composite_arity(op, shape, phi)) > bounds.max_arity_size:
                     continue
                 table[(d, a, phi.labels)] = op.mult(d, a, phi)
+    return table
+
+
+def _composite_arity(op: OperadStructure, shape: PastingDiagram, phi: LabelledDiagram) -> PastingDiagram:
+    """Arity of an operation of arity ``shape`` composed with ``phi``."""
+    return subst_arities(
+        shape,
+        tuple(op.over.arity_of(x.dim, lab) for x, lab in zip(all_cells(shape), phi.labels)),
+    )
+
+
+def cell_products(op: OperadStructure, bounds: Bounds, dims=None) -> dict:
+    """The entries of ``mult_table`` whose product is a cell, in the same
+    order, without computing the other products.
+
+    Grafting adds term sizes: the product of ``a`` with ``phi`` has
+    ``term_size(a)`` plus the term sizes of the top labels.  A product
+    larger than every d-cell is not a d-cell, so only top labels that fit
+    into the room ``a`` leaves below that size are enumerated.  In a built
+    state the largest size is ``max(max_term_size, 1)``: a bare generator
+    has size 1 even at term bound 0.  Filtering the candidate lists keeps
+    the labelling order.
+    """
+    from .collection import collection_labellings
+
+    table = {}
+    for d in dims if dims is not None else range(op.up_to_dim + 1):
+        layer = op.over.cells_at(d)
+        tsize = {c: term_size(op, d, c) for c in layer}
+        cap = max(tsize.values(), default=0)
+        for a in layer:
+            room = cap - tsize[a]
+            shape = op.over.arity_of(d, a)
+            tops = cells(shape, d)
+            fitting = [c for c in layer if tsize[c] <= room]
+            overrides = {x: fitting for x in tops}
+            for phi in collection_labellings(shape, op.over, overrides):
+                if sum(tsize[phi.label_of(x)] for x in tops) > room:
+                    continue
+                if size(_composite_arity(op, shape, phi)) > bounds.max_arity_size:
+                    continue
+                r = op.mult(d, a, phi)
+                if op.over.has_cell(d, r):
+                    table[(d, a, phi.labels)] = r
     return table
 
 
@@ -501,10 +538,7 @@ def check_operad_laws(op: OperadStructure, bounds: Bounds, dims=None) -> Report:
             if op.mult(d, a, unit_labelling(op, d, shape)) != a:
                 rep.add("right unit law fails", witness=(d, a))
             for phi in labellings(shape):
-                arities = tuple(
-                    op.over.arity_of(x.dim, phi.label_of(x)) for x in all_cells(shape)
-                )
-                mid_shape = subst_arities(shape, arities)
+                mid_shape = _composite_arity(op, shape, phi)
                 if size(mid_shape) > bounds.max_arity_size:
                     continue
                 r = op.mult(d, a, phi)
@@ -512,14 +546,7 @@ def check_operad_laws(op: OperadStructure, bounds: Bounds, dims=None) -> Report:
                     rep.add("arity of composite differs from substitution", witness=(d, a, phi.labels))
                     continue
                 for chi in labellings(mid_shape):
-                    final = subst_arities(
-                        mid_shape,
-                        tuple(
-                            op.over.arity_of(x.dim, chi.label_of(x))
-                            for x in all_cells(mid_shape)
-                        ),
-                    )
-                    if size(final) > bounds.max_arity_size:
+                    if size(_composite_arity(op, mid_shape, chi)) > bounds.max_arity_size:
                         continue
                     lhs = op.mult(d, r, chi)
                     rhs = op.mult(d, a, compose_labellings(op, phi, chi))

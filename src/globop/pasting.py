@@ -107,12 +107,6 @@ def size(pi: PastingDiagram) -> int:
     return len(pi.children) + 1 + sum(size(c) for c in pi.children)
 
 
-def cells_count(pi: PastingDiagram, j: int) -> int:
-    if j == 0:
-        return len(pi.children) + 1
-    return sum(cells_count(c, j - 1) for c in pi.children)
-
-
 @lru_cache(maxsize=None)
 def cells(pi: PastingDiagram, j: int) -> tuple[CellAddr, ...]:
     """All j-cell addresses of ``pi`` in lexicographic path order."""

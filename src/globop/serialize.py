@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .collection import Bounds, Collection, Overflow, make_collection
 from .contraction import ContractionStructure, CtrCell
 from .interleave import OwcState, Provenance
-from .operad import NodeTerm, OperadStructure, UnitTerm, mult_table, state_operad, term_mult
+from .operad import NodeTerm, OperadStructure, UnitTerm, cell_products, state_operad, term_mult
 from .pasting import LabelledDiagram, all_cells, tree_from_json, tree_to_json
 from .util import canonical_json
 
@@ -169,12 +169,8 @@ def state_to_json(s: OwcState) -> dict:
         for k in range(coll.max_dim + 1)
     ]
     mult = []
-    for (d, a, labels), r in mult_table(s.operad, s.bounds).items():
-        if not coll.has_cell(d, r):
-            continue
+    for (d, a, labels), r in cell_products(s.operad, s.bounds).items():
         shape = coll.arity_of(d, a)
-        from .pasting import all_cells
-
         mult.append(
             {
                 "dim": d,

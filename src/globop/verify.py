@@ -43,6 +43,7 @@ from .interleave import (
     initial_owc,
 )
 from .operad import (
+    cell_products,
     check_operad_laws,
     counit_eval,
     free_operad_dim0,
@@ -355,11 +356,7 @@ def _fixture_integrity(rep: Report, fixture, part: str) -> Report:
     state = decoded.state
     rebuilt = free_owc(input_collection_of(state), state.bounds)
     if part == "mult":
-        want = {
-            k: v
-            for k, v in mult_table(rebuilt.operad, rebuilt.bounds).items()
-            if rebuilt.collection.has_cell(k[0], v)
-        }
+        want = cell_products(rebuilt.operad, rebuilt.bounds)
         for key in _mult_table_diffs(want, decoded.mult_entries):
             rep.add("fixture multiplication table differs from a fresh build", witness=repr(key))
     else:
@@ -454,8 +451,10 @@ def _suite_oracle(bounds: Bounds, fixture) -> Report:
 
 def _check_serialized_mult(rep: Report, decoded: DecodedState) -> None:
     """Every serialized multiplication entry must agree with the state's
-    operad; an entry that cannot be evaluated is a violation, not an error."""
+    operad; an entry that cannot be evaluated is a violation, not an error.
+    When every entry evaluates, every product that is a cell must be listed."""
     state = decoded.state
+    evaluated = True
     for (d, a, labels), result in decoded.mult_entries.items():
         try:
             phi = LabelledDiagram(state.collection.arity_of(d, a), labels)
@@ -465,12 +464,23 @@ def _check_serialized_mult(rep: Report, decoded: DecodedState) -> None:
                 "serialized multiplication entry cannot be evaluated",
                 witness=(repr((d, a, labels)), str(exc)),
             )
+            evaluated = False
             continue
         if value != result:
             rep.add(
                 "serialized multiplication entry differs from the operad",
                 witness=repr((d, a, labels)),
             )
+    if not evaluated:
+        return
+    try:
+        products = cell_products(state.operad, state.bounds)
+    except (KeyError, ValueError) as exc:
+        rep.add("multiplication table cannot be enumerated", witness=str(exc))
+        return
+    for key in products:
+        if key not in decoded.mult_entries:
+            rep.add("serialized multiplication table is missing an entry", witness=repr(key))
 
 
 def _suite_initiality(bounds: Bounds, fixture) -> Report:

@@ -44,17 +44,17 @@ def test_corrupted_table_reports_one_violation():
 
 def test_parallel():
     g = two_cell_globe()
-    assert parallel(g, "x", "y")
-    assert parallel(g, "f", "f")
-    assert parallel(g, "f", "g")
+    assert parallel(g, 0, "x", "y")
+    assert parallel(g, 1, "f", "f")
+    assert parallel(g, 1, "f", "g")
     h = glob_set(
         [["x", "y"], ["f", "h"]],
         [{}, {"f": "x", "h": "y"}],
         [{}, {"f": "y", "h": "y"}],
     )
-    assert not parallel(h, "f", "h")
-    with pytest.raises(ValueError):
-        parallel(g, "x", "f")
+    assert not parallel(h, 1, "f", "h")
+    with pytest.raises(KeyError):
+        parallel(g, 1, "x", "f")
 
 
 def naive_globular(g):

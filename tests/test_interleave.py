@@ -1,9 +1,21 @@
+import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
-from globop.collection import Bounds, empty_collection, one_cell_collection, terminal_collection, unit_collection
-from globop.contraction import CtrCell, terminal_contraction
+from globop import interleave
+from globop.collection import (
+    Bounds,
+    Collection,
+    empty_collection,
+    make_collection,
+    one_cell_collection,
+    terminal_collection,
+    unit_collection,
+)
+from globop.contraction import CtrCell, free_contraction_step, terminal_contraction
+from globop.globset import GlobularSet
 from globop.interleave import (
     OwcState,
     free_owc,
@@ -14,7 +26,7 @@ from globop.interleave import (
     step_operad,
 )
 from globop.operad import NodeTerm, UnitTerm, mult_table, terminal_operad
-from globop.pasting import DOT, chain, unit_tree
+from globop.pasting import DOT, PastingDiagram, chain, unit_tree
 from globop.serialize import slice_json, state_text
 from globop.util import canonical_json
 
@@ -67,6 +79,63 @@ def test_gamma_and_mult_survive_later_steps():
     t0 = mult_table(m1.operad, b, dims=[0, 1])
     t1 = mult_table(m2.operad, b, dims=[0, 1])
     assert t0 == t1
+
+
+def _tampered_contraction_step(tamper):
+    """A free contraction step that hands back a tampered collection."""
+
+    def step(coll, ctr, bounds):
+        res = free_contraction_step(coll, ctr, bounds)
+        return dataclasses.replace(res, collection=tamper(res.collection))
+
+    return step
+
+
+def _change_one_arity(coll):
+    arity = list(coll.arity)
+    layer = dict(arity[1])
+    cell = coll.cells_at(1)[-1]
+    layer[cell] = PastingDiagram(1, (DOT,) * (len(layer[cell].children) + 1))
+    arity[1] = layer
+    return Collection(coll.carrier, tuple(arity))
+
+
+def _reorder_one_cell(coll):
+    cells = list(coll.carrier.cells)
+    layer = list(cells[1])
+    layer[0], layer[1] = layer[1], layer[0]
+    cells[1] = tuple(layer)
+    return Collection(GlobularSet(tuple(cells), coll.carrier.src, coll.carrier.tgt), coll.arity)
+
+
+@pytest.mark.parametrize("tamper", [_change_one_arity, _reorder_one_cell])
+def test_contraction_step_asserts_lower_layers_unchanged(monkeypatch, tamper):
+    m1 = dict(free_owc_trace(empty_collection(), Bounds(2, 5, 1)))["M1"]
+    assert step_contraction(m1).stage == (2, 1)
+    monkeypatch.setattr(interleave, "free_contraction_step", _tampered_contraction_step(tamper))
+    with pytest.raises(AssertionError):
+        step_contraction(m1)
+
+
+def test_golden_valid_state_fixture():
+    fixture = Path(__file__).parent / "fixtures" / "valid_state.json"
+    state = free_owc(one_cell_collection(1), Bounds(1, 3, 2))
+    assert state_text(state) == fixture.read_text()
+
+
+def test_one_name_in_two_dimensions():
+    # "x" names both the 0-cell and the arrow; the build must not mix them up
+    def arrow_named(f):
+        return make_collection(
+            [["x"], [f]], [{}, {f: "x"}], [{}, {f: "x"}], [{"x": DOT}, {f: chain(1)}]
+        )
+
+    bounds = Bounds(2, 5, 1)
+    shared = free_owc(arrow_named("x"), bounds)
+    apart = free_owc(arrow_named("f"), bounds)
+    assert [len(shared.collection.cells_at(k)) for k in range(3)] == [
+        len(apart.collection.cells_at(k)) for k in range(3)
+    ]
 
 
 def test_provenance_complete_and_unique():

@@ -1,11 +1,13 @@
 import pytest
 
 from globop.collection import Bounds, empty_collection, make_collection, one_cell_collection
+from globop.interleave import free_owc
 from globop.operad import (
     NodeTerm,
     OperadStructure,
     UnitTerm,
     cell_arity,
+    cell_products,
     check_operad_laws,
     counit_eval,
     extend_operad,
@@ -281,3 +283,54 @@ def test_make_node_unit_collapse_definitional():
     ctx = extend_operad(lower, lower.over, 1)
     phi = unit_labelling(ctx, 1, unit_tree(1))
     assert make_node(ctx, 1, "g", phi) == "g"
+
+
+# --- products that are cells ---------------------------------------------------
+
+
+def loop_collection():
+    """One 0-cell with one arrow from it to itself."""
+    return make_collection(
+        [["x"], ["l"]], [{}, {"l": "x"}], [{}, {"l": "x"}], [{"x": DOT}, {"l": chain(1)}]
+    )
+
+
+def arrow_collection():
+    """Two 0-cells joined by one arrow."""
+    return make_collection(
+        [["x", "y"], ["f"]], [{}, {"f": "x"}], [{}, {"f": "y"}], [{"x": DOT, "y": DOT}, {"f": chain(1)}]
+    )
+
+
+CELL_PRODUCT_CASES = [
+    ("empty", empty_collection, Bounds(2, 5, 0)),
+    ("empty", empty_collection, Bounds(2, 5, 1)),
+    ("empty", empty_collection, Bounds(2, 7, 1)),
+    ("empty", empty_collection, Bounds(1, 3, 2)),
+    ("one-cell", one_cell_collection, Bounds(2, 5, 1)),
+    ("one-cell", one_cell_collection, Bounds(1, 5, 0)),
+    ("loop", loop_collection, Bounds(2, 5, 1)),
+    ("loop", loop_collection, Bounds(1, 5, 0)),
+    ("arrow", arrow_collection, Bounds(1, 5, 1)),
+    ("arrow", arrow_collection, Bounds(2, 5, 1)),
+]
+
+
+@pytest.mark.parametrize(
+    "make, bounds",
+    [case[1:] for case in CELL_PRODUCT_CASES],
+    ids=[f"{name}-{b.max_dim}{b.max_arity_size}{b.max_term_size}" for name, _, b in CELL_PRODUCT_CASES],
+)
+def test_cell_products_are_the_cell_entries_of_the_table(make, bounds):
+    st = free_owc(make(), bounds)
+    table = mult_table(st.operad, bounds)
+    want = [(k, v) for k, v in table.items() if st.collection.has_cell(k[0], v)]
+    assert list(cell_products(st.operad, bounds).items()) == want
+    # grafting adds term sizes: the size of a product is the size of the
+    # operation plus the sizes of its top labels
+    for (d, a, labels), r in table.items():
+        shape = st.collection.arity_of(d, a)
+        tops = sum(
+            term_size(st.operad, d, lab) for x, lab in zip(all_cells(shape), labels) if x.dim == d
+        )
+        assert term_size(st.operad, d, r) == term_size(st.operad, d, a) + tops

@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from globop.collection import Bounds
+from globop.collection import Bounds, check_collection
+from globop.serialize import state_from_json
 from globop.verify import (
     PROBE_BOUNDS,
     SUITE_NAMES,
@@ -102,3 +103,36 @@ def test_initiality_probe_validates_codomain(fixture):
         assert not rep.passed
         assert want in messages, sorted(messages)
         assert "structure-preserving morphism count differs from one" not in messages
+
+
+def test_initiality_probe_rejects_a_missing_mult_entry():
+    data = json.loads((FIXTURES / "valid_state.json").read_text())
+    data["mult"] = data["mult"][1:]
+    rep = run_suite("initiality-probe", SMALL, fixture=data)
+    assert not rep.passed
+    assert "serialized multiplication table is missing an entry" in {
+        v.message for v in rep.violations
+    }
+
+
+def test_initiality_probe_reports_an_unenumerable_table():
+    # with no listed entry to evaluate, the completeness check itself meets
+    # the node whose generator lost its arity
+    data = json.loads((FIXTURES / "corrupt_state_cells.json").read_text())
+    data["mult"] = []
+    rep = run_suite("initiality-probe", SMALL, fixture=data)
+    assert "multiplication table cannot be enumerated" in {v.message for v in rep.violations}
+
+
+@pytest.mark.parametrize(
+    "fixture, passed",
+    [("valid_state.json", True), ("corrupt_state_cells.json", False)],
+)
+def test_check_collection_ties_contraction_cells_to_their_data(fixture, passed):
+    state = state_from_json(json.loads((FIXTURES / fixture).read_text())).state
+    rep = check_collection(state.collection)
+    assert rep.passed is passed
+    if not passed:
+        assert "arity of a contraction cell differs from its theta" in {
+            v.message for v in rep.violations
+        }
