@@ -48,13 +48,20 @@ def cmd_build_initial(bounds: Bounds, out: str | None) -> int:
 def cmd_verify(suites: list[str], bounds: Bounds, fixture: str | None, out: str | None) -> int:
     if any(s == "all" for s in suites):
         suites = list(verify.SUITE_NAMES)
+    for name in suites:
+        if name not in verify.SUITE_NAMES:
+            print(f"unknown suite: {name}", file=sys.stderr)
+            return 2
     reports = []
     failed = False
     for name in suites:
         try:
             rep = verify.run_suite(name, bounds, fixture)
-        except KeyError:
-            print(f"unknown suite: {name}", file=sys.stderr)
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            # with the names checked, these come from parsing or decoding
+            if fixture is None:
+                raise
+            print(f"malformed fixture: {exc!r}", file=sys.stderr)
             return 2
         reports.append(rep.to_json())
         failed = failed or not rep.passed

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import pasting
-from .globset import GlobularSet, check_globularity, empty_glob_set, glob_set
+from .globset import GlobularSet, empty_glob_set, glob_set
 from .pasting import (
     CellAddr,
     LabelledDiagram,

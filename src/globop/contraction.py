@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .collection import Bounds, Collection, make_collection
 from .globset import GlobMorphism, parallel
-from .pasting import PastingDiagram, boundary, size, trees_with_boundary
+from .pasting import PastingDiagram, trees_with_boundary
 from .report import Report
 from .util import canonical_key
 

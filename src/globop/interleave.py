@@ -29,7 +29,6 @@ from .contraction import (
     ContractionStructure,
     CtrCell,
     admissible_triples,
-    check_contraction,
     contraction_morphism_check,
     free_contraction_step,
 )
@@ -108,9 +107,9 @@ def start_state(a: Collection, bounds: Bounds) -> OwcState:
 def step_contraction(s: OwcState) -> OwcState:
     """The lifted free contraction step (k, k) -> (k + 1, k).  Asserts the
     layers of dimension <= k are unchanged: cells in order, src, tgt and
-    arity.  The new operad reuses the old multiplication, whose closures
-    read only their own collection, so its multiplication table is a
-    function of those layers and stays bit-identical."""
+    arity.  The new operad keeps the old multiplications; each reads only
+    the layers <= k of the collection it is called with, so the
+    multiplication table stays bit-identical."""
     i, j = s.stage
     if i != j:
         raise ValueError(f"contraction step needs stage (k, k), got {s.stage}")
@@ -118,9 +117,7 @@ def step_contraction(s: OwcState) -> OwcState:
     k = s.operad.up_to_dim
     if truncate(res.collection, k) != truncate(s.collection, k):
         raise AssertionError("contraction step disturbed the operad multiplication")
-    new_operad = OperadStructure(
-        res.collection, k, dict(s.operad.units), s.operad.mult_fn
-    )
+    new_operad = OperadStructure(res.collection, s.operad.units, s.operad.mults)
     provenance = dict(s.provenance)
     for cell in res.new_cells:
         provenance[(res.new_dim, cell)] = Provenance(f"contraction-{res.new_dim}")

@@ -21,7 +21,6 @@ from typing import Callable
 
 from .collection import Bounds, Collection, Overflow, enumerate_labellings, make_collection
 from .pasting import (
-    CellAddr,
     LabelledDiagram,
     PastingDiagram,
     all_cells,
@@ -71,19 +70,30 @@ def is_term(c) -> bool:
 
 @dataclass
 class OperadStructure:
-    """A collection with unit cells and a multiplication up to a dimension.
+    """A collection with unit cells and one multiplication per dimension.
 
-    ``mult_fn(d, a, phi)`` composes the d-cell ``a`` with a labelling ``phi``
-    of its arity by cells of the collection.
+    ``mults[d](op, d, a, phi)`` composes the d-cell ``a`` with a labelling
+    ``phi`` of its arity by cells of ``op.over``; a freely built dimension
+    uses ``term_mult``.  Entries of ``products``, keyed by
+    ``(d, a, phi.labels)``, take precedence over the multiplications.
     """
 
     over: Collection
-    up_to_dim: int
     units: dict[int, object]
-    mult_fn: Callable[[int, object, LabelledDiagram], object] | None = None
+    mults: tuple[Callable[[OperadStructure, int, object, LabelledDiagram], object], ...]
+    products: dict = field(default_factory=dict)
+
+    @property
+    def up_to_dim(self) -> int:
+        return len(self.mults) - 1
 
     def mult(self, d: int, a, phi: LabelledDiagram):
-        return self.mult_fn(d, a, phi)
+        if self.products:
+            try:
+                return self.products[(d, a, phi.labels)]
+            except KeyError:
+                pass
+        return self.mults[d](self, d, a, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -210,28 +220,25 @@ def counit_eval(y: OperadStructure, d: int, t):
 
 
 def extend_operad(lower: OperadStructure | None, coll: Collection, d: int) -> OperadStructure:
-    """Operad structure whose dimension-d multiplication is term grafting and
-    whose lower dimensions delegate to ``lower``."""
-    units = dict(lower.units) if lower else {}
-    units[d] = UnitTerm(d)
-    op = OperadStructure(coll, d, units, None)
-
-    def mult_fn(j, a, phi):
-        if j < d and lower is not None:
-            return lower.mult(j, a, phi)
-        return term_mult(op, j, a, phi)
-
-    op.mult_fn = mult_fn
-    return op
+    """Operad structure over ``coll`` whose dimension-d multiplication is term
+    grafting and whose lower dimensions are those of ``lower``."""
+    units = lower.units if lower else {}
+    mults = lower.mults if lower else ()
+    return OperadStructure(coll, units | {d: UnitTerm(d)}, mults + (term_mult,))
 
 
-def state_operad(coll: Collection, up_to: int) -> OperadStructure | None:
+def state_operad(coll: Collection, up_to: int) -> OperadStructure:
     """The operad structure of a fully interleaved state: every dimension up
     to ``up_to`` is term-based with the formal unit."""
-    op = None
-    for j in range(up_to + 1):
-        op = extend_operad(op, coll, j)
-    return op
+    return OperadStructure(
+        coll, {j: UnitTerm(j) for j in range(up_to + 1)}, (term_mult,) * (up_to + 1)
+    )
+
+
+def _substitute_mult(op: OperadStructure, d: int, a, phi: LabelledDiagram):
+    if phi.shape != a:
+        raise ValueError("labelling shape differs from the operation")
+    return subst_arities(phi.shape, phi.labels)
 
 
 def terminal_operad(bounds: Bounds) -> OperadStructure:
@@ -240,17 +247,11 @@ def terminal_operad(bounds: Bounds) -> OperadStructure:
 
     if 2 * bounds.max_dim + 1 > bounds.max_arity_size:
         raise ValueError("single-cell diagrams at the top dimension exceed the arity bound")
-    coll = terminal_collection(bounds)
-    units = {k: unit_tree(k) for k in range(bounds.max_dim + 1)}
-    op = OperadStructure(coll, bounds.max_dim, units, None)
-
-    def mult_fn(d, a, phi):
-        if phi.shape != a:
-            raise ValueError("labelling shape differs from the operation")
-        return subst_arities(phi.shape, phi.labels)
-
-    op.mult_fn = mult_fn
-    return op
+    return OperadStructure(
+        terminal_collection(bounds),
+        {k: unit_tree(k) for k in range(bounds.max_dim + 1)},
+        (_substitute_mult,) * (bounds.max_dim + 1),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -298,20 +299,6 @@ def _free_at(coll: Collection, lower: OperadStructure | None, d: int, bounds: Bo
         ntgt[unit] = ctx.units[d - 1]
     lower_cells = set(coll.cells_at(d - 1)) if d >= 1 else set()
 
-    def top_src(j, t):
-        if isinstance(t, UnitTerm):
-            return ctx.units[d - 1]
-        if isinstance(t, NodeTerm):
-            return nsrc[t]
-        return coll.src_of(d, t)
-
-    def top_tgt(j, t):
-        if isinstance(t, UnitTerm):
-            return ctx.units[d - 1]
-        if isinstance(t, NodeTerm):
-            return ntgt[t]
-        return coll.tgt_of(d, t)
-
     def fits(terms):
         # a node is at least one bigger than any of its top labels
         return [t for t in terms if tsize[t] <= bounds.max_term_size - 1]
@@ -322,10 +309,10 @@ def _free_at(coll: Collection, lower: OperadStructure | None, d: int, bounds: Bo
         return coll.cells_at(j)
 
     def src_of(j, lab):
-        return top_src(j, lab) if j == d else coll.src_of(j, lab)
+        return nsrc[lab] if j == d and is_term(lab) else coll.src_of(j, lab)
 
     def tgt_of(j, lab):
-        return top_tgt(j, lab) if j == d else coll.tgt_of(j, lab)
+        return ntgt[lab] if j == d and is_term(lab) else coll.tgt_of(j, lab)
 
     strata: dict = {}
     skipped: dict[str, list] = {"term": [], "arity": [], "boundary": []}

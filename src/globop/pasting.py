@@ -67,13 +67,6 @@ class CellAddr:
     def _sort_key_(self):
         return (self.dim, self.path)
 
-    def to_json(self) -> list[int]:
-        return [self.dim, *self.path]
-
-
-def addr_from_json(data) -> CellAddr:
-    return CellAddr(int(data[0]), tuple(int(v) for v in data[1:]))
-
 
 # ---------------------------------------------------------------------------
 # basic tree operations

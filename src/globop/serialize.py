@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .collection import Bounds, Collection, Overflow, make_collection
+from .collection import Bounds, Overflow, make_collection
 from .contraction import ContractionStructure, CtrCell
 from .interleave import OwcState, Provenance
-from .operad import NodeTerm, OperadStructure, UnitTerm, cell_products, state_operad, term_mult
-from .pasting import LabelledDiagram, all_cells, tree_from_json, tree_to_json
+from .operad import NodeTerm, UnitTerm, cell_products, state_operad
+from .pasting import all_cells, tree_from_json, tree_to_json
 from .util import canonical_json
 
 
@@ -291,25 +291,6 @@ def state_from_json(data: dict) -> DecodedState:
         overflows=overflows,
     )
     return DecodedState(state, mult_entries)
-
-
-def table_backed_operad(decoded: DecodedState) -> OperadStructure:
-    """Operad view of a decoded state whose multiplication consults the
-    serialized table first; structural grafting is the fallback for entries
-    the table never materialized."""
-    state = decoded.state
-    op = OperadStructure(
-        state.collection, state.stage[1], dict(state.operad.units), None
-    )
-
-    def mult_fn(d, a, phi: LabelledDiagram):
-        key = (d, a, phi.labels)
-        if key in decoded.mult_entries:
-            return decoded.mult_entries[key]
-        return term_mult(op, d, a, phi)
-
-    op.mult_fn = mult_fn
-    return op
 
 
 def slice_of_data(data: dict, k: int) -> dict:

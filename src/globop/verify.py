@@ -7,7 +7,7 @@ corrupted fixture demonstrates that the suite can fail.
 
 from __future__ import annotations
 
-import itertools
+import dataclasses
 import json
 import time
 from pathlib import Path
@@ -15,7 +15,6 @@ from pathlib import Path
 from .collection import (
     Bounds,
     Collection,
-    Overflow,
     check_collection,
     empty_collection,
     enumerate_labellings,
@@ -26,7 +25,6 @@ from .collection import (
     terminal_collection,
 )
 from .contraction import (
-    ContractionStructure,
     CtrCell,
     admissible_triples,
     check_contraction,
@@ -47,9 +45,7 @@ from .operad import (
     check_operad_laws,
     counit_eval,
     free_operad_dim0,
-    free_operad_step,
     mult_table,
-    state_operad,
     terminal_operad,
 )
 from .oracle import (
@@ -66,11 +62,9 @@ from .pasting import (
     all_cells,
     boundary,
     boundary_restrict,
-    chain,
     enumerate_trees,
     flatten,
     labelled,
-    size,
     substitute,
     tree_from_json,
     unit_tree,
@@ -82,7 +76,7 @@ from .serialize import (
     slice_json,
     slice_of_data,
     state_from_json,
-    table_backed_operad,
+    state_to_json,
 )
 from .util import canonical_json
 
@@ -263,7 +257,7 @@ def _suite_operad_laws(bounds: Bounds, fixture) -> Report:
     rep = Report("operad-laws")
     if fixture is not None:
         decoded = state_from_json(fixture)
-        op = table_backed_operad(decoded)
+        op = dataclasses.replace(decoded.state.operad, products=decoded.mult_entries)
         rep.extend(check_operad_laws(op, decoded.state.bounds))
         return rep
     rep.extend(check_operad_laws(terminal_operad(Bounds(2, 9, 2)), Bounds(2, 9, 2)))
@@ -290,7 +284,8 @@ def _suite_triangle(bounds: Bounds, fixture) -> Report:
     rep = Report("triangle-identities")
     if fixture is not None:
         decoded = state_from_json(fixture)
-        state, op = decoded.state, table_backed_operad(decoded)
+        state = decoded.state
+        op = dataclasses.replace(state.operad, products=decoded.mult_entries)
     else:
         state = cached_initial(bounds)
         op = state.operad
@@ -307,7 +302,13 @@ def _suite_triangle(bounds: Bounds, fixture) -> Report:
     return rep
 
 
-def _mult_table_diffs(before, after) -> list:
+def _rebuild(fixture) -> tuple[DecodedState, OwcState]:
+    """Decode a state fixture and rebuild its ladder from its input cells."""
+    decoded = state_from_json(fixture)
+    return decoded, free_owc(input_collection_of(decoded.state), decoded.state.bounds)
+
+
+def _table_diffs(before, after) -> list:
     keys = set(before) | set(after)
     return [k for k in sorted(keys, key=repr) if before.get(k) != after.get(k)]
 
@@ -315,7 +316,11 @@ def _mult_table_diffs(before, after) -> list:
 def _suite_stability_contraction(bounds: Bounds, fixture) -> Report:
     rep = Report("stability-contraction")
     if fixture is not None:
-        return _fixture_integrity(rep, fixture, part="mult")
+        decoded, rebuilt = _rebuild(fixture)
+        want = cell_products(rebuilt.operad, rebuilt.bounds)
+        for key in _table_diffs(want, decoded.mult_entries):
+            rep.add("fixture multiplication table differs from a fresh build", witness=repr(key))
+        return rep
     trace = cached_trace(STABILITY_BOUNDS)
     for (label_before, before), (label_after, after) in zip(trace, trace[1:]):
         if not label_after.startswith("H"):
@@ -323,7 +328,7 @@ def _suite_stability_contraction(bounds: Bounds, fixture) -> Report:
         dims = range(before.operad.up_to_dim + 1)
         tb = mult_table(before.operad, STABILITY_BOUNDS, dims=dims)
         ta = mult_table(after.operad, STABILITY_BOUNDS, dims=dims)
-        for key in _mult_table_diffs(tb, ta):
+        for key in _table_diffs(tb, ta):
             rep.add(
                 f"multiplication changed across {label_after}",
                 witness=repr(key),
@@ -334,7 +339,10 @@ def _suite_stability_contraction(bounds: Bounds, fixture) -> Report:
 def _suite_stability_operad(bounds: Bounds, fixture) -> Report:
     rep = Report("stability-operad")
     if fixture is not None:
-        return _fixture_integrity(rep, fixture, part="gamma")
+        decoded, rebuilt = _rebuild(fixture)
+        for key in _table_diffs(rebuilt.contraction.gamma, decoded.state.contraction.gamma):
+            rep.add("fixture gamma table differs from a fresh build", witness=repr(key))
+        return rep
     trace = cached_trace(STABILITY_BOUNDS)
     for (label_before, before), (label_after, after) in zip(trace, trace[1:]):
         if not label_after.startswith("M") or label_after == "M0":
@@ -349,33 +357,14 @@ def _suite_stability_operad(bounds: Bounds, fixture) -> Report:
     return rep
 
 
-def _fixture_integrity(rep: Report, fixture, part: str) -> Report:
-    """Rebuild the fixture's ladder from its input cells and diff the
-    requested table."""
-    decoded = state_from_json(fixture)
-    state = decoded.state
-    rebuilt = free_owc(input_collection_of(state), state.bounds)
-    if part == "mult":
-        want = cell_products(rebuilt.operad, rebuilt.bounds)
-        for key in _mult_table_diffs(want, decoded.mult_entries):
-            rep.add("fixture multiplication table differs from a fresh build", witness=repr(key))
-    else:
-        if rebuilt.contraction.gamma != state.contraction.gamma:
-            keys = set(rebuilt.contraction.gamma) | set(state.contraction.gamma)
-            for key in sorted(keys, key=repr):
-                if rebuilt.contraction.gamma.get(key) != state.contraction.gamma.get(key):
-                    rep.add("fixture gamma table differs from a fresh build", witness=repr(key))
-    return rep
-
-
 def _suite_ladder(bounds: Bounds, fixture) -> Report:
     rep = Report("ladder-coherence")
     if fixture is not None:
-        decoded = state_from_json(fixture)
-        rebuilt = free_owc(input_collection_of(decoded.state), decoded.state.bounds)
+        decoded, rebuilt = _rebuild(fixture)
+        data = state_to_json(rebuilt)
         for k in range(decoded.state.stage[1] + 1):
             if canonical_json(slice_of_data(fixture, k)) != canonical_json(
-                slice_json(rebuilt, k)
+                slice_of_data(data, k)
             ):
                 rep.add("fixture slice differs from a fresh build", witness=k)
         return rep
@@ -392,9 +381,8 @@ def _suite_ladder(bounds: Bounds, fixture) -> Report:
 def _suite_oracle(bounds: Bounds, fixture) -> Report:
     rep = Report("oracle-equivalence")
     if fixture is not None:
-        decoded = state_from_json(fixture)
+        decoded, rebuilt = _rebuild(fixture)
         state = decoded.state
-        rebuilt = free_owc(input_collection_of(state), state.bounds)
         for k in range(state.collection.max_dim + 1):
             if set(state.collection.cells_at(k)) != set(rebuilt.collection.cells_at(k)):
                 rep.add("fixture cells differ from a fresh build", witness=k)

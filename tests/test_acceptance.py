@@ -52,9 +52,9 @@ def _loop_with_three_generators():
         [{}, {"g0": "e", "g1": "e", "g2": "e"}],
         [{"e": DOT}, {"g0": chain(0), "g1": chain(1), "g2": chain(2)}],
     )
-    op = OperadStructure(coll, 0, {0: "e"}, None)
-    op.mult_fn = lambda d, a, phi: phi.label_of(cells(phi.shape, 0)[0])
-    return op
+    return OperadStructure(
+        coll, {0: "e"}, (lambda op, d, a, phi: phi.label_of(cells(phi.shape, 0)[0]),)
+    )
 
 
 def _hand_two_dimensional_input():
@@ -69,16 +69,14 @@ def _hand_two_dimensional_input():
             {"al": two(0), "be": two(1), "de": two(1)},
         ],
     )
-    op = OperadStructure(coll, 1, {0: "w", 1: "i"}, None)
 
-    def mult_fn(d, a, phi):
+    def mult_fn(op, d, a, phi):
         if d == 0:
             return phi.label_of(cells(phi.shape, 0)[0])
         top = phi.label_of(cells(phi.shape, 1)[0])
         return top if a == "i" else "f"
 
-    op.mult_fn = mult_fn
-    return op
+    return OperadStructure(coll, {0: "w", 1: "i"}, (mult_fn,) * 2)
 
 
 def test_criterion_3_free_operad_oracle_equivalence():

@@ -83,6 +83,22 @@ def test_verify_unknown_suite(capsys):
     assert "unknown suite" in err
 
 
+def test_verify_malformed_state_fixture(tmp_path, capsys):
+    fixture = tmp_path / "partial.json"
+    fixture.write_text(json.dumps({"stage": [1, 1]}))
+    code, _, err = run(capsys, "verify", "--suite", "operad-laws", "--input", str(fixture))
+    assert code == 2
+    assert "malformed fixture" in err and "unknown suite" not in err
+
+
+def test_verify_fixture_that_is_not_json(tmp_path, capsys):
+    fixture = tmp_path / "state.json"
+    fixture.write_text("not json\n")
+    code, _, err = run(capsys, "verify", "--suite", "operad-laws", "--input", str(fixture))
+    assert code == 2
+    assert "malformed fixture" in err
+
+
 def test_verify_single_suite_with_reports(tmp_path, capsys):
     reports = tmp_path / "reports.json"
     code, out, _ = run(

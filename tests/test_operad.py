@@ -41,9 +41,9 @@ def self_loop_operad(max_dim=1):
         [{}, {"g": "e"}] + [{} for _ in range(max_dim - 1)],
         [{"e": DOT}, {"g": unit_tree(1)}] + [{} for _ in range(max_dim - 1)],
     )
-    op = OperadStructure(coll, 0, {0: "e"}, None)
-    op.mult_fn = lambda d, a, phi: phi.label_of(cells(phi.shape, 0)[0])
-    return op
+    return OperadStructure(
+        coll, {0: "e"}, (lambda op, d, a, phi: phi.label_of(cells(phi.shape, 0)[0]),)
+    )
 
 
 def idempotent_one_operad():
@@ -54,16 +54,14 @@ def idempotent_one_operad():
         [{}, {"i": "w", "f": "w"}, {}],
         [{"w": DOT}, {"i": unit_tree(1), "f": unit_tree(1)}, {}],
     )
-    op = OperadStructure(coll, 1, {0: "w", 1: "i"}, None)
 
-    def mult_fn(d, a, phi):
+    def mult_fn(op, d, a, phi):
         if d == 0:
             return phi.label_of(cells(phi.shape, 0)[0])
         top = phi.label_of(cells(phi.shape, 1)[0])
         return top if a == "i" else ("f" if top in ("i", "f") else None)
 
-    op.mult_fn = mult_fn
-    return op
+    return OperadStructure(coll, {0: "w", 1: "i"}, (mult_fn,) * 2)
 
 
 # --- dimension 0 -------------------------------------------------------------
@@ -109,8 +107,9 @@ def test_free_step_no_generators_adds_only_unit():
     coll = make_collection(
         [["e"], []], [{}, {}], [{}, {}], [{"e": DOT}, {}]
     )
-    lower = OperadStructure(coll, 0, {0: "e"}, None)
-    lower.mult_fn = lambda d, a, phi: phi.label_of(cells(phi.shape, 0)[0])
+    lower = OperadStructure(
+        coll, {0: "e"}, (lambda op, d, a, phi: phi.label_of(cells(phi.shape, 0)[0]),)
+    )
     res = free_operad_step(lower, Bounds(1, 3, 3))
     assert res.operad.over.cells_at(1) == (UnitTerm(1),)
     assert res.operad.over.src_of(1, UnitTerm(1)) == "e"
@@ -155,8 +154,9 @@ def test_term_mult_chain_arities():
         [{}, {"g1": "e", "g2": "e"}],
         [{"e": DOT}, {"g1": chain(1), "g2": chain(2)}],
     )
-    lower = OperadStructure(coll, 0, {0: "e"}, None)
-    lower.mult_fn = lambda d, a, phi: phi.label_of(cells(phi.shape, 0)[0])
+    lower = OperadStructure(
+        coll, {0: "e"}, (lambda op, d, a, phi: phi.label_of(cells(phi.shape, 0)[0]),)
+    )
     ctx = extend_operad(lower, coll, 1)
     sh = chain(2)
     arg = {a: "e" for a in cells(sh, 0)}
@@ -240,7 +240,7 @@ def test_counit_is_homomorphic():
 
 def _term_ctx(y):
     return extend_operad(
-        OperadStructure(y.over, 0, {0: y.units[0]}, lambda d, a, phi: y.mult(d, a, phi)),
+        OperadStructure(y.over, {0: y.units[0]}, (lambda op, d, a, phi: y.mult(d, a, phi),)),
         y.over,
         1,
     )
@@ -256,15 +256,14 @@ def test_terminal_operad_laws():
 
 def test_corrupted_mult_located():
     base = terminal_operad(Bounds(1, 5, 2))
-    broken = OperadStructure(base.over, 1, dict(base.units), None)
 
-    def mult_fn(d, a, phi):
-        out = base.mult_fn(d, a, phi)
+    def mult_fn(op, d, a, phi):
+        out = base.mult(d, a, phi)
         if d == 1 and a == chain(2) and out == chain(2):
             return chain(1)  # wrong size on purpose
         return out
 
-    broken.mult_fn = mult_fn
+    broken = OperadStructure(base.over, dict(base.units), (mult_fn,) * 2)
     rep = check_operad_laws(broken, Bounds(1, 5, 2))
     assert not rep.passed
 

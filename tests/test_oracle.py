@@ -84,8 +84,9 @@ def test_oracle_terms_single_slot_chain():
         [{}, {"g": "e"}],
         [{"e": DOT}, {"g": unit_tree(1)}],
     )
-    lower = OperadStructure(coll, 0, {0: "e"}, None)
-    lower.mult_fn = lambda d, a, phi: phi.label_of(cells(phi.shape, 0)[0])
+    lower = OperadStructure(
+        coll, {0: "e"}, (lambda op, d, a, phi: phi.label_of(cells(phi.shape, 0)[0]),)
+    )
     got = oracle_terms(lower, coll, 1, Bounds(1, 3, 3))
     assert len(got) == 4
     assert got == set(free_operad_step(lower, Bounds(1, 3, 3)).operad.over.cells_at(1))

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import make_fixtures
 from globop.collection import Bounds, check_collection
 from globop.serialize import state_from_json
 from globop.verify import (
@@ -31,6 +32,16 @@ NEGATIVE = {
 }
 
 STATE_SUITES = [name for name in SUITE_NAMES if NEGATIVE[name].startswith("corrupt_state")]
+
+
+def test_make_fixtures_reproduces_every_fixture(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(make_fixtures, "FIXTURES", tmp_path)
+    make_fixtures.main()
+    names = sorted(p.name for p in FIXTURES.iterdir())
+    assert len(names) == 8
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (FIXTURES / name).read_bytes(), name
 
 
 def test_unknown_suite():
