@@ -45,12 +45,22 @@ def cmd_build_initial(bounds: Bounds, out: str | None) -> int:
     return 0
 
 
-def cmd_verify(suites: list[str], bounds: Bounds, fixture: str | None, out: str | None) -> int:
+def cmd_verify(suites: list[str], bounds: Bounds, fixture_path: str | None, out: str | None) -> int:
     if any(s == "all" for s in suites):
         suites = list(verify.SUITE_NAMES)
     for name in suites:
         if name not in verify.SUITE_NAMES:
             print(f"unknown suite: {name}", file=sys.stderr)
+            return 2
+    fixture = None
+    if fixture_path is not None:
+        try:
+            fixture = json.loads(Path(fixture_path).read_text())
+        except OSError as exc:
+            print(f"cannot read fixture: {exc}", file=sys.stderr)
+            return 2
+        except ValueError as exc:
+            print(f"malformed fixture: {exc!r}", file=sys.stderr)
             return 2
     reports = []
     failed = False
@@ -58,7 +68,7 @@ def cmd_verify(suites: list[str], bounds: Bounds, fixture: str | None, out: str 
         try:
             rep = verify.run_suite(name, bounds, fixture)
         except (KeyError, IndexError, TypeError, ValueError) as exc:
-            # with the names checked, these come from parsing or decoding
+            # with the names checked and the file parsed, these come from decoding
             if fixture is None:
                 raise
             print(f"malformed fixture: {exc!r}", file=sys.stderr)

@@ -21,13 +21,12 @@ from .pasting import (
     cell_src,
     cell_tgt,
     enumerate_trees,
-    labelled,
     size,
     subst_arities,
     unit_tree,
 )
 from .report import Report
-from .util import canonical_key
+from .util import Keyed
 
 
 @dataclass(frozen=True)
@@ -177,44 +176,48 @@ def enumerate_labellings(
     the time their turn comes.  ``overrides`` narrows the candidate list of
     individual cells.  Deterministic output order.
     """
-    order = sorted(all_cells(shape), key=lambda a: (-a.dim, a.path))
-    forced: dict[CellAddr, object] = {}
-    assign: dict[CellAddr, object] = {}
+    addrs = all_cells(shape)
+    position = {a: p for p, a in enumerate(addrs)}
+    order = sorted(range(len(addrs)), key=lambda p: (-addrs[p].dim, addrs[p].path))
+    ends = [
+        (position[cell_src(shape, a)], position[cell_tgt(shape, a)]) if a.dim >= 1 else None
+        for a in addrs
+    ]
+    narrowed = [overrides.get(a) for a in addrs] if overrides else [None] * len(addrs)
+    free = object()
+    forced = [free] * len(addrs)
+    assign = [None] * len(addrs)
     out: list[LabelledDiagram] = []
 
-    def options(addr: CellAddr):
-        if addr in forced:
-            return [forced[addr]]
-        if overrides and addr in overrides:
-            return overrides[addr]
-        return candidates_by_dim(addr.dim)
+    def options(p: int):
+        if forced[p] is not free:
+            return (forced[p],)
+        if narrowed[p] is not None:
+            return narrowed[p]
+        return candidates_by_dim(addrs[p].dim)
 
     def place(i: int) -> None:
         if i == len(order):
-            out.append(labelled(shape, assign))
+            out.append(LabelledDiagram(shape, tuple(assign)))
             return
-        addr = order[i]
-        for lab in options(addr):
+        p = order[i]
+        dim = addrs[p].dim
+        for lab in options(p):
             pushed = []
             ok = True
-            if addr.dim >= 1:
-                for neighbour, value in (
-                    (cell_src(shape, addr), src_of(addr.dim, lab)),
-                    (cell_tgt(shape, addr), tgt_of(addr.dim, lab)),
-                ):
-                    if neighbour in forced:
-                        if forced[neighbour] != value:
-                            ok = False
-                            break
-                    else:
+            if ends[p] is not None:
+                for neighbour, value in zip(ends[p], (src_of(dim, lab), tgt_of(dim, lab))):
+                    if forced[neighbour] is free:
                         forced[neighbour] = value
                         pushed.append(neighbour)
+                    elif forced[neighbour] != value:
+                        ok = False
+                        break
             if ok:
-                assign[addr] = lab
+                assign[p] = lab
                 place(i + 1)
-                del assign[addr]
             for neighbour in pushed:
-                del forced[neighbour]
+                forced[neighbour] = free
 
     place(0)
     return out
@@ -234,16 +237,21 @@ def collection_labellings(shape: PastingDiagram, b: Collection, overrides=None) 
 # tensor product
 
 
-@dataclass(frozen=True)
-class PairCell:
+@dataclass(frozen=True, slots=True)
+class PairCell(Keyed):
     """A cell of a tensor product: a left cell with a labelling of its arity
     by right cells."""
 
     left: object
     labelling: LabelledDiagram
 
+    __hash__ = Keyed.__hash__
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.left, self.labelling)))
+
     def _sort_key_(self):
-        return (canonical_key(self.left), canonical_key(self.labelling))
+        return (self.left, self.labelling)
 
 
 @dataclass(frozen=True)

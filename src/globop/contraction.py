@@ -14,23 +14,26 @@ from .collection import Bounds, Collection, make_collection
 from .globset import GlobMorphism, parallel
 from .pasting import PastingDiagram, trees_with_boundary
 from .report import Report
-from .util import canonical_key
+from .util import Keyed, canonical_key
 
 
-@dataclass(frozen=True)
-class CtrCell:
+@dataclass(frozen=True, slots=True)
+class CtrCell(Keyed):
     """A freely added contraction cell: source, target and chosen arity."""
 
     a: object
     b: object
     theta: PastingDiagram
 
+    __hash__ = Keyed.__hash__
+
     def __post_init__(self):
         if self.theta.dim < 1:
             raise ValueError("a contraction cell lives one dimension above its ends")
+        object.__setattr__(self, "_hash", hash((self.a, self.b, self.theta)))
 
     def _sort_key_(self):
-        return (canonical_key(self.a), canonical_key(self.b), self.theta)
+        return (self.a, self.b, self.theta)
 
 
 @dataclass

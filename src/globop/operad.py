@@ -29,17 +29,22 @@ from .pasting import (
     cells,
     labelled,
     size,
-    slice_at,
+    slices,
     subst_arities,
     unit_tree,
 )
 from .report import Report
-from .util import canonical_key
+from .util import Keyed, canonical_key
 
 
-@dataclass(frozen=True)
-class UnitTerm:
+@dataclass(frozen=True, slots=True)
+class UnitTerm(Keyed):
     dim: int
+
+    __hash__ = Keyed.__hash__
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.dim,)))
 
     def _sort_key_(self):
         return (self.dim,)
@@ -48,8 +53,8 @@ class UnitTerm:
         return f"UnitTerm({self.dim})"
 
 
-@dataclass(frozen=True)
-class NodeTerm:
+@dataclass(frozen=True, slots=True)
+class NodeTerm(Keyed):
     """A generator grafted with a labelling of its arity.
 
     ``labels`` is aligned with ``all_cells`` of the generator's arity; entries
@@ -60,8 +65,13 @@ class NodeTerm:
     gen: object
     labels: tuple
 
+    __hash__ = Keyed.__hash__
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.dim, self.gen, self.labels)))
+
     def _sort_key_(self):
-        return (self.dim, canonical_key(self.gen), canonical_key(self.labels))
+        return (self.dim, self.gen, self.labels)
 
 
 def is_term(c) -> bool:
@@ -185,8 +195,7 @@ def term_mult(op: OperadStructure, d: int, a, phi: LabelledDiagram):
         psi = dict(zip(all_cells(shape), a.labels))
         arities = tuple(cell_arity(op, x.dim, psi[x]) for x in all_cells(shape))
         new_labels = {}
-        for x in all_cells(shape):
-            piece = slice_at(phi, shape, arities, x)
+        for x, piece in zip(all_cells(shape), slices(phi, shape, arities)):
             if x.dim == d:
                 new_labels[x] = term_mult(op, d, psi[x], piece)
             else:
@@ -476,15 +485,14 @@ def cell_products(op: OperadStructure, bounds: Bounds, dims=None) -> dict:
 def compose_labellings(op: OperadStructure, phi: LabelledDiagram, chi: LabelledDiagram) -> LabelledDiagram:
     """Compose every label of ``phi`` with its slice of ``chi``."""
     shape = phi.shape
-    arities = tuple(
-        cell_arity(op, x.dim, phi.label_of(x)) for x in all_cells(shape)
-    )
-    return labelled(
+    cells_and_labels = tuple(zip(all_cells(shape), phi.labels))
+    arities = tuple(cell_arity(op, x.dim, lab) for x, lab in cells_and_labels)
+    return LabelledDiagram(
         shape,
-        {
-            x: op.mult(x.dim, phi.label_of(x), slice_at(chi, shape, arities, x))
-            for x in all_cells(shape)
-        },
+        tuple(
+            op.mult(x.dim, lab, piece)
+            for (x, lab), piece in zip(cells_and_labels, slices(chi, shape, arities))
+        ),
     )
 
 

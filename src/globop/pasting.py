@@ -20,13 +20,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping
 
-from .util import canonical_json
+from .util import Keyed, canonical_json
 
 
-@dataclass(frozen=True)
-class PastingDiagram:
+@dataclass(frozen=True, slots=True)
+class PastingDiagram(Keyed):
     dim: int
     children: tuple["PastingDiagram", ...] = ()
+
+    __hash__ = Keyed.__hash__
 
     def __post_init__(self):
         if self.dim < 0:
@@ -38,6 +40,7 @@ class PastingDiagram:
                 raise ValueError(
                     f"column of a {self.dim}-diagram must have dimension {self.dim - 1}"
                 )
+        object.__setattr__(self, "_hash", hash((self.dim, self.children)))
 
     def _sort_key_(self):
         return (size(self), self.dim, self.children)
@@ -49,8 +52,8 @@ class PastingDiagram:
 DOT = PastingDiagram(0, ())
 
 
-@dataclass(frozen=True)
-class CellAddr:
+@dataclass(frozen=True, slots=True)
+class CellAddr(Keyed):
     """Address of a cell inside an ambient diagram.
 
     ``path`` has length ``dim + 1``: the first ``dim`` entries are 1-based
@@ -60,9 +63,12 @@ class CellAddr:
     dim: int
     path: tuple[int, ...]
 
+    __hash__ = Keyed.__hash__
+
     def __post_init__(self):
         if len(self.path) != self.dim + 1:
             raise ValueError("path length must be dim + 1")
+        object.__setattr__(self, "_hash", hash((self.dim, self.path)))
 
     def _sort_key_(self):
         return (self.dim, self.path)
@@ -204,14 +210,17 @@ def degenerate(alpha: PastingDiagram, extra: int) -> PastingDiagram:
 # diagrams are hashable and their serialisation order is canonical.
 
 
-@dataclass(frozen=True)
-class LabelledDiagram:
+@dataclass(frozen=True, slots=True)
+class LabelledDiagram(Keyed):
     shape: PastingDiagram
     labels: tuple
+
+    __hash__ = Keyed.__hash__
 
     def __post_init__(self):
         if len(self.labels) != len(all_cells(self.shape)):
             raise ValueError("labelling must cover every cell of the shape")
+        object.__setattr__(self, "_hash", hash((self.shape, self.labels)))
 
     def label_of(self, addr: CellAddr):
         return self.labels[_addr_index(self.shape)[addr]]
@@ -442,12 +451,28 @@ def flatten(shape: PastingDiagram, inner: Mapping[CellAddr, LabelledDiagram]) ->
     return labelled(composite, out)
 
 
-def slice_at(phi: LabelledDiagram, shape: PastingDiagram, arities: tuple, c: CellAddr) -> LabelledDiagram:
-    """The part of ``phi`` (a labelling of subst_arities(shape, arities)) that
-    sits over the arity of the cell ``c`` of ``shape``."""
+@lru_cache(maxsize=None)
+def _slice_positions(shape: PastingDiagram, arities: tuple) -> tuple[tuple[int, ...], ...]:
+    """For each cell c of ``shape``, in ``all_cells`` order, the positions in
+    the labels of ``subst_arities(shape, arities)`` where the cells of c's
+    arity land."""
     emb = emb_map(shape, arities)
-    alpha = arities[_addr_index(shape)[c]]
-    return labelled(alpha, {e: phi.label_of(emb[(c, e)]) for e in all_cells(alpha)})
+    index = _addr_index(subst_arities(shape, arities))
+    return tuple(
+        tuple(index[emb[(c, e)]] for e in all_cells(alpha))
+        for c, alpha in zip(all_cells(shape), arities)
+    )
+
+
+def slices(phi: LabelledDiagram, shape: PastingDiagram, arities: tuple) -> tuple[LabelledDiagram, ...]:
+    """The parts of ``phi`` (a labelling of subst_arities(shape, arities))
+    that sit over the arities of the cells of ``shape``, in ``all_cells``
+    order."""
+    labels = phi.labels
+    return tuple(
+        LabelledDiagram(alpha, tuple(labels[p] for p in positions))
+        for alpha, positions in zip(arities, _slice_positions(shape, arities))
+    )
 
 
 # ---------------------------------------------------------------------------

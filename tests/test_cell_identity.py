@@ -1,0 +1,181 @@
+"""Cell identity: canonical order and the hash contract of the cell types.
+
+``_sort_key_`` returns raw fields and ``canonical_key`` keeps each object's
+key on it.  Earlier, ``_sort_key_`` returned keys of its fields, which
+``canonical_key`` then walked again.  The reference copy below keeps those
+nested formulas, and the tests check that both give the same order on real
+layers.
+"""
+
+import dataclasses
+import random
+from functools import lru_cache
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from globop.collection import Bounds, PairCell, one_cell_collection, tensor, terminal_collection
+from globop.contraction import CtrCell
+from globop.interleave import free_owc
+from globop.operad import NodeTerm, UnitTerm
+from globop.pasting import (
+    DOT,
+    CellAddr,
+    LabelledDiagram,
+    PastingDiagram,
+    chain,
+    enumerate_trees,
+    size,
+    tree_from_json,
+)
+from globop.util import canonical_key
+from globop.verify import cached_initial
+
+
+# --- reference: the nested formulas, verbatim ------------------------------
+# (memoized, which changes no value: the tests would otherwise spend seconds
+# re-walking the nested keys)
+
+
+@lru_cache(maxsize=None)
+def reference_key(x):
+    if isinstance(x, bool):
+        return (0, int(x))
+    if isinstance(x, int):
+        return (0, x)
+    if isinstance(x, str):
+        return (1, x)
+    if isinstance(x, tuple):
+        return (2, tuple(reference_key(v) for v in x))
+    sk = _reference_sort_key(x)
+    return (3, type(x).__name__, reference_key(sk))
+
+
+def _reference_sort_key(x):
+    if isinstance(x, PastingDiagram):
+        return (size(x), x.dim, x.children)
+    if isinstance(x, CellAddr):
+        return (x.dim, x.path)
+    if isinstance(x, LabelledDiagram):
+        return (x.shape, x.labels)
+    if isinstance(x, UnitTerm):
+        return (x.dim,)
+    if isinstance(x, NodeTerm):
+        return (x.dim, reference_key(x.gen), reference_key(x.labels))
+    if isinstance(x, CtrCell):
+        return (reference_key(x.a), reference_key(x.b), x.theta)
+    if isinstance(x, PairCell):
+        return (reference_key(x.left), reference_key(x.labelling))
+    raise TypeError(f"no canonical order for {type(x).__name__}")
+
+
+def _assert_same_order(items, seeds=range(5)):
+    for seed in seeds:
+        shuffled = list(items)
+        random.Random(seed).shuffle(shuffled)
+        assert sorted(shuffled, key=canonical_key) == sorted(shuffled, key=reference_key)
+
+
+def _layers(coll):
+    for k in range(coll.max_dim + 1):
+        cells = coll.cells_at(k)
+        yield cells
+        yield tuple(set(coll.arity_of(k, c) for c in cells))
+
+
+@pytest.mark.parametrize("bounds", [Bounds(2, 5, 1), Bounds(2, 5, 2), Bounds(3, 7, 1)])
+def test_initial_layers_sort_as_with_nested_keys(bounds):
+    for items in _layers(cached_initial(bounds).collection):
+        _assert_same_order(items)
+
+
+def test_free_layers_over_an_atom_sort_as_with_nested_keys():
+    bounds = Bounds(2, 5, 1)
+    for items in _layers(free_owc(one_cell_collection(2), bounds).collection):
+        _assert_same_order(items)
+
+
+def test_tensor_layers_sort_as_with_nested_keys():
+    bounds = Bounds(1, 5, 2)
+    t = terminal_collection(bounds)
+    res = tensor(free_owc(one_cell_collection(1), bounds).collection, t, bounds)
+    assert any(res.collection.cells_at(k) for k in range(2))
+    for items in _layers(res.collection):
+        _assert_same_order(items)
+
+
+_diagrams = st.sampled_from(
+    enumerate_trees(0, 1) + enumerate_trees(1, 5) + enumerate_trees(2, 7)
+)
+_leaves = st.one_of(st.booleans(), st.integers(-3, 3), st.text("ab", max_size=2), _diagrams)
+_values = st.recursive(
+    _leaves, lambda inner: st.lists(inner, max_size=3).map(tuple), max_leaves=8
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_values, min_size=2, max_size=6))
+def test_key_of_key_sorts_like_key(xs):
+    keys = [canonical_key(x) for x in xs]
+    keys_of_keys = [canonical_key(k) for k in keys]
+    for i in range(len(xs)):
+        for j in range(len(xs)):
+            assert (keys[i] < keys[j]) == (keys_of_keys[i] < keys_of_keys[j])
+            assert (keys[i] == keys[j]) == (keys_of_keys[i] == keys_of_keys[j])
+
+
+# --- the hash contract of the slotted cell types ----------------------------
+
+
+def _twins():
+    """Pairs of equal, separately built instances of each cell type."""
+
+    def build():
+        shape = tree_from_json([[[]], []], 2)
+        return [
+            shape,
+            CellAddr(2, (1, 1, 0)),
+            LabelledDiagram(chain(1), ("x", "y", "f")),
+            UnitTerm(1),
+            NodeTerm(1, "g", (UnitTerm(0), ("u", 0), UnitTerm(1))),
+            CtrCell("x", "y", tree_from_json([[], []], 1)),
+            PairCell("a", LabelledDiagram(DOT, ("b",))),
+        ]
+
+    return list(zip(build(), build()))
+
+
+@pytest.mark.parametrize("a,b", _twins(), ids=lambda x: type(x).__name__)
+def test_equal_instances_hash_equal_and_find_each_other(a, b):
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+    fields = tuple(getattr(a, f.name) for f in dataclasses.fields(a))
+    assert hash(a) == hash(fields)  # the value the dataclass __hash__ gives
+    assert not hasattr(a, "__dict__")
+
+
+@pytest.mark.parametrize("a,b", _twins(), ids=lambda x: type(x).__name__)
+def test_cache_slots_stay_out_of_repr_and_eq(a, b):
+    canonical_key(a)  # fills a's key slot, not b's
+    assert repr(a) == repr(b)
+    assert "_hash" not in repr(a) and "_key" not in repr(a)
+    assert a == b
+    object.__setattr__(b, "_key", (0, 0))
+    object.__setattr__(b, "_hash", hash(a) + 1)
+    assert a == b
+    assert "_hash" not in {f.name for f in dataclasses.fields(a)}
+
+
+@pytest.mark.parametrize("a,b", _twins(), ids=lambda x: type(x).__name__)
+def test_cells_stay_frozen(a, b):
+    h = hash(a)
+    for f in dataclasses.fields(a):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(a, f.name, getattr(b, f.name))
+    # the generated __setattr__ of a frozen slotted dataclass raises
+    # TypeError, not FrozenInstanceError, for a name that is not a field
+    with pytest.raises((TypeError, dataclasses.FrozenInstanceError)):
+        a._hash = 0
+    assert hash(a) == h

@@ -99,6 +99,17 @@ def test_verify_fixture_that_is_not_json(tmp_path, capsys):
     assert "malformed fixture" in err
 
 
+def test_verify_unreadable_fixture(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    code, out, err = run(
+        capsys, "verify", "--suite", "operad-laws", "--suite", "globularity",
+        "--input", str(missing),
+    )
+    assert code == 2
+    assert "cannot read fixture" in err and str(missing) in err
+    assert out == ""
+
+
 def test_verify_single_suite_with_reports(tmp_path, capsys):
     reports = tmp_path / "reports.json"
     code, out, _ = run(

@@ -129,16 +129,15 @@ def test_tensor_associativity_small():
         for cell in lefts:
             inner_pair, psi = cell.left, cell.labelling
             shape = inner_pair.labelling.shape
-            from globop.pasting import slice_at
+            from globop.pasting import slices
 
             arities = tuple(
                 b.arity_of(x.dim, inner_pair.labelling.label_of(x))
                 for x in all_cells(shape)
             )
+            pieces = dict(zip(all_cells(shape), slices(psi, shape, arities)))
             chi = inner_pair.labelling.map_labels(
-                lambda addr, lab: PairCell(
-                    lab, slice_at(psi, shape, arities, addr)
-                )
+                lambda addr, lab: PairCell(lab, pieces[addr])
             )
             remapped.add(PairCell(inner_pair.left, chi))
         assert remapped == set(rights)
