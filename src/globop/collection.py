@@ -18,15 +18,14 @@ from .pasting import (
     PastingDiagram,
     all_cells,
     boundary,
-    cell_src,
-    cell_tgt,
+    cell_ends,
     enumerate_trees,
     size,
     subst_arities,
     unit_tree,
 )
 from .report import Report
-from .util import Keyed
+from .util import Hashed
 
 
 @dataclass(frozen=True)
@@ -177,12 +176,10 @@ def enumerate_labellings(
     individual cells.  Deterministic output order.
     """
     addrs = all_cells(shape)
-    position = {a: p for p, a in enumerate(addrs)}
     order = sorted(range(len(addrs)), key=lambda p: (-addrs[p].dim, addrs[p].path))
-    ends = [
-        (position[cell_src(shape, a)], position[cell_tgt(shape, a)]) if a.dim >= 1 else None
-        for a in addrs
-    ]
+    ends = [None] * len(addrs)
+    for p, s, t in cell_ends(shape):
+        ends[p] = (s, t)
     narrowed = [overrides.get(a) for a in addrs] if overrides else [None] * len(addrs)
     free = object()
     forced = [free] * len(addrs)
@@ -238,14 +235,14 @@ def collection_labellings(shape: PastingDiagram, b: Collection, overrides=None) 
 
 
 @dataclass(frozen=True, slots=True)
-class PairCell(Keyed):
+class PairCell(Hashed):
     """A cell of a tensor product: a left cell with a labelling of its arity
     by right cells."""
 
     left: object
     labelling: LabelledDiagram
 
-    __hash__ = Keyed.__hash__
+    __hash__ = Hashed.__hash__
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((self.left, self.labelling)))

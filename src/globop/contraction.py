@@ -14,23 +14,33 @@ from .collection import Bounds, Collection, make_collection
 from .globset import GlobMorphism, parallel
 from .pasting import PastingDiagram, trees_with_boundary
 from .report import Report
-from .util import Keyed, canonical_key
+from .util import Keyed, canonical_key, new_cell
 
 
-@dataclass(frozen=True, slots=True)
+_ctr_cells: dict = {}
+
+
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class CtrCell(Keyed):
-    """A freely added contraction cell: source, target and chosen arity."""
+    """A freely added contraction cell: source, target and chosen arity.
+
+    Interned (see ``util.Keyed``).
+    """
 
     a: object
     b: object
     theta: PastingDiagram
 
-    __hash__ = Keyed.__hash__
-
-    def __post_init__(self):
-        if self.theta.dim < 1:
+    def __new__(cls, a, b, theta: PastingDiagram):
+        key = (a, b, theta)
+        try:
+            return _ctr_cells[key]
+        except KeyError:
+            pass
+        if theta.dim < 1:
             raise ValueError("a contraction cell lives one dimension above its ends")
-        object.__setattr__(self, "_hash", hash((self.a, self.b, self.theta)))
+        self = _ctr_cells[key] = new_cell(cls, key)
+        return self
 
     def _sort_key_(self):
         return (self.a, self.b, self.theta)

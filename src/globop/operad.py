@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Callable
+from weakref import KeyedRef
 
 from .collection import Bounds, Collection, Overflow, enumerate_labellings, make_collection
 from .pasting import (
@@ -34,17 +35,25 @@ from .pasting import (
     unit_tree,
 )
 from .report import Report
-from .util import Keyed, canonical_key
+from .util import Keyed, canonical_key, new_cell
 
 
-@dataclass(frozen=True, slots=True)
+_units: dict = {}
+_nodes: dict = {}
+
+
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class UnitTerm(Keyed):
+    """The formal unit at a dimension; interned (see ``util.Keyed``)."""
+
     dim: int
 
-    __hash__ = Keyed.__hash__
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.dim,)))
+    def __new__(cls, dim: int):
+        try:
+            return _units[dim]
+        except KeyError:
+            self = _units[dim] = new_cell(cls, (dim,))
+            return self
 
     def _sort_key_(self):
         return (self.dim,)
@@ -53,22 +62,36 @@ class UnitTerm(Keyed):
         return f"UnitTerm({self.dim})"
 
 
-@dataclass(frozen=True, slots=True)
+def _drop_node(ref, nodes=_nodes):
+    # the callback of a dead node's weak reference; a live node built later
+    # under the same key has replaced the entry, so look before deleting
+    if nodes.get(ref.key) is ref:
+        del nodes[ref.key]
+
+
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class NodeTerm(Keyed):
     """A generator grafted with a labelling of its arity.
 
     ``labels`` is aligned with ``all_cells`` of the generator's arity; entries
     at the node's own dimension are terms, lower entries are plain cells.
+    Interned through a table of weak references (see ``util.Keyed``).
     """
 
     dim: int
     gen: object
     labels: tuple
 
-    __hash__ = Keyed.__hash__
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.dim, self.gen, self.labels)))
+    def __new__(cls, dim: int, gen, labels: tuple):
+        key = (dim, gen, labels)
+        ref = _nodes.get(key)
+        if ref is not None:
+            self = ref()
+            if self is not None:
+                return self
+        self = new_cell(cls, key)
+        _nodes[key] = KeyedRef(self, _drop_node, key)
+        return self
 
     def _sort_key_(self):
         return (self.dim, self.gen, self.labels)

@@ -20,27 +20,37 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping
 
-from .util import Keyed, canonical_json
+from .util import Hashed, Keyed, canonical_json, new_cell
 
 
-@dataclass(frozen=True, slots=True)
+_diagrams: dict = {}
+_addrs: dict = {}
+
+
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class PastingDiagram(Keyed):
+    """Interned: see ``util.Keyed``."""
+
     dim: int
     children: tuple["PastingDiagram", ...] = ()
 
-    __hash__ = Keyed.__hash__
-
-    def __post_init__(self):
-        if self.dim < 0:
+    def __new__(cls, dim: int, children: tuple = ()):
+        key = (dim, children)
+        try:
+            return _diagrams[key]
+        except KeyError:
+            pass
+        if dim < 0:
             raise ValueError("dimension must be non-negative")
-        if self.dim == 0 and self.children:
+        if dim == 0 and children:
             raise ValueError("the 0-dimensional diagram has no columns")
-        for child in self.children:
-            if child.dim != self.dim - 1:
+        for child in children:
+            if child.dim != dim - 1:
                 raise ValueError(
-                    f"column of a {self.dim}-diagram must have dimension {self.dim - 1}"
+                    f"column of a {dim}-diagram must have dimension {dim - 1}"
                 )
-        object.__setattr__(self, "_hash", hash((self.dim, self.children)))
+        self = _diagrams[key] = new_cell(cls, key)
+        return self
 
     def _sort_key_(self):
         return (size(self), self.dim, self.children)
@@ -52,9 +62,9 @@ class PastingDiagram(Keyed):
 DOT = PastingDiagram(0, ())
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class CellAddr(Keyed):
-    """Address of a cell inside an ambient diagram.
+    """Address of a cell inside an ambient diagram; interned.
 
     ``path`` has length ``dim + 1``: the first ``dim`` entries are 1-based
     column indices, the last is a 0-based boundary-point index.
@@ -63,12 +73,16 @@ class CellAddr(Keyed):
     dim: int
     path: tuple[int, ...]
 
-    __hash__ = Keyed.__hash__
-
-    def __post_init__(self):
-        if len(self.path) != self.dim + 1:
+    def __new__(cls, dim: int, path: tuple):
+        key = (dim, path)
+        try:
+            return _addrs[key]
+        except KeyError:
+            pass
+        if len(path) != dim + 1:
             raise ValueError("path length must be dim + 1")
-        object.__setattr__(self, "_hash", hash((self.dim, self.path)))
+        self = _addrs[key] = new_cell(cls, key)
+        return self
 
     def _sort_key_(self):
         return (self.dim, self.path)
@@ -132,6 +146,18 @@ def all_cells(pi: PastingDiagram) -> tuple[CellAddr, ...]:
 @lru_cache(maxsize=None)
 def _addr_index(pi: PastingDiagram) -> dict[CellAddr, int]:
     return {addr: i for i, addr in enumerate(all_cells(pi))}
+
+
+@lru_cache(maxsize=None)
+def cell_ends(pi: PastingDiagram) -> tuple[tuple[int, int, int], ...]:
+    """``(p, s, t)`` for each cell of positive dimension: its position in
+    ``all_cells(pi)`` and the positions of its source and target."""
+    index = _addr_index(pi)
+    return tuple(
+        (p, index[cell_src(pi, c)], index[cell_tgt(pi, c)])
+        for p, c in enumerate(all_cells(pi))
+        if c.dim >= 1
+    )
 
 
 def is_valid_addr(pi: PastingDiagram, c: CellAddr) -> bool:
@@ -211,11 +237,11 @@ def degenerate(alpha: PastingDiagram, extra: int) -> PastingDiagram:
 
 
 @dataclass(frozen=True, slots=True)
-class LabelledDiagram(Keyed):
+class LabelledDiagram(Hashed):
     shape: PastingDiagram
     labels: tuple
 
-    __hash__ = Keyed.__hash__
+    __hash__ = Hashed.__hash__
 
     def __post_init__(self):
         if len(self.labels) != len(all_cells(self.shape)):
@@ -296,20 +322,19 @@ def _gamma(e: PastingDiagram, labels: dict[CellAddr, PastingDiagram], s: int) ->
 
 
 def check_label_dims(ld: LabelledDiagram) -> None:
-    for addr, lab in ld.as_dict().items():
+    for addr, lab in zip(all_cells(ld.shape), ld.labels):
         if not isinstance(lab, PastingDiagram) or lab.dim != addr.dim:
             raise ValueError(f"cell {addr} must carry a {addr.dim}-diagram label")
 
 
 def check_label_boundaries(ld: LabelledDiagram) -> None:
-    for addr in all_cells(ld.shape):
-        if addr.dim == 0:
-            continue
-        b = boundary(ld.label_of(addr))
-        if ld.label_of(cell_src(ld.shape, addr)) != b:
-            raise ValueError(f"label of src of {addr} differs from label boundary")
-        if ld.label_of(cell_tgt(ld.shape, addr)) != b:
-            raise ValueError(f"label of tgt of {addr} differs from label boundary")
+    labels = ld.labels
+    for p, s, t in cell_ends(ld.shape):
+        b = boundary(labels[p])
+        if labels[s] is not b or labels[t] is not b:
+            side = "src" if labels[s] is not b else "tgt"
+            addr = all_cells(ld.shape)[p]
+            raise ValueError(f"label of {side} of {addr} differs from label boundary")
 
 
 def substitute(ld: LabelledDiagram) -> PastingDiagram:

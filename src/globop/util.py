@@ -1,4 +1,5 @@
-"""Small shared helpers: canonical ordering and canonical JSON text."""
+"""Small shared helpers: cell base classes, canonical ordering and canonical
+JSON text."""
 
 from __future__ import annotations
 
@@ -8,20 +9,58 @@ import json
 class Keyed:
     """Base of the frozen slotted cell dataclasses.
 
-    Two private slots hold an instance's hash and canonical key.  Each
-    subclass's ``__post_init__`` stores the hash once, with the value the
-    dataclass decorator's ``__hash__`` would give (the hash of the tuple of
-    fields); ``canonical_key`` stores the key on first use.  Neither slot
-    is a dataclass field, so both stay out of ``__init__``, ``__eq__``,
-    ``repr`` and ``dataclasses.replace``.  A subclass sets
-    ``__hash__ = Keyed.__hash__`` in its body, since the dataclass decorator
-    would otherwise generate one that rehashes the fields.
+    The ``_key`` slot holds an instance's canonical key, which
+    ``canonical_key`` stores on first use.  It is not a dataclass field, so
+    it stays out of ``__init__``, ``repr`` and ``dataclasses.replace``.
+
+    ``PastingDiagram``, ``CellAddr``, ``UnitTerm``, ``NodeTerm`` and
+    ``CtrCell`` are interned (hash-consed, after Filliâtre & Conchon,
+    *Type-safe modular hash-consing*, 2006).  Their ``__new__`` looks the
+    tuple of fields up in a per-class table and returns the stored instance
+    on a hit, so two live equal cells are the same object.  Their ``__eq__``
+    and ``__hash__`` are ``object``'s identity slots (``eq=False``), and
+    checks on the fields run once, on a miss.  ``NodeTerm``'s table holds
+    weak references (hence the ``__weakref__`` slot): most terms are
+    transient products of a law check, and a strong table would keep every
+    one of them alive.  The other four tables are plain dicts: their cells
+    are few, and shapes, addresses and layers hold them anyway.  Identity
+    never decides an order: sorting goes through ``canonical_key``.
+
+    ``LabelledDiagram`` and ``PairCell`` stay structural: they subclass
+    ``Hashed`` and compare field by field.
     """
 
-    __slots__ = ("_hash", "_key")
+    __slots__ = ("_key", "__weakref__")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, so a copy of an
+        # interned cell is the cell itself
+        return (type(self), tuple(getattr(self, name) for name in self.__match_args__))
+
+
+class Hashed(Keyed):
+    """A structural ``Keyed`` class whose hash is stored once in ``_hash``.
+
+    Each subclass's ``__post_init__`` stores the hash with the value the
+    dataclass decorator's ``__hash__`` would give (the hash of the tuple of
+    fields), and its body sets ``__hash__ = Hashed.__hash__``, since the
+    decorator would otherwise generate one that rehashes the fields.
+    """
+
+    __slots__ = ("_hash",)
 
     def __hash__(self):
         return self._hash
+
+
+def new_cell(cls, values: tuple):
+    """A new instance of the frozen slotted dataclass ``cls`` with the
+    fields ``values``, in field order; the interning ``__new__`` of ``cls``
+    calls it on a miss."""
+    cell = object.__new__(cls)
+    for name, value in zip(cls.__match_args__, values):
+        object.__setattr__(cell, name, value)
+    return cell
 
 
 def canonical_key(x):

@@ -1,4 +1,5 @@
-"""Cell identity: canonical order and the hash contract of the cell types.
+"""Cell identity: canonical order, the hash contract of the cell types and
+interning.
 
 ``_sort_key_`` returns raw fields and ``canonical_key`` keeps each object's
 key on it.  Earlier, ``_sort_key_`` returned keys of its fields, which
@@ -7,7 +8,11 @@ nested formulas, and the tests check that both give the same order on real
 layers.
 """
 
+import copy
 import dataclasses
+import gc
+import json
+import pickle
 import random
 from functools import lru_cache
 
@@ -18,7 +23,8 @@ from hypothesis import strategies as st
 from globop.collection import Bounds, PairCell, one_cell_collection, tensor, terminal_collection
 from globop.contraction import CtrCell
 from globop.interleave import free_owc
-from globop.operad import NodeTerm, UnitTerm
+from globop import operad
+from globop.operad import NodeTerm, UnitTerm, check_operad_laws
 from globop.pasting import (
     DOT,
     CellAddr,
@@ -28,7 +34,9 @@ from globop.pasting import (
     enumerate_trees,
     size,
     tree_from_json,
+    unit_tree,
 )
+from globop.serialize import state_from_json, state_text
 from globop.util import canonical_key
 from globop.verify import cached_initial
 
@@ -127,6 +135,10 @@ def test_key_of_key_sorts_like_key(xs):
 
 # --- the hash contract of the slotted cell types ----------------------------
 
+# interned, so compared by identity; LabelledDiagram and PairCell compare
+# field by field
+INTERNED = (PastingDiagram, CellAddr, UnitTerm, NodeTerm, CtrCell)
+
 
 def _twins():
     """Pairs of equal, separately built instances of each cell type."""
@@ -148,24 +160,34 @@ def _twins():
 
 @pytest.mark.parametrize("a,b", _twins(), ids=lambda x: type(x).__name__)
 def test_equal_instances_hash_equal_and_find_each_other(a, b):
-    assert a is not b
+    if isinstance(a, INTERNED):
+        assert a is b
+    else:
+        assert a is not b
     assert a == b and hash(a) == hash(b)
     assert {a: 1}[b] == 1
-    fields = tuple(getattr(a, f.name) for f in dataclasses.fields(a))
-    assert hash(a) == hash(fields)  # the value the dataclass __hash__ gives
+    if not isinstance(a, INTERNED):
+        fields = tuple(getattr(a, f.name) for f in dataclasses.fields(a))
+        assert hash(a) == hash(fields)  # the value the dataclass __hash__ gives
     assert not hasattr(a, "__dict__")
+    for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert twin == a and (twin is a) == isinstance(a, INTERNED)
 
 
 @pytest.mark.parametrize("a,b", _twins(), ids=lambda x: type(x).__name__)
 def test_cache_slots_stay_out_of_repr_and_eq(a, b):
-    canonical_key(a)  # fills a's key slot, not b's
+    canonical_key(a)  # fills a's key slot
     assert repr(a) == repr(b)
     assert "_hash" not in repr(a) and "_key" not in repr(a)
     assert a == b
+    assert "_hash" not in {f.name for f in dataclasses.fields(a)}
+    if isinstance(a, INTERNED):
+        # a and b are one object, whose identity is its hash
+        assert not hasattr(a, "_hash")
+        return
     object.__setattr__(b, "_key", (0, 0))
     object.__setattr__(b, "_hash", hash(a) + 1)
     assert a == b
-    assert "_hash" not in {f.name for f in dataclasses.fields(a)}
 
 
 @pytest.mark.parametrize("a,b", _twins(), ids=lambda x: type(x).__name__)
@@ -179,3 +201,83 @@ def test_cells_stay_frozen(a, b):
     with pytest.raises((TypeError, dataclasses.FrozenInstanceError)):
         a._hash = 0
     assert hash(a) == h
+
+
+# --- interning ---------------------------------------------------------------
+
+
+def test_a_diagram_is_interned_whatever_the_default_arguments():
+    assert PastingDiagram(1) is PastingDiagram(1, ())
+    assert PastingDiagram(0) is DOT
+    assert unit_tree(2) is PastingDiagram(2, (PastingDiagram(1, (DOT,)),))
+    assert chain(2) is tree_from_json([[], []], 1)
+
+
+def test_decoded_cells_are_the_built_cells():
+    state = cached_initial(Bounds(2, 5, 1))
+    decoded = state_from_json(json.loads(state_text(state))).state
+    seen = set()
+    for k in range(state.collection.max_dim + 1):
+        built, back = state.collection.cells_at(k), decoded.collection.cells_at(k)
+        assert len(built) == len(back)
+        for c, e in zip(built, back):
+            assert e is c
+            assert decoded.collection.arity_of(k, e) is state.collection.arity_of(k, c)
+            seen.add(type(c))
+    assert seen == {UnitTerm, NodeTerm, CtrCell}
+    for key, lift in decoded.contraction.gamma.items():
+        assert state.contraction.gamma[key] is lift
+
+
+_tree_data = st.recursive(st.just([]), lambda inner: st.lists(inner, max_size=3), max_leaves=6)
+
+
+def _depth(data):
+    return 1 + max(map(_depth, data)) if data else 0
+
+
+def _tree_by_hand(data, dim):
+    if dim == 0:
+        return PastingDiagram(0)
+    return PastingDiagram(dim, tuple(_tree_by_hand(c, dim - 1) for c in data))
+
+
+_term_recipes = st.recursive(
+    st.one_of(st.sampled_from(["f", "g"]), st.integers(0, 2).map(lambda d: ("unit", d))),
+    lambda inner: st.tuples(
+        st.just("node"), st.sampled_from(["f", "g"]), st.lists(inner, max_size=3).map(tuple)
+    ),
+    max_leaves=8,
+)
+
+
+def _term(recipe):
+    if isinstance(recipe, str):
+        return recipe
+    if recipe[0] == "unit":
+        return UnitTerm(recipe[1])
+    _, gen, labels = recipe
+    return NodeTerm(1, gen, tuple(_term(r) for r in labels))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tree_data, st.integers(0, 2), _term_recipes, _term_recipes)
+def test_cells_built_twice_are_one_object(data, extra, r, s):
+    dim = _depth(data) + extra
+    assert tree_from_json(data, dim) is _tree_by_hand(data, dim)
+    assert tree_from_json(data, dim) is tree_from_json(json.loads(json.dumps(data)), dim)
+    assert _term(r) is _term(r)
+    # equal recipes and only they give one object
+    assert (_term(r) is _term(s)) == (r == s)
+
+
+def test_transient_nodes_leave_the_table():
+    state = free_owc(one_cell_collection(2), Bounds(2, 5, 1))
+    gc.collect()
+    live = len(operad._nodes)
+    rep = check_operad_laws(state.operad, state.bounds)
+    assert rep.passed
+    del rep
+    gc.collect()
+    assert len(operad._nodes) <= live
+    assert all(ref() is not None for ref in operad._nodes.values())

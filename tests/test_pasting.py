@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -171,6 +173,17 @@ def test_substitute_rejects_bad_labels():
     lab = {a: DOT for a in cells(sh, 0)}
     lab[cells(sh, 1)[0]] = PD201  # dimension mismatch
     with pytest.raises(ValueError):
+        substitute(labelled(sh, lab))
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_substitute_names_the_side_whose_label_differs(side):
+    sh = unit_tree(2)
+    top = cells(sh, 2)[0]
+    lab = {a: unit_tree(a.dim) for a in all_cells(sh)}
+    lab[(cell_src if side == 0 else cell_tgt)(sh, top)] = chain(2)
+    message = f"label of {('src', 'tgt')[side]} of {top} differs from label boundary"
+    with pytest.raises(ValueError, match=re.escape(message)):
         substitute(labelled(sh, lab))
 
 
