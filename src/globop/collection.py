@@ -1,9 +1,10 @@
 """Collections: globular sets equipped with a pasting-diagram arity map.
 
-Also home to the generic labelling enumerator used by the tensor product and
-by the free-operad strata: a labelling of a shape valued in a graded cell
-family is a globular map, so labels of higher cells force the labels of their
-boundary cells.
+Also home to the labelling enumerator (a labelling of a shape valued in a
+graded cell family is a globular map, so labels of higher cells force the
+labels of their boundary cells) and to ``configurations``: an operation with
+a labelling of its arity, a cell of a tensor product and the argument of
+every multiplication and operad law.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .pasting import (
     unit_tree,
 )
 from .report import Report
-from .util import Hashed
+from .util import Keyed
 
 
 @dataclass(frozen=True)
@@ -230,22 +231,46 @@ def collection_labellings(shape: PastingDiagram, b: Collection, overrides=None) 
     )
 
 
+def configurations(operations, b: Collection, max_arity_size: int, narrow=None):
+    """For each ``(x, shape)`` of ``operations``, in order, yield ``(x, fits,
+    over)``: the pairs ``(phi, composite)`` of a labelling of ``shape`` by
+    cells of ``b``, in ``collection_labellings`` order, with the substitution
+    of its labels' arities into ``shape``, split at ``max_arity_size``.
+    ``narrow(x)``, if given, is a tuple of candidates for the top cells.
+
+    Labellings are enumerated once per shape and narrowing.  ``operations``
+    is read one item per item yielded, so one call's composites can be
+    streamed back in as another's operations.
+    """
+    memo: dict = {}
+    for x, shape in operations:
+        tops = narrow(x) if narrow is not None else None
+        try:
+            fits, over = memo[shape, tops]
+        except KeyError:
+            overrides = None if tops is None else dict.fromkeys(pasting.cells(shape, shape.dim), tops)
+            addrs = all_cells(shape)
+            fits, over = [], []
+            for phi in collection_labellings(shape, b, overrides):
+                composite = subst_arities(
+                    shape, tuple(b.arity_of(a.dim, lab) for a, lab in zip(addrs, phi.labels))
+                )
+                (fits if size(composite) <= max_arity_size else over).append((phi, composite))
+            fits, over = memo[shape, tops] = tuple(fits), tuple(over)
+        yield x, fits, over
+
+
 # ---------------------------------------------------------------------------
 # tensor product
 
 
 @dataclass(frozen=True, slots=True)
-class PairCell(Hashed):
+class PairCell(Keyed):
     """A cell of a tensor product: a left cell with a labelling of its arity
     by right cells."""
 
     left: object
     labelling: LabelledDiagram
-
-    __hash__ = Hashed.__hash__
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.left, self.labelling)))
 
     def _sort_key_(self):
         return (self.left, self.labelling)
@@ -269,40 +294,23 @@ def tensor(a: Collection, b: Collection, bounds: Bounds) -> TensorResult:
     cells, src, tgt, arity = [], [], [], []
     skipped: list[tuple[int, PairCell]] = []
     for k in range(top + 1):
-        layer = []
-        layer_src, layer_tgt, layer_arity = {}, {}, {}
-        for left in a.cells_at(k):
-            shape = a.arity_of(k, left)
-            for phi in collection_labellings(shape, b):
+        layer, layer_src, layer_tgt, layer_arity = [], {}, {}, {}
+        operations = ((left, a.arity_of(k, left)) for left in a.cells_at(k))
+        for left, fits, over in configurations(operations, b, bounds.max_arity_size):
+            skipped.extend((k, PairCell(left, phi)) for phi, _ in over)
+            for phi, composed in fits:
                 pair = PairCell(left, phi)
-                composed = subst_arities(
-                    shape, tuple(b.arity_of(x.dim, phi.label_of(x)) for x in all_cells(shape))
-                )
-                if size(composed) > bounds.max_arity_size:
-                    skipped.append((k, pair))
-                    continue
                 layer.append(pair)
                 layer_arity[pair] = composed
                 if k >= 1:
-                    layer_src[pair] = PairCell(
-                        a.src_of(k, left), pasting.boundary_restrict(phi, 0)
-                    )
-                    layer_tgt[pair] = PairCell(
-                        a.tgt_of(k, left), pasting.boundary_restrict(phi, 1)
-                    )
+                    layer_src[pair] = PairCell(a.src_of(k, left), pasting.boundary_restrict(phi, 0))
+                    layer_tgt[pair] = PairCell(a.tgt_of(k, left), pasting.boundary_restrict(phi, 1))
         cells.append(tuple(layer))
         src.append(layer_src)
         tgt.append(layer_tgt)
         arity.append(layer_arity)
     overflows = ()
     if skipped:
-        overflows = (
-            Overflow(
-                step="tensor",
-                dim=-1,
-                reason="arity",
-                count=len(skipped),
-                sample=tuple(repr(s) for s in skipped[:3]),
-            ),
-        )
+        sample = tuple(repr(s) for s in skipped[:3])
+        overflows = (Overflow(step="tensor", dim=-1, reason="arity", count=len(skipped), sample=sample),)
     return TensorResult(Collection(glob_set(cells, src, tgt), tuple(arity)), overflows)

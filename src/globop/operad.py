@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 from weakref import KeyedRef
 
-from .collection import Bounds, Collection, Overflow, enumerate_labellings, make_collection
+from .collection import Bounds, Collection, Overflow, configurations
+from .collection import enumerate_labellings, make_collection
 from .pasting import (
     LabelledDiagram,
     PastingDiagram,
@@ -442,31 +443,25 @@ def _free_at(coll: Collection, lower: OperadStructure | None, d: int, bounds: Bo
 # tables and law checking
 
 
+def _configurations(op: OperadStructure, d: int, bounds: Bounds, narrow=None):
+    """The composable configurations of the d-cells of ``op`` with cells of
+    ``op.over``."""
+    operations = ((a, op.over.arity_of(d, a)) for a in op.over.cells_at(d))
+    return configurations(operations, op.over, bounds.max_arity_size, narrow)
+
+
 def mult_table(op: OperadStructure, bounds: Bounds, dims=None) -> dict:
     """Materialized multiplication on all composable pairs within bounds.
 
     Keys are (dim, operation, label tuple); configurations whose composite
     arity exceeds the bound are left out.
     """
-    from .collection import collection_labellings
-
     table = {}
     for d in dims if dims is not None else range(op.up_to_dim + 1):
-        for a in op.over.cells_at(d):
-            shape = op.over.arity_of(d, a)
-            for phi in collection_labellings(shape, op.over):
-                if size(_composite_arity(op, shape, phi)) > bounds.max_arity_size:
-                    continue
+        for a, fits, _ in _configurations(op, d, bounds):
+            for phi, _ in fits:
                 table[(d, a, phi.labels)] = op.mult(d, a, phi)
     return table
-
-
-def _composite_arity(op: OperadStructure, shape: PastingDiagram, phi: LabelledDiagram) -> PastingDiagram:
-    """Arity of an operation of arity ``shape`` composed with ``phi``."""
-    return subst_arities(
-        shape,
-        tuple(op.over.arity_of(x.dim, lab) for x, lab in zip(all_cells(shape), phi.labels)),
-    )
 
 
 def cell_products(op: OperadStructure, bounds: Bounds, dims=None) -> dict:
@@ -478,26 +473,23 @@ def cell_products(op: OperadStructure, bounds: Bounds, dims=None) -> dict:
     larger than every d-cell is not a d-cell, so only top labels that fit
     into the room ``a`` leaves below that size are enumerated.  In a built
     state the largest size is ``max(max_term_size, 1)``: a bare generator
-    has size 1 even at term bound 0.  Filtering the candidate lists keeps
-    the labelling order.
+    has size 1 even at term bound 0.  Narrowing the candidates of the top
+    cells keeps the labelling order.
     """
-    from .collection import collection_labellings
-
     table = {}
     for d in dims if dims is not None else range(op.up_to_dim + 1):
         layer = op.over.cells_at(d)
         tsize = {c: term_size(op, d, c) for c in layer}
         cap = max(tsize.values(), default=0)
-        for a in layer:
+
+        def fitting(a):
+            return tuple(c for c in layer if tsize[c] <= cap - tsize[a])
+
+        for a, fits, _ in _configurations(op, d, bounds, fitting):
             room = cap - tsize[a]
-            shape = op.over.arity_of(d, a)
-            tops = cells(shape, d)
-            fitting = [c for c in layer if tsize[c] <= room]
-            overrides = {x: fitting for x in tops}
-            for phi in collection_labellings(shape, op.over, overrides):
+            tops = cells(op.over.arity_of(d, a), d)
+            for phi, _ in fits:
                 if sum(tsize[phi.label_of(x)] for x in tops) > room:
-                    continue
-                if size(_composite_arity(op, shape, phi)) > bounds.max_arity_size:
                     continue
                 r = op.mult(d, a, phi)
                 if op.over.has_cell(d, r):
@@ -535,42 +527,34 @@ def _unit_argument(op: OperadStructure, d: int, t) -> LabelledDiagram:
 
 def check_operad_laws(op: OperadStructure, bounds: Bounds, dims=None) -> Report:
     """Unit laws and associativity on every composable configuration whose
-    composite arities stay within the bounds."""
-    from .collection import collection_labellings
+    composite arities stay within the bounds.
 
-    memo: dict = {}
-
-    def labellings(shape):
-        if shape not in memo:
-            memo[shape] = collection_labellings(shape, op.over)
-        return memo[shape]
-
+    The two maps A⊗A⊗A → A: each configuration ``(a, phi)`` of A⊗A within
+    the bound is streamed back in as an operation of the composite arity,
+    whose own configurations ``chi`` are the third factor.
+    """
     rep = Report("operad-laws")
     for d in dims if dims is not None else range(op.up_to_dim + 1):
         unit = op.units[d]
         for t in op.over.cells_at(d):
             if op.mult(d, unit, _unit_argument(op, d, t)) != t:
                 rep.add("left unit law fails", witness=(d, t))
-        for a in op.over.cells_at(d):
-            shape = op.over.arity_of(d, a)
-            if op.mult(d, a, unit_labelling(op, d, shape)) != a:
-                rep.add("right unit law fails", witness=(d, a))
-            for phi in labellings(shape):
-                mid_shape = _composite_arity(op, shape, phi)
-                if size(mid_shape) > bounds.max_arity_size:
-                    continue
-                r = op.mult(d, a, phi)
-                if cell_arity(op, d, r) != mid_shape:
-                    rep.add("arity of composite differs from substitution", witness=(d, a, phi.labels))
-                    continue
-                for chi in labellings(mid_shape):
-                    if size(_composite_arity(op, mid_shape, chi)) > bounds.max_arity_size:
+
+        def composites():
+            for a, fits, _ in _configurations(op, d, bounds):
+                if op.mult(d, a, unit_labelling(op, d, op.over.arity_of(d, a))) != a:
+                    rep.add("right unit law fails", witness=(d, a))
+                for phi, mid_shape in fits:
+                    r = op.mult(d, a, phi)
+                    if cell_arity(op, d, r) != mid_shape:
+                        rep.add("arity of composite differs from substitution", witness=(d, a, phi.labels))
                         continue
-                    lhs = op.mult(d, r, chi)
-                    rhs = op.mult(d, a, compose_labellings(op, phi, chi))
-                    if lhs != rhs:
-                        rep.add(
-                            "associativity fails",
-                            witness=(d, a, phi.labels, chi.labels),
-                        )
+                    yield (a, phi, r), mid_shape
+
+        for (a, phi, r), fits, _ in configurations(composites(), op.over, bounds.max_arity_size):
+            for chi, _ in fits:
+                lhs = op.mult(d, r, chi)
+                rhs = op.mult(d, a, compose_labellings(op, phi, chi))
+                if lhs != rhs:
+                    rep.add("associativity fails", witness=(d, a, phi.labels, chi.labels))
     return rep

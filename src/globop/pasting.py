@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping
 
-from .util import Hashed, Keyed, canonical_json, new_cell
+from .util import Keyed, canonical_json, new_cell
 
 
 _diagrams: dict = {}
@@ -237,25 +237,19 @@ def degenerate(alpha: PastingDiagram, extra: int) -> PastingDiagram:
 
 
 @dataclass(frozen=True, slots=True)
-class LabelledDiagram(Hashed):
+class LabelledDiagram(Keyed):
     shape: PastingDiagram
     labels: tuple
-
-    __hash__ = Hashed.__hash__
 
     def __post_init__(self):
         if len(self.labels) != len(all_cells(self.shape)):
             raise ValueError("labelling must cover every cell of the shape")
-        object.__setattr__(self, "_hash", hash((self.shape, self.labels)))
 
     def label_of(self, addr: CellAddr):
         return self.labels[_addr_index(self.shape)[addr]]
 
     def as_dict(self) -> dict[CellAddr, object]:
         return dict(zip(all_cells(self.shape), self.labels))
-
-    def top_addrs(self) -> tuple[CellAddr, ...]:
-        return cells(self.shape, self.shape.dim)
 
     def map_labels(self, fn) -> "LabelledDiagram":
         return LabelledDiagram(self.shape, tuple(fn(a, l) for a, l in zip(all_cells(self.shape), self.labels)))

@@ -26,8 +26,10 @@ class Keyed:
     are few, and shapes, addresses and layers hold them anyway.  Identity
     never decides an order: sorting goes through ``canonical_key``.
 
-    ``LabelledDiagram`` and ``PairCell`` stay structural: they subclass
-    ``Hashed`` and compare field by field.
+    ``LabelledDiagram`` and ``PairCell`` stay structural: they compare field
+    by field, and their hash is the dataclass's, computed only when asked
+    for.  Most labellings are built for a single product and read only by
+    position.
     """
 
     __slots__ = ("_key", "__weakref__")
@@ -36,21 +38,6 @@ class Keyed:
         # copy and pickle rebuild through the constructor, so a copy of an
         # interned cell is the cell itself
         return (type(self), tuple(getattr(self, name) for name in self.__match_args__))
-
-
-class Hashed(Keyed):
-    """A structural ``Keyed`` class whose hash is stored once in ``_hash``.
-
-    Each subclass's ``__post_init__`` stores the hash with the value the
-    dataclass decorator's ``__hash__`` would give (the hash of the tuple of
-    fields), and its body sets ``__hash__ = Hashed.__hash__``, since the
-    decorator would otherwise generate one that rehashes the fields.
-    """
-
-    __slots__ = ("_hash",)
-
-    def __hash__(self):
-        return self._hash
 
 
 def new_cell(cls, values: tuple):

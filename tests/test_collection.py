@@ -110,7 +110,17 @@ def test_tensor_reports_overflow():
     t = terminal_collection(Bounds(1, 5, 2))
     res = tensor(t, t, Bounds(1, 3, 2))
     assert res.overflows and res.overflows[0].reason == "arity"
-    assert res.overflows[0].count > 0
+    # the count and the first three pairs over the bound, as the per-cell
+    # loop in tests/test_configurations.py (reference_tensor) gives them
+    assert res.overflows[0].count == 7
+    assert res.overflows[0].sample == (
+        "(1, PairCell(left=PD(1, [[]]), labelling=LabelledDiagram(shape=PD(1, [[]]), "
+        "labels=(PD(0, []), PD(0, []), PD(1, [[], []])))))",
+        "(1, PairCell(left=PD(1, [[], []]), labelling=LabelledDiagram(shape=PD(1, [[], []]), "
+        "labels=(PD(0, []), PD(0, []), PD(0, []), PD(1, []), PD(1, [[], []])))))",
+        "(1, PairCell(left=PD(1, [[], []]), labelling=LabelledDiagram(shape=PD(1, [[], []]), "
+        "labels=(PD(0, []), PD(0, []), PD(0, []), PD(1, [[]]), PD(1, [[]])))))",
+    )
 
 
 def test_tensor_associativity_small():

@@ -1,0 +1,399 @@
+"""``collection.configurations``, the one enumeration of composable
+configurations, against the loops it replaced.
+
+Five loops used to write the enumeration out, each on its own: ``tensor``,
+``mult_table``, ``cell_products`` and both levels of ``check_operad_laws``.
+The reference functions below are verbatim copies of them, with
+``_composite_arity`` (only the imports are hoisted).  The tests check that
+the generator visits the same configurations, with the same composite
+arities and the same split at the arity bound, in the same order, and that
+the functions built on it give the same tables and reports, asking for the
+same multiplications in the same order.
+"""
+
+import dataclasses
+
+import pytest
+
+from globop import pasting
+from globop.collection import (
+    Bounds,
+    Collection,
+    Overflow,
+    PairCell,
+    TensorResult,
+    collection_labellings,
+    configurations,
+    one_cell_collection,
+    tensor,
+    terminal_collection,
+)
+from globop.globset import glob_set
+from globop.interleave import free_owc
+from globop.operad import (
+    OperadStructure,
+    _unit_argument,
+    cell_arity,
+    cell_products,
+    check_operad_laws,
+    compose_labellings,
+    mult_table,
+    term_size,
+    terminal_operad,
+    unit_labelling,
+)
+from globop.pasting import (
+    LabelledDiagram,
+    PastingDiagram,
+    all_cells,
+    cells,
+    chain,
+    size,
+    subst_arities,
+)
+from globop.report import Report
+from globop.verify import cached_initial
+
+
+# --- reference: the loops before the shared enumeration, verbatim -----------
+
+
+def reference_tensor(a: Collection, b: Collection, bounds: Bounds) -> TensorResult:
+    """Bounded tensor product of collections.
+
+    k-cells are pairs of a k-cell of ``a`` with a compatible labelling of its
+    arity by cells of ``b``; the arity of a pair is the substitution of the
+    labels' arities.  Pairs whose arity exceeds the bound are counted, not
+    silently dropped.
+    """
+    top = min(a.max_dim, bounds.max_dim)
+    cells, src, tgt, arity = [], [], [], []
+    skipped: list[tuple[int, PairCell]] = []
+    for k in range(top + 1):
+        layer = []
+        layer_src, layer_tgt, layer_arity = {}, {}, {}
+        for left in a.cells_at(k):
+            shape = a.arity_of(k, left)
+            for phi in collection_labellings(shape, b):
+                pair = PairCell(left, phi)
+                composed = subst_arities(
+                    shape, tuple(b.arity_of(x.dim, phi.label_of(x)) for x in all_cells(shape))
+                )
+                if size(composed) > bounds.max_arity_size:
+                    skipped.append((k, pair))
+                    continue
+                layer.append(pair)
+                layer_arity[pair] = composed
+                if k >= 1:
+                    layer_src[pair] = PairCell(
+                        a.src_of(k, left), pasting.boundary_restrict(phi, 0)
+                    )
+                    layer_tgt[pair] = PairCell(
+                        a.tgt_of(k, left), pasting.boundary_restrict(phi, 1)
+                    )
+        cells.append(tuple(layer))
+        src.append(layer_src)
+        tgt.append(layer_tgt)
+        arity.append(layer_arity)
+    overflows = ()
+    if skipped:
+        overflows = (
+            Overflow(
+                step="tensor",
+                dim=-1,
+                reason="arity",
+                count=len(skipped),
+                sample=tuple(repr(s) for s in skipped[:3]),
+            ),
+        )
+    return TensorResult(Collection(glob_set(cells, src, tgt), tuple(arity)), overflows)
+
+
+def reference_mult_table(op: OperadStructure, bounds: Bounds, dims=None) -> dict:
+    """Materialized multiplication on all composable pairs within bounds.
+
+    Keys are (dim, operation, label tuple); configurations whose composite
+    arity exceeds the bound are left out.
+    """
+    table = {}
+    for d in dims if dims is not None else range(op.up_to_dim + 1):
+        for a in op.over.cells_at(d):
+            shape = op.over.arity_of(d, a)
+            for phi in collection_labellings(shape, op.over):
+                if size(_composite_arity(op, shape, phi)) > bounds.max_arity_size:
+                    continue
+                table[(d, a, phi.labels)] = op.mult(d, a, phi)
+    return table
+
+
+def _composite_arity(op: OperadStructure, shape: PastingDiagram, phi: LabelledDiagram) -> PastingDiagram:
+    """Arity of an operation of arity ``shape`` composed with ``phi``."""
+    return subst_arities(
+        shape,
+        tuple(op.over.arity_of(x.dim, lab) for x, lab in zip(all_cells(shape), phi.labels)),
+    )
+
+
+def reference_cell_products(op: OperadStructure, bounds: Bounds, dims=None) -> dict:
+    table = {}
+    for d in dims if dims is not None else range(op.up_to_dim + 1):
+        layer = op.over.cells_at(d)
+        tsize = {c: term_size(op, d, c) for c in layer}
+        cap = max(tsize.values(), default=0)
+        for a in layer:
+            room = cap - tsize[a]
+            shape = op.over.arity_of(d, a)
+            tops = cells(shape, d)
+            fitting = [c for c in layer if tsize[c] <= room]
+            overrides = {x: fitting for x in tops}
+            for phi in collection_labellings(shape, op.over, overrides):
+                if sum(tsize[phi.label_of(x)] for x in tops) > room:
+                    continue
+                if size(_composite_arity(op, shape, phi)) > bounds.max_arity_size:
+                    continue
+                r = op.mult(d, a, phi)
+                if op.over.has_cell(d, r):
+                    table[(d, a, phi.labels)] = r
+    return table
+
+
+def reference_check_operad_laws(op: OperadStructure, bounds: Bounds, dims=None) -> Report:
+    """Unit laws and associativity on every composable configuration whose
+    composite arities stay within the bounds."""
+    memo: dict = {}
+
+    def labellings(shape):
+        if shape not in memo:
+            memo[shape] = collection_labellings(shape, op.over)
+        return memo[shape]
+
+    rep = Report("operad-laws")
+    for d in dims if dims is not None else range(op.up_to_dim + 1):
+        unit = op.units[d]
+        for t in op.over.cells_at(d):
+            if op.mult(d, unit, _unit_argument(op, d, t)) != t:
+                rep.add("left unit law fails", witness=(d, t))
+        for a in op.over.cells_at(d):
+            shape = op.over.arity_of(d, a)
+            if op.mult(d, a, unit_labelling(op, d, shape)) != a:
+                rep.add("right unit law fails", witness=(d, a))
+            for phi in labellings(shape):
+                mid_shape = _composite_arity(op, shape, phi)
+                if size(mid_shape) > bounds.max_arity_size:
+                    continue
+                r = op.mult(d, a, phi)
+                if cell_arity(op, d, r) != mid_shape:
+                    rep.add("arity of composite differs from substitution", witness=(d, a, phi.labels))
+                    continue
+                for chi in labellings(mid_shape):
+                    if size(_composite_arity(op, mid_shape, chi)) > bounds.max_arity_size:
+                        continue
+                    lhs = op.mult(d, r, chi)
+                    rhs = op.mult(d, a, compose_labellings(op, phi, chi))
+                    if lhs != rhs:
+                        rep.add(
+                            "associativity fails",
+                            witness=(d, a, phi.labels, chi.labels),
+                        )
+    return rep
+
+
+def reference_configurations(operations, b, max_arity_size, narrow=None):
+    """The enumeration the loops above share, one operation at a time and
+    without a memo: ``tensor``'s inline composite, split at the bound."""
+    out = []
+    for item, shape in operations:
+        tops = narrow(item) if narrow is not None else None
+        overrides = None if tops is None else {t: list(tops) for t in cells(shape, shape.dim)}
+        fits, over = [], []
+        for phi in collection_labellings(shape, b, overrides):
+            composed = subst_arities(
+                shape, tuple(b.arity_of(x.dim, phi.label_of(x)) for x in all_cells(shape))
+            )
+            (over if size(composed) > max_arity_size else fits).append((phi, composed))
+        out.append((item, tuple(fits), tuple(over)))
+    return out
+
+
+# --- inputs ------------------------------------------------------------------
+
+
+def _initial(dim, arity, term):
+    return cached_initial(Bounds(dim, arity, term))
+
+
+def _one_atom():
+    return free_owc(one_cell_collection(1), Bounds(2, 5, 1))
+
+
+def _terminal():
+    bounds = Bounds(2, 5, 2)
+    return terminal_operad(bounds), bounds
+
+
+CASES = {
+    "initial-251": lambda: (_initial(2, 5, 1).operad, Bounds(2, 5, 1)),
+    "initial-252": lambda: (_initial(2, 5, 2).operad, Bounds(2, 5, 2)),
+    "initial-371": lambda: (_initial(3, 7, 1).operad, Bounds(3, 7, 1)),
+    "one-atom-251": lambda: (_one_atom().operad, Bounds(2, 5, 1)),
+    "terminal-252": _terminal,
+}
+
+
+def _operations(op, d):
+    return [(a, op.over.arity_of(d, a)) for a in op.over.cells_at(d)]
+
+
+def _room_narrowing(op, d):
+    """``cell_products``' narrowing: the cells that fit into the term-size
+    room an operation leaves."""
+    layer = op.over.cells_at(d)
+    tsize = {c: term_size(op, d, c) for c in layer}
+    cap = max(tsize.values(), default=0)
+    return lambda a: tuple(c for c in layer if tsize[c] <= cap - tsize[a])
+
+
+# --- the generator -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("narrowed", [False, True], ids=["all", "room"])
+def test_configurations_match_the_reference(case, narrowed):
+    op, bounds = CASES[case]()
+    for d in range(op.up_to_dim + 1):
+        narrow = _room_narrowing(op, d) if narrowed else None
+        ops = _operations(op, d)
+        got = list(configurations(iter(ops), op.over, bounds.max_arity_size, narrow))
+        assert got == reference_configurations(ops, op.over, bounds.max_arity_size, narrow)
+        # the composite is the one the operad loops computed
+        for _, fits, over in got[:20]:
+            for phi, composed in fits + over:
+                assert composed == _composite_arity(op, phi.shape, phi)
+
+
+@pytest.mark.parametrize("case", ["initial-251", "one-atom-251", "terminal-252"])
+def test_composites_streamed_back_in_match_the_reference(case):
+    """The law check's second level: each configuration within the bound is
+    an operation of its composite arity."""
+    op, bounds = CASES[case]()
+    for d in range(op.up_to_dim + 1):
+        first = configurations(_operations(op, d), op.over, bounds.max_arity_size)
+        mids = [((a, phi), mid) for a, fits, _ in first for phi, mid in fits]
+        streamed = ((x, mid) for x, mid in mids)
+        got = list(configurations(streamed, op.over, bounds.max_arity_size))
+        assert got == reference_configurations(mids, op.over, bounds.max_arity_size)
+
+
+def test_operations_are_read_one_per_configuration():
+    op, bounds = CASES["one-atom-251"]()
+    read = []
+
+    def operations():
+        for item in _operations(op, 1):
+            read.append(item[0])
+            yield item
+
+    for n, (a, _, _) in enumerate(configurations(operations(), op.over, bounds.max_arity_size), 1):
+        assert read[-1] == a and len(read) == n
+
+
+def test_an_empty_narrowing_leaves_only_shapes_without_top_cells():
+    op, bounds = CASES["one-atom-251"]()
+    ops = _operations(op, 1)
+    got = list(configurations(ops, op.over, bounds.max_arity_size, lambda a: ()))
+    want = reference_configurations(ops, op.over, bounds.max_arity_size)
+    assert [x for x, _, _ in got] == list(op.over.cells_at(1))
+    for (a, shape), found, unnarrowed in zip(ops, got, want):
+        assert found == (unnarrowed if not cells(shape, 1) else (a, (), ()))
+
+
+# --- the functions built on it -------------------------------------------------
+
+
+def _recording(op):
+    """A copy of ``op`` that logs every multiplication asked of it."""
+    log = []
+    rec = dataclasses.replace(op)
+
+    def mult(d, a, phi):
+        log.append((d, a, phi.labels))
+        return OperadStructure.mult(rec, d, a, phi)
+
+    rec.mult = mult
+    return rec, log
+
+
+def _same_calls(new, old, op, *args, **kwargs):
+    rec_new, log_new = _recording(op)
+    rec_old, log_old = _recording(op)
+    out_new = new(rec_new, *args, **kwargs)
+    out_old = old(rec_old, *args, **kwargs)
+    assert log_new == log_old
+    return out_new, out_old
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_tables_match_the_reference(case):
+    op, bounds = CASES[case]()
+    new, old = _same_calls(cell_products, reference_cell_products, op, bounds)
+    assert list(new.items()) == list(old.items())
+    dims = [0, 1] if case == "initial-252" else None
+    new, old = _same_calls(mult_table, reference_mult_table, op, bounds, dims=dims)
+    assert list(new.items()) == list(old.items())
+
+
+def _broken_terminal():
+    base = terminal_operad(Bounds(1, 5, 2))
+
+    def mult_fn(op, d, a, phi):
+        out = base.mult(d, a, phi)
+        if d == 1 and a == chain(2) and out == chain(2):
+            return chain(1)
+        if d == 1 and a == chain(1) and phi.labels[-1] == chain(3):
+            return chain(4)
+        return out
+
+    return OperadStructure(base.over, dict(base.units), (mult_fn,) * 2), Bounds(1, 5, 2)
+
+
+LAW_CASES = {
+    "initial-251": (lambda: CASES["initial-251"](), None),
+    "initial-371": (lambda: CASES["initial-371"](), [0, 1]),
+    "one-atom-251": (lambda: CASES["one-atom-251"](), [0, 1]),
+    "broken-terminal": (_broken_terminal, None),
+}
+
+
+@pytest.mark.parametrize("case", LAW_CASES)
+def test_law_check_matches_the_reference(case):
+    make, dims = LAW_CASES[case]
+    op, bounds = make()
+    new, old = _same_calls(check_operad_laws, reference_check_operad_laws, op, bounds, dims=dims)
+    assert new.violations == old.violations
+    if case == "broken-terminal":
+        assert {v.message for v in new.violations} >= {
+            "arity of composite differs from substitution",
+            "associativity fails",
+        }
+
+
+@pytest.mark.parametrize(
+    "a_bounds, bounds",
+    [
+        (Bounds(1, 5, 2), Bounds(1, 3, 2)),
+        (Bounds(2, 5, 2), Bounds(2, 5, 2)),
+        (Bounds(2, 5, 2), Bounds(1, 7, 2)),
+    ],
+)
+def test_tensor_matches_the_reference(a_bounds, bounds):
+    t = terminal_collection(a_bounds)
+    for a, b in ((t, t), (_one_atom().collection, t)):
+        new, old = tensor(a, b, bounds), reference_tensor(a, b, bounds)
+        assert new.overflows == old.overflows
+        for k in range(new.collection.max_dim + 1):
+            assert new.collection.cells_at(k) == old.collection.cells_at(k)
+            for table in ("src", "tgt"):
+                assert list(getattr(new.collection.carrier, table)[k].items()) == list(
+                    getattr(old.collection.carrier, table)[k].items()
+                )
+            assert list(new.collection.arity[k].items()) == list(old.collection.arity[k].items())
