@@ -31,7 +31,7 @@ from .pasting import (
     cells,
     labelled,
     size,
-    slices,
+    slicers,
     subst_arities,
     unit_tree,
 )
@@ -116,6 +116,9 @@ class OperadStructure:
     units: dict[int, object]
     mults: tuple[Callable[[OperadStructure, int, object, LabelledDiagram], object], ...]
     products: dict = field(default_factory=dict)
+    # per shape, the labels of ``unit_labelling`` for make_node's unit
+    # collapse; ``units`` is not changed once nodes are built
+    _unit_labels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def up_to_dim(self) -> int:
@@ -135,17 +138,23 @@ class OperadStructure:
 
 
 def cell_arity(op: OperadStructure, j: int, c) -> PastingDiagram:
-    """Arity of a cell, computed structurally for terms so that it is defined
-    even for composition results that were never materialized."""
+    """Arity of a cell.  The layer's table holds it for every cell of the
+    collection; for composition results that were never materialized it is
+    computed structurally."""
+    try:
+        return op.over.arity[j][c]
+    except KeyError:
+        pass
     if isinstance(c, UnitTerm):
         return unit_tree(j)
     if isinstance(c, NodeTerm):
         shape = op.over.arity_of(j, c.gen)
-        return subst_arities(
-            shape,
-            tuple(cell_arity(op, a.dim, lab) for a, lab in zip(all_cells(shape), c.labels)),
-        )
+        return subst_arities(shape, _label_arities(op, shape, c.labels))
     return op.over.arity_of(j, c)
+
+
+def _label_arities(op: OperadStructure, shape: PastingDiagram, labels: tuple) -> tuple:
+    return tuple([cell_arity(op, x.dim, lab) for x, lab in zip(all_cells(shape), labels)])
 
 
 def term_size(op: OperadStructure, j: int, c) -> int:
@@ -190,13 +199,14 @@ def make_node(op: OperadStructure, d: int, gen, phi: LabelledDiagram):
     shape = op.over.arity_of(d, gen)
     if phi.shape != shape:
         raise ValueError("labelling shape differs from the generator arity")
-    trivial = all(
-        lab == op.units[addr.dim]
-        for addr, lab in zip(all_cells(shape), phi.labels)
-    )
-    if trivial:
-        return gen
-    return NodeTerm(d, gen, phi.labels)
+    return _node(op, d, gen, shape, phi.labels)
+
+
+def _node(op: OperadStructure, d: int, gen, shape: PastingDiagram, labels: tuple):
+    units = op._unit_labels.get(shape)
+    if units is None:
+        units = op._unit_labels[shape] = tuple(op.units[x.dim] for x in all_cells(shape))
+    return gen if labels == units else NodeTerm(d, gen, labels)
 
 
 def unit_labelling(op: OperadStructure, d: int, shape: PastingDiagram) -> LabelledDiagram:
@@ -209,25 +219,50 @@ def term_mult(op: OperadStructure, d: int, a, phi: LabelledDiagram):
     ``phi`` lies over the arity of ``a``; its labels at dimension d are terms
     and its lower labels are cells.  Top labels of a node are composed with
     their slice of ``phi``, lower labels are composed in the lower operad.
+    The shape is checked here, once; the recursion passes label tuples.
     """
-    if phi.shape != cell_arity(op, d, a):
-        raise ValueError("labelling shape differs from the arity of the operation")
-    if isinstance(a, UnitTerm):
-        return phi.label_of(cells(phi.shape, d)[0])
     if isinstance(a, NodeTerm):
         shape = op.over.arity_of(d, a.gen)
-        psi = dict(zip(all_cells(shape), a.labels))
-        arities = tuple(cell_arity(op, x.dim, psi[x]) for x in all_cells(shape))
-        new_labels = {}
-        for x, piece in zip(all_cells(shape), slices(phi, shape, arities)):
-            if x.dim == d:
-                new_labels[x] = term_mult(op, d, psi[x], piece)
-            else:
-                new_labels[x] = op.mult(x.dim, psi[x], piece)
-        return make_node(op, d, a.gen, labelled(shape, new_labels))
+        arities = _label_arities(op, shape, a.labels)
+        arity = subst_arities(shape, arities)
+    else:
+        arity = cell_arity(op, d, a)
+    if phi.shape != arity:
+        raise ValueError("labelling shape differs from the arity of the operation")
+    if isinstance(a, NodeTerm):
+        return _graft_node(op, d, a, shape, arities, phi.labels)
+    return _graft(op, d, a, phi.labels)
+
+
+def _graft(op: OperadStructure, d: int, a, labels: tuple):
+    """``term_mult`` on a labelling known to lie over the arity of ``a``."""
+    if isinstance(a, UnitTerm):
+        return labels[-1]  # the top cell comes last in all_cells
+    if isinstance(a, NodeTerm):
+        shape = op.over.arity_of(d, a.gen)
+        return _graft_node(op, d, a, shape, _label_arities(op, shape, a.labels), labels)
     # bare generator: behaves as the unit-labelled node, so the slices are
-    # exactly the labels of phi
-    return make_node(op, d, a, phi)
+    # exactly the labels
+    return _node(op, d, a, op.over.arity_of(d, a), labels)
+
+
+def _graft_node(op: OperadStructure, d: int, a: NodeTerm, shape, arities: tuple, labels: tuple):
+    products, mults = op.products, op.mults
+    new_labels = []
+    for x, lab, alpha, take in zip(all_cells(shape), a.labels, arities, slicers(shape, arities)):
+        piece = take(labels)
+        j = x.dim
+        if j == d:
+            r = _graft(op, d, lab, piece)
+        else:
+            # op.mult, building a LabelledDiagram only for a multiplication
+            # other than grafting
+            r = products.get((j, lab, piece)) if products else None
+            if r is None:
+                mult = mults[j]
+                r = _graft(op, j, lab, piece) if mult is term_mult else mult(op, j, lab, LabelledDiagram(alpha, piece))
+        new_labels.append(r)
+    return _node(op, d, a.gen, shape, tuple(new_labels))
 
 
 def counit_eval(y: OperadStructure, d: int, t):
@@ -500,13 +535,14 @@ def cell_products(op: OperadStructure, bounds: Bounds, dims=None) -> dict:
 def compose_labellings(op: OperadStructure, phi: LabelledDiagram, chi: LabelledDiagram) -> LabelledDiagram:
     """Compose every label of ``phi`` with its slice of ``chi``."""
     shape = phi.shape
-    cells_and_labels = tuple(zip(all_cells(shape), phi.labels))
-    arities = tuple(cell_arity(op, x.dim, lab) for x, lab in cells_and_labels)
+    arities = _label_arities(op, shape, phi.labels)
     return LabelledDiagram(
         shape,
         tuple(
-            op.mult(x.dim, lab, piece)
-            for (x, lab), piece in zip(cells_and_labels, slices(chi, shape, arities))
+            op.mult(x.dim, lab, LabelledDiagram(alpha, take(chi.labels)))
+            for x, lab, alpha, take in zip(
+                all_cells(shape), phi.labels, arities, slicers(shape, arities)
+            )
         ),
     )
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .util import Keyed, canonical_json, new_cell
@@ -470,7 +471,6 @@ def flatten(shape: PastingDiagram, inner: Mapping[CellAddr, LabelledDiagram]) ->
     return labelled(composite, out)
 
 
-@lru_cache(maxsize=None)
 def _slice_positions(shape: PastingDiagram, arities: tuple) -> tuple[tuple[int, ...], ...]:
     """For each cell c of ``shape``, in ``all_cells`` order, the positions in
     the labels of ``subst_arities(shape, arities)`` where the cells of c's
@@ -483,14 +483,14 @@ def _slice_positions(shape: PastingDiagram, arities: tuple) -> tuple[tuple[int, 
     )
 
 
-def slices(phi: LabelledDiagram, shape: PastingDiagram, arities: tuple) -> tuple[LabelledDiagram, ...]:
-    """The parts of ``phi`` (a labelling of subst_arities(shape, arities))
-    that sit over the arities of the cells of ``shape``, in ``all_cells``
-    order."""
-    labels = phi.labels
+@lru_cache(maxsize=None)
+def slicers(shape: PastingDiagram, arities: tuple) -> tuple:
+    """For each cell c of ``shape``, in ``all_cells`` order, a function that
+    takes the labels of a labelling of ``subst_arities(shape, arities)`` to
+    the tuple of labels over c's arity."""
     return tuple(
-        LabelledDiagram(alpha, tuple(labels[p] for p in positions))
-        for alpha, positions in zip(arities, _slice_positions(shape, arities))
+        itemgetter(*ps) if len(ps) > 1 else itemgetter(slice(ps[0], ps[0] + 1))
+        for ps in _slice_positions(shape, arities)
     )
 
 

@@ -88,6 +88,13 @@ def _depth(data) -> int:
     return 1 + max(_depth(c) for c in data)
 
 
+def _at(table, i, what: str):
+    """``table[i]`` for an index the format has: a non-bool int in range."""
+    if type(i) is not int or not 0 <= i < len(table):
+        raise ValueError(f"{what} {i!r} is not an index into {len(table)} entries")
+    return table[i]
+
+
 def _term_json(c, is_term_dim: bool) -> dict:
     enc = cell_to_json(c)
     if is_term_dim and not isinstance(c, (UnitTerm, NodeTerm)):
@@ -124,8 +131,8 @@ def globset_from_json(data: dict):
     tgt = [{} for _ in range(dims)]
     for k in range(1, dims):
         for i, c in enumerate(cells[k]):
-            src[k][c] = cells[k - 1][data["src"][k - 1][i]]
-            tgt[k][c] = cells[k - 1][data["tgt"][k - 1][i]]
+            src[k][c] = _at(cells[k - 1], data["src"][k - 1][i], "src")
+            tgt[k][c] = _at(cells[k - 1], data["tgt"][k - 1][i], "tgt")
     return glob_set(cells, src, tgt)
 
 
@@ -248,8 +255,8 @@ def state_from_json(data: dict) -> DecodedState:
     tgt = [{} for _ in range(max_dim + 1)]
     for k in range(1, max_dim + 1):
         for i, c in enumerate(cells_by_dim[k]):
-            src[k][c] = cells_by_dim[k - 1][data["src"][k - 1][i]]
-            tgt[k][c] = cells_by_dim[k - 1][data["tgt"][k - 1][i]]
+            src[k][c] = _at(cells_by_dim[k - 1], data["src"][k - 1][i], "src")
+            tgt[k][c] = _at(cells_by_dim[k - 1], data["tgt"][k - 1][i], "tgt")
     arity = [
         {
             c: tree_from_json(data["arity"][k][i], k)
@@ -262,21 +269,30 @@ def state_from_json(data: dict) -> DecodedState:
     gamma = {}
     for entry in data["gamma"]:
         k = entry["dim"]
+        layer = _at(cells_by_dim, k, "gamma dim")
+        below = _at(cells_by_dim, k - 1, "gamma dim minus one")
         gamma[
             (
-                cells_by_dim[k - 1][entry["a"]],
-                cells_by_dim[k - 1][entry["b"]],
+                _at(below, entry["a"], "gamma a"),
+                _at(below, entry["b"], "gamma b"),
                 tree_from_json(entry["theta"], k),
             )
-        ] = cells_by_dim[k][entry["cell"]]
+        ] = _at(layer, entry["cell"], "gamma cell")
     contraction = ContractionStructure(coll, stage[0], gamma)
     mult_entries = {}
     for entry in data["mult"]:
         d = entry["dim"]
-        labels = tuple(cells_by_dim[j][i] for j, i in entry["labels"])
-        mult_entries[(d, cells_by_dim[d][entry["op"]], labels)] = cells_by_dim[d][
-            entry["result"]
-        ]
+        layer = _at(cells_by_dim, d, "mult dim")
+        a = _at(layer, entry["op"], "mult op")
+        addrs = all_cells(arity[d][a])
+        if len(entry["labels"]) != len(addrs):
+            raise ValueError("mult labels do not cover the arity of the operation")
+        labels = []
+        for x, (j, i) in zip(addrs, entry["labels"]):
+            if type(j) is not int or j != x.dim:
+                raise ValueError(f"mult label dim {j!r} differs from its cell's {x.dim}")
+            labels.append(_at(cells_by_dim[j], i, "mult label"))
+        mult_entries[(d, a, tuple(labels))] = _at(layer, entry["result"], "mult result")
     overflows = tuple(
         Overflow(o["step"], o["dim"], o["reason"], o["count"], tuple(o["sample"]))
         for o in data.get("overflows", [])

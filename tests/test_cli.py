@@ -144,3 +144,15 @@ def test_verify_initiality_probe_rejects_partial_contraction(tmp_path, capsys):
     assert "initiality-probe: FAIL" in out
     data = json.loads(reports.read_text())
     assert data[0]["pass"] is False and data[0]["violations"]
+
+
+@pytest.mark.parametrize("case", ["src", "mult-labels-cover"])
+@pytest.mark.parametrize("suite", ["operad-laws", "contraction-laws", "stability-operad"])
+def test_verify_rejects_a_malformed_index(tmp_path, capsys, case, suite):
+    from test_serialize import malformed
+
+    fixture = tmp_path / "state.json"
+    fixture.write_text(json.dumps(malformed(case)[1]))
+    code, out, err = run(capsys, "verify", "--suite", suite, "--input", str(fixture))
+    assert code == 2
+    assert "malformed fixture" in err and out == ""

@@ -139,13 +139,16 @@ def test_tensor_associativity_small():
         for cell in lefts:
             inner_pair, psi = cell.left, cell.labelling
             shape = inner_pair.labelling.shape
-            from globop.pasting import slices
+            from globop.pasting import LabelledDiagram, slicers
 
             arities = tuple(
                 b.arity_of(x.dim, inner_pair.labelling.label_of(x))
                 for x in all_cells(shape)
             )
-            pieces = dict(zip(all_cells(shape), slices(psi, shape, arities)))
+            pieces = {
+                x: LabelledDiagram(alpha, take(psi.labels))
+                for x, alpha, take in zip(all_cells(shape), arities, slicers(shape, arities))
+            }
             chi = inner_pair.labelling.map_labels(
                 lambda addr, lab: PairCell(lab, pieces[addr])
             )

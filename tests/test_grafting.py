@@ -1,0 +1,284 @@
+"""The grafting path on label tuples against the one it replaced.
+
+``term_mult`` used to check the shape on every recursive call, compute the
+arity of every cell structurally, build a ``LabelledDiagram`` for every
+slice and collapse units with a Python ``all``.  The reference functions
+below are verbatim copies of that path: ``cell_arity``, ``term_mult``,
+``make_node``, ``compose_labellings`` and the ``slices`` they used (only
+the names are prefixed and the imports hoisted).  The tests check that the
+rewrite gives the same products, and that the law check's multiplications,
+asked through ``op.mult``, are the same calls in the same order.
+
+Also here: the invariant the rewrite relies on, that the arity a layer's
+table holds for a cell is its structural arity.
+"""
+
+import dataclasses
+import json
+from pathlib import Path
+
+import pytest
+
+from globop.collection import Bounds, configurations, one_cell_collection
+from globop.interleave import free_owc
+from globop.operad import (
+    NodeTerm,
+    OperadStructure,
+    UnitTerm,
+    _unit_argument,
+    cell_arity,
+    cell_products,
+    compose_labellings,
+    free_operad_step,
+    make_node,
+    term_mult,
+    terminal_operad,
+    unit_labelling,
+)
+from globop.pasting import (
+    LabelledDiagram,
+    PastingDiagram,
+    _slice_positions,
+    all_cells,
+    cells,
+    labelled,
+    subst_arities,
+    unit_tree,
+)
+from globop.serialize import state_from_json
+from globop.verify import cached_initial
+
+from test_configurations import _broken_terminal
+from test_operad import self_loop_operad
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+# --- reference: the grafting path before the rewrite, verbatim --------------
+
+
+def reference_slices(phi: LabelledDiagram, shape: PastingDiagram, arities: tuple) -> tuple[LabelledDiagram, ...]:
+    """The parts of ``phi`` (a labelling of subst_arities(shape, arities))
+    that sit over the arities of the cells of ``shape``, in ``all_cells``
+    order."""
+    labels = phi.labels
+    return tuple(
+        LabelledDiagram(alpha, tuple(labels[p] for p in positions))
+        for alpha, positions in zip(arities, _slice_positions(shape, arities))
+    )
+
+
+def reference_cell_arity(op: OperadStructure, j: int, c) -> PastingDiagram:
+    """Arity of a cell, computed structurally for terms so that it is defined
+    even for composition results that were never materialized."""
+    if isinstance(c, UnitTerm):
+        return unit_tree(j)
+    if isinstance(c, NodeTerm):
+        shape = op.over.arity_of(j, c.gen)
+        return subst_arities(
+            shape,
+            tuple(reference_cell_arity(op, a.dim, lab) for a, lab in zip(all_cells(shape), c.labels)),
+        )
+    return op.over.arity_of(j, c)
+
+
+def reference_make_node(op: OperadStructure, d: int, gen, phi: LabelledDiagram):
+    """Build a normal-form node, collapsing the all-unit labelling to the
+    bare generator."""
+    shape = op.over.arity_of(d, gen)
+    if phi.shape != shape:
+        raise ValueError("labelling shape differs from the generator arity")
+    trivial = all(
+        lab == op.units[addr.dim]
+        for addr, lab in zip(all_cells(shape), phi.labels)
+    )
+    if trivial:
+        return gen
+    return NodeTerm(d, gen, phi.labels)
+
+
+def reference_term_mult(op: OperadStructure, d: int, a, phi: LabelledDiagram):
+    """Grafting with unit collapse.
+
+    ``phi`` lies over the arity of ``a``; its labels at dimension d are terms
+    and its lower labels are cells.  Top labels of a node are composed with
+    their slice of ``phi``, lower labels are composed in the lower operad.
+    """
+    if phi.shape != reference_cell_arity(op, d, a):
+        raise ValueError("labelling shape differs from the arity of the operation")
+    if isinstance(a, UnitTerm):
+        return phi.label_of(cells(phi.shape, d)[0])
+    if isinstance(a, NodeTerm):
+        shape = op.over.arity_of(d, a.gen)
+        psi = dict(zip(all_cells(shape), a.labels))
+        arities = tuple(reference_cell_arity(op, x.dim, psi[x]) for x in all_cells(shape))
+        new_labels = {}
+        for x, piece in zip(all_cells(shape), reference_slices(phi, shape, arities)):
+            if x.dim == d:
+                new_labels[x] = reference_term_mult(op, d, psi[x], piece)
+            else:
+                new_labels[x] = op.mult(x.dim, psi[x], piece)
+        return reference_make_node(op, d, a.gen, labelled(shape, new_labels))
+    # bare generator: behaves as the unit-labelled node, so the slices are
+    # exactly the labels of phi
+    return reference_make_node(op, d, a, phi)
+
+
+def reference_compose_labellings(op: OperadStructure, phi: LabelledDiagram, chi: LabelledDiagram) -> LabelledDiagram:
+    """Compose every label of ``phi`` with its slice of ``chi``."""
+    shape = phi.shape
+    cells_and_labels = tuple(zip(all_cells(shape), phi.labels))
+    arities = tuple(reference_cell_arity(op, x.dim, lab) for x, lab in cells_and_labels)
+    return LabelledDiagram(
+        shape,
+        tuple(
+            op.mult(x.dim, lab, piece)
+            for (x, lab), piece in zip(cells_and_labels, reference_slices(chi, shape, arities))
+        ),
+    )
+
+
+def _reference(op: OperadStructure) -> OperadStructure:
+    """``op`` with the reference grafting wherever it grafts terms."""
+    mults = tuple(reference_term_mult if m is term_mult else m for m in op.mults)
+    return dataclasses.replace(op, mults=mults)
+
+
+# --- inputs ------------------------------------------------------------------
+
+
+def _decoded_valid_state():
+    decoded = state_from_json(json.loads((FIXTURES / "valid_state.json").read_text()))
+    op = dataclasses.replace(decoded.state.operad, products=decoded.mult_entries)
+    return op, decoded.state.bounds
+
+
+def _self_loop():
+    # the lower unit is the plain cell "e" and the lower multiplication is
+    # not term grafting, so lower labels are composed through a labelling
+    bounds = Bounds(1, 7, 4)
+    return free_operad_step(self_loop_operad(), bounds).operad, bounds
+
+
+def _terminal():
+    bounds = Bounds(2, 5, 2)
+    return terminal_operad(bounds), bounds
+
+
+# name -> (operad and bounds, every how many first-level configurations the
+# law check's second level is walked: the reference grafting is slow)
+CASES = {
+    "initial-251": (lambda: (cached_initial(Bounds(2, 5, 1)).operad, Bounds(2, 5, 1)), 1),
+    "initial-252": (lambda: (cached_initial(Bounds(2, 5, 2)).operad, Bounds(2, 5, 2)), 2000),
+    "initial-371": (lambda: (cached_initial(Bounds(3, 7, 1)).operad, Bounds(3, 7, 1)), 20),
+    "one-atom-251": (lambda: (free_owc(one_cell_collection(1), Bounds(2, 5, 1)).operad, Bounds(2, 5, 1)), 5),
+    "valid-state": (_decoded_valid_state, 25),
+    "self-loop-174": (_self_loop, 1),
+    "terminal-252": (_terminal, 4),
+    "broken-terminal": (_broken_terminal, 1),
+}
+
+
+def _law_check_calls(op: OperadStructure, bounds: Bounds, arity_fn, compose_fn, stride: int) -> list:
+    """The multiplications of ``check_operad_laws``, with ``arity_fn`` and
+    ``compose_fn`` in place of ``cell_arity`` and ``compose_labellings``:
+    every ``op.mult`` call made from outside a multiplication, with its
+    product, and the arity of every first-level product.  The second level
+    is walked from every ``stride``-th first-level configuration."""
+    log = []
+    rec = dataclasses.replace(op)
+    depth = 0
+
+    def mult(d, a, phi):
+        nonlocal depth
+        depth += 1
+        try:
+            r = OperadStructure.mult(rec, d, a, phi)
+        finally:
+            depth -= 1
+        if depth == 0:
+            log.append((d, a, phi.labels, r))
+        return r
+
+    rec.mult = mult
+    for d in range(op.up_to_dim + 1):
+        for t in op.over.cells_at(d):
+            rec.mult(d, op.units[d], _unit_argument(rec, d, t))
+        operations = ((a, op.over.arity_of(d, a)) for a in op.over.cells_at(d))
+        n = 0
+        for a, fits, _ in configurations(operations, op.over, bounds.max_arity_size):
+            rec.mult(d, a, unit_labelling(rec, d, op.over.arity_of(d, a)))
+            for phi, mid in fits:
+                r = rec.mult(d, a, phi)
+                log.append(arity_fn(rec, d, r))
+                n += 1
+                if n % stride or arity_fn(rec, d, r) != mid:
+                    continue
+                for _, inner, _ in configurations([(r, mid)], op.over, bounds.max_arity_size):
+                    for chi, _ in inner:
+                        rec.mult(d, r, chi)
+                        rec.mult(d, a, compose_fn(rec, phi, chi))
+    return log
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_grafting_matches_the_reference(case):
+    make, stride = CASES[case]
+    op, bounds = make()
+    new = _law_check_calls(op, bounds, cell_arity, compose_labellings, stride)
+    old = _law_check_calls(_reference(op), bounds, reference_cell_arity, reference_compose_labellings, stride)
+    assert len(new) == len(old)
+    assert new == old
+
+
+@pytest.mark.parametrize("case", ["initial-252", "initial-371", "valid-state", "self-loop-174"])
+def test_cell_products_match_the_reference(case):
+    op, bounds = CASES[case][0]()
+    assert list(cell_products(op, bounds).items()) == list(cell_products(_reference(op), bounds).items())
+
+
+def test_make_node_collapses_as_the_reference():
+    for op, _ in (CASES["initial-371"][0](), CASES["self-loop-174"][0]()):
+        for d in range(op.up_to_dim + 1):
+            if op.mults[d] is not term_mult:
+                continue
+            for g in op.over.cells_at(d):
+                if isinstance(g, (UnitTerm, NodeTerm)):
+                    continue
+                shape = op.over.arity_of(d, g)
+                phi = unit_labelling(op, d, shape)
+                assert make_node(op, d, g, phi) is reference_make_node(op, d, g, phi) is g
+                # one top label that is not the unit
+                for x in cells(shape, d):
+                    phi = labelled(shape, {y: (g if y == x else op.units[y.dim]) for y in all_cells(shape)})
+                    node = make_node(op, d, g, phi)
+                    assert isinstance(node, NodeTerm) and node is reference_make_node(op, d, g, phi)
+
+
+# --- the invariant the table lookup relies on ----------------------------------
+
+
+@pytest.mark.parametrize("case", ["initial-252", "initial-371", "valid-state"])
+def test_table_arity_is_the_structural_arity(case):
+    op, _ = CASES[case][0]()
+    n = 0
+    for j in range(op.over.max_dim + 1):
+        for c in op.over.cells_at(j):
+            assert op.over.arity_of(j, c) is reference_cell_arity(op, j, c)
+            assert cell_arity(op, j, c) is reference_cell_arity(op, j, c)
+            n += isinstance(c, NodeTerm)
+    assert n > 0
+
+
+def test_transient_terms_get_their_structural_arity():
+    op, bounds = CASES["initial-251"][0]()
+    seen = 0
+    for d in range(op.up_to_dim + 1):
+        operations = ((a, op.over.arity_of(d, a)) for a in op.over.cells_at(d))
+        for a, fits, _ in configurations(operations, op.over, bounds.max_arity_size):
+            for phi, mid in fits:
+                r = op.mult(d, a, phi)
+                if not op.over.has_cell(d, r):
+                    seen += 1
+                    assert cell_arity(op, d, r) is reference_cell_arity(op, d, r) is mid
+    assert seen > 0

@@ -171,8 +171,18 @@ def test_term_mult_chain_arities():
 def test_term_mult_shape_mismatch():
     lower = self_loop_operad()
     ctx = extend_operad(lower, lower.over, 1)
-    with pytest.raises(ValueError):
-        term_mult(ctx, 1, "g", labelled(chain(2), {a: "e" if a.dim == 0 else "g" for a in all_cells(chain(2))}))
+    node = NodeTerm(1, "g", ("e", "e", "g"))
+
+    def over(shape):
+        return labelled(shape, {a: "e" if a.dim == 0 else "g" for a in all_cells(shape)})
+
+    # a unit operation, a bare generator and a node, each of arity chain(1)
+    products = {UnitTerm(1): "g", "g": node, node: NodeTerm(1, "g", ("e", "e", node))}
+    for a, product in products.items():
+        assert term_mult(ctx, 1, a, over(chain(1))) == product
+        for shape in (chain(2), chain(0)):
+            with pytest.raises(ValueError):
+                term_mult(ctx, 1, a, over(shape))
 
 
 def test_term_mult_associativity_exhaustive():

@@ -1,4 +1,7 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from globop.collection import Bounds, one_cell_collection
 from globop.contraction import CtrCell
@@ -76,3 +79,42 @@ def test_globset_roundtrip():
         [{}, {"f": "y"}],
     )
     assert globset_from_json(globset_to_json(g)) == g
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+# one case per field the decoders read an index from: each value picks a cell
+# only by Python's list indexing (-1 from the end, True as 1) or, for mult
+# labels, does not fit the arity of the entry's operation
+MALFORMED = {
+    "src": ("valid_state.json", ("src", 0, 0), -1),
+    "tgt": ("valid_state.json", ("tgt", 0, 5), True),
+    "gamma-a": ("valid_state.json", ("gamma", 0, "a"), -1),
+    "gamma-b": ("valid_state.json", ("gamma", 0, "b"), True),
+    "gamma-cell": ("valid_state.json", ("gamma", 0, "cell"), -1),
+    "mult-op": ("valid_state.json", ("mult", 0, "op"), -1),
+    "mult-label": ("valid_state.json", ("mult", 315, "labels", 2, 1), -1),
+    "mult-label-dim": ("valid_state.json", ("mult", 315, "labels", 2), [0, 1]),
+    "mult-labels-cover": ("valid_state.json", ("mult", 0, "labels"), []),
+    "mult-result": ("valid_state.json", ("mult", 0, "result"), True),
+    "globset-src": ("corrupt_globset.json", ("src", 0, 0), -1),
+    "globset-tgt": ("corrupt_globset.json", ("tgt", 1, 0), True),
+}
+
+
+def malformed(case):
+    name, path, value = MALFORMED[case]
+    data = json.loads((FIXTURES / name).read_text())
+    at = data
+    for key in path[:-1]:
+        at = at[key]
+    at[path[-1]] = value
+    return name, data
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_decoders_reject_indices_the_format_does_not_have(case):
+    name, data = malformed(case)
+    decode = globset_from_json if name == "corrupt_globset.json" else state_from_json
+    with pytest.raises(ValueError):
+        decode(data)
