@@ -16,7 +16,8 @@ operad structure one dimension down and stored in the cell tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import islice
 from typing import Callable
 from weakref import KeyedRef
 
@@ -532,21 +533,6 @@ def cell_products(op: OperadStructure, bounds: Bounds, dims=None) -> dict:
     return table
 
 
-def compose_labellings(op: OperadStructure, phi: LabelledDiagram, chi: LabelledDiagram) -> LabelledDiagram:
-    """Compose every label of ``phi`` with its slice of ``chi``."""
-    shape = phi.shape
-    arities = _label_arities(op, shape, phi.labels)
-    return LabelledDiagram(
-        shape,
-        tuple(
-            op.mult(x.dim, lab, LabelledDiagram(alpha, take(chi.labels)))
-            for x, lab, alpha, take in zip(
-                all_cells(shape), phi.labels, arities, slicers(shape, arities)
-            )
-        ),
-    )
-
-
 def _unit_argument(op: OperadStructure, d: int, t) -> LabelledDiagram:
     """The labelling of the single-cell shape whose top label is ``t``."""
     shape = unit_tree(d)
@@ -565,32 +551,82 @@ def check_operad_laws(op: OperadStructure, bounds: Bounds, dims=None) -> Report:
     """Unit laws and associativity on every composable configuration whose
     composite arities stay within the bounds.
 
-    The two maps A⊗A⊗A → A: each configuration ``(a, phi)`` of A⊗A within
-    the bound is streamed back in as an operation of the composite arity,
-    whose own configurations ``chi`` are the third factor.
+    The two maps A⊗A⊗A → A, μ∘(μ⊗1) and μ∘(1⊗μ), both factor through μ on
+    A⊗A.  So each configuration ``(a, phi)`` of A⊗A within the bound is
+    multiplied once, into a table seeded with ``op.products`` that lives for
+    this call, and the check runs on a view of ``op`` whose ``products`` is
+    that table: the lhs ``(a∘phi)∘chi``, the label products of ``1⊗μ``, the
+    rhs and the lower labels inside grafting read it.  Each configuration is
+    then streamed back in as an operation of its composite arity, whose own
+    configurations ``chi`` are the third factor.
+
+    ``counts`` gives the configurations at both levels and how many of the
+    products the check asked for were multiplied or read from the table.
     """
     rep = Report("operad-laws")
+    table = dict(op.products)
+    view = replace(op, products=table)
+    get, mults = table.get, op.mults
+    asked = multiplied = first = triples = 0
+
+    def product(j, c, shape, labels):
+        # view.mult, without building a labelling for a product in the table
+        nonlocal asked, multiplied
+        asked += 1
+        r = get((j, c, labels))
+        if r is None:
+            multiplied += 1
+            r = mults[j](view, j, c, LabelledDiagram(shape, labels))
+        return r
+
     for d in dims if dims is not None else range(op.up_to_dim + 1):
         unit = op.units[d]
-        for t in op.over.cells_at(d):
-            if op.mult(d, unit, _unit_argument(op, d, t)) != t:
-                rep.add("left unit law fails", witness=(d, t))
+        layer = op.over.cells_at(d)
+        level1 = []
 
-        def composites():
-            for a, fits, _ in _configurations(op, d, bounds):
-                if op.mult(d, a, unit_labelling(op, d, op.over.arity_of(d, a))) != a:
+        def operations():
+            # the d-cells, then the composites: one configurations call, so
+            # both levels share its memo of labellings per shape
+            for a in layer:
+                yield a, op.over.arity_of(d, a)
+            for a, shape, fits in level1:
+                if product(d, a, shape, unit_labelling(view, d, shape).labels) != a:
                     rep.add("right unit law fails", witness=(d, a))
                 for phi, mid_shape in fits:
-                    r = op.mult(d, a, phi)
+                    r = table[(d, a, phi.labels)]
                     if cell_arity(op, d, r) != mid_shape:
                         rep.add("arity of composite differs from substitution", witness=(d, a, phi.labels))
                         continue
-                    yield (a, phi, r), mid_shape
+                    yield (a, shape, phi, r, mid_shape), mid_shape
 
-        for (a, phi, r), fits, _ in configurations(composites(), op.over, bounds.max_arity_size):
+        levels = configurations(operations(), op.over, bounds.max_arity_size)
+        for a, fits, _ in islice(levels, len(layer)):
+            shape = op.over.arity_of(d, a)
+            level1.append((a, shape, fits))
+            first += len(fits)
+            for phi, _ in fits:
+                table[(d, a, phi.labels)] = product(d, a, shape, phi.labels)
+        for t in layer:
+            if product(d, unit, unit_tree(d), _unit_argument(view, d, t).labels) != t:
+                rep.add("left unit law fails", witness=(d, t))
+        for (a, shape, phi, r, mid_shape), fits, _ in levels:
+            if not fits:
+                continue
+            triples += len(fits)
+            arities = _label_arities(op, shape, phi.labels)
+            factors = tuple(
+                zip([x.dim for x in all_cells(shape)], phi.labels, arities, slicers(shape, arities))
+            )
             for chi, _ in fits:
-                lhs = op.mult(d, r, chi)
-                rhs = op.mult(d, a, compose_labellings(op, phi, chi))
-                if lhs != rhs:
-                    rep.add("associativity fails", witness=(d, a, phi.labels, chi.labels))
+                labels = chi.labels
+                lhs = product(d, r, mid_shape, labels)
+                composed = tuple([product(j, lab, alpha, take(labels)) for j, lab, alpha, take in factors])
+                if lhs != product(d, a, shape, composed):
+                    rep.add("associativity fails", witness=(d, a, phi.labels, labels))
+    rep.counts.update(
+        first_level_configurations=first,
+        associativity_configurations=triples,
+        products_multiplied=multiplied,
+        products_read_from_table=asked - multiplied,
+    )
     return rep

@@ -19,6 +19,8 @@ class Report:
     suite: str
     violations: list[Violation] = field(default_factory=list)
     ms: float = 0.0
+    # what a check covered, e.g. configurations checked; summed by ``extend``
+    counts: dict[str, int] = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -29,6 +31,8 @@ class Report:
 
     def extend(self, other: "Report") -> None:
         self.violations.extend(other.violations)
+        for name, n in other.counts.items():
+            self.counts[name] = self.counts.get(name, 0) + n
 
     def to_json(self) -> dict:
         return {
@@ -36,6 +40,7 @@ class Report:
             "pass": self.passed,
             "violations": [v.to_json() for v in self.violations],
             "ms": self.ms,
+            "counts": dict(self.counts),
         }
 
 

@@ -4,14 +4,17 @@ configurations, against the loops it replaced.
 Five loops used to write the enumeration out, each on its own: ``tensor``,
 ``mult_table``, ``cell_products`` and both levels of ``check_operad_laws``.
 The reference functions below are verbatim copies of them, with
-``_composite_arity`` (only the imports are hoisted).  The tests check that
-the generator visits the same configurations, with the same composite
-arities and the same split at the arity bound, in the same order, and that
-the functions built on it give the same tables and reports, asking for the
-same multiplications in the same order.
+``_composite_arity`` and the law check's ``compose_labellings`` (only the
+imports are hoisted).  The tests check that the generator visits the same
+configurations, with the same composite arities and the same split at the
+arity bound, in the same order, and that the functions built on it give the
+same tables and reports.  The tables ask for the same multiplications in the
+same order; the law check multiplies each first-level configuration once and
+reads it from then on, so it is checked on the products it multiplies.
 """
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
@@ -32,11 +35,11 @@ from globop.globset import glob_set
 from globop.interleave import free_owc
 from globop.operad import (
     OperadStructure,
+    _label_arities,
     _unit_argument,
     cell_arity,
     cell_products,
     check_operad_laws,
-    compose_labellings,
     mult_table,
     term_size,
     terminal_operad,
@@ -49,6 +52,7 @@ from globop.pasting import (
     cells,
     chain,
     size,
+    slicers,
     subst_arities,
 )
 from globop.report import Report
@@ -155,6 +159,21 @@ def reference_cell_products(op: OperadStructure, bounds: Bounds, dims=None) -> d
                 if op.over.has_cell(d, r):
                     table[(d, a, phi.labels)] = r
     return table
+
+
+def compose_labellings(op: OperadStructure, phi: LabelledDiagram, chi: LabelledDiagram) -> LabelledDiagram:
+    """Compose every label of ``phi`` with its slice of ``chi``."""
+    shape = phi.shape
+    arities = _label_arities(op, shape, phi.labels)
+    return LabelledDiagram(
+        shape,
+        tuple(
+            op.mult(x.dim, lab, LabelledDiagram(alpha, take(chi.labels)))
+            for x, lab, alpha, take in zip(
+                all_cells(shape), phi.labels, arities, slicers(shape, arities)
+            )
+        ),
+    )
 
 
 def reference_check_operad_laws(op: OperadStructure, bounds: Bounds, dims=None) -> Report:
@@ -356,25 +375,102 @@ def _broken_terminal():
     return OperadStructure(base.over, dict(base.units), (mult_fn,) * 2), Bounds(1, 5, 2)
 
 
+def _wrong_product():
+    """The one-atom operad with one wrong dimension-1 entry in ``products``:
+    the unit composed with the first 1-cell gives the fourth, of the same
+    arity and another target.  Grafting at dimension 2 reads it for lower
+    labels."""
+    op, bounds = CASES["one-atom-251"]()
+    layer = op.over.cells_at(1)
+    unit = op.units[1]
+    key = (1, unit, (*_unit_argument(op, 1, layer[0]).labels[:-1], layer[0]))
+    assert op.mult(1, unit, LabelledDiagram(op.over.arity_of(1, unit), key[2])) is layer[0]
+    assert op.over.arity_of(1, layer[3]) is op.over.arity_of(1, layer[0])
+    return dataclasses.replace(op, products={key: layer[3]}), bounds
+
+
 LAW_CASES = {
     "initial-251": (lambda: CASES["initial-251"](), None),
     "initial-371": (lambda: CASES["initial-371"](), [0, 1]),
     "one-atom-251": (lambda: CASES["one-atom-251"](), [0, 1]),
     "broken-terminal": (_broken_terminal, None),
+    "wrong-product-251": (_wrong_product, None),
 }
+
+
+def _logged(op, record):
+    """``op`` with every multiplication function passing the key it was
+    asked for and its product to ``record``.  Wrapped, ``term_mult`` is
+    reached through a labelling for lower labels too."""
+
+    def logging(mult):
+        def logged(view, d, a, phi):
+            r = mult(view, d, a, phi)
+            record((d, a, phi.labels), r)
+            return r
+
+        return logged
+
+    return dataclasses.replace(op, mults=tuple(logging(m) for m in op.mults))
 
 
 @pytest.mark.parametrize("case", LAW_CASES)
 def test_law_check_matches_the_reference(case):
     make, dims = LAW_CASES[case]
     op, bounds = make()
-    new, old = _same_calls(check_operad_laws, reference_check_operad_laws, op, bounds, dims=dims)
+    reference = {}
+
+    def reference_product(key, r):
+        assert reference.setdefault(key, r) == r
+
+    multiplied = Counter()
+
+    def product(key, r):
+        multiplied[key] += 1
+        # the check multiplies only what the reference multiplies, to the
+        # same product
+        assert reference[key] == r
+
+    old = reference_check_operad_laws(_logged(op, reference_product), bounds, dims=dims)
+    new = check_operad_laws(_logged(op, product), bounds, dims=dims)
     assert new.violations == old.violations
+    firsts = [
+        (d, a, phi.labels)
+        for d in (dims if dims is not None else range(op.up_to_dim + 1))
+        for a, fits, _ in configurations(_operations(op, d), op.over, bounds.max_arity_size)
+        for phi, _ in fits
+    ]
+    assert new.counts["first_level_configurations"] == len(firsts)
+    # each first-level configuration is multiplied exactly once, unless
+    # ``products`` has it
+    assert [multiplied[key] for key in firsts] == [int(key not in op.products) for key in firsts]
+    failures = {v.message for v in new.violations}
     if case == "broken-terminal":
-        assert {v.message for v in new.violations} >= {
-            "arity of composite differs from substitution",
-            "associativity fails",
-        }
+        assert failures >= {"arity of composite differs from substitution", "associativity fails"}
+    if case == "wrong-product-251":
+        assert "associativity fails" in failures
+        # found through grafting too: the entry is a lower label at dimension 2
+        assert any(v.witness[0] == 2 for v in new.violations)
+
+
+def test_law_check_counts_what_it_covered():
+    op, bounds = CASES["one-atom-251"]()
+    counts = check_operad_laws(op, bounds).counts
+    assert counts["first_level_configurations"] == 1424
+    assert counts["associativity_configurations"] == 46384
+    # the products asked for: both unit laws on every cell, each first-level
+    # product, and per associativity configuration the lhs, the rhs and one
+    # product per label of the first level
+    asked = 0
+    for d in range(op.up_to_dim + 1):
+        asked += 2 * len(op.over.cells_at(d))
+        first = configurations(_operations(op, d), op.over, bounds.max_arity_size)
+        mids = [(phi, mid) for _, fits, _ in first for phi, mid in fits]
+        asked += len(mids)
+        for phi, inner, _ in configurations(mids, op.over, bounds.max_arity_size):
+            asked += len(inner) * (2 + len(phi.labels))
+    assert counts["products_multiplied"] + counts["products_read_from_table"] == asked
+    assert counts["products_read_from_table"] > counts["products_multiplied"]
 
 
 @pytest.mark.parametrize(

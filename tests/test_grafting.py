@@ -28,7 +28,6 @@ from globop.operad import (
     _unit_argument,
     cell_arity,
     cell_products,
-    compose_labellings,
     free_operad_step,
     make_node,
     term_mult,
@@ -48,7 +47,7 @@ from globop.pasting import (
 from globop.serialize import state_from_json
 from globop.verify import cached_initial
 
-from test_configurations import _broken_terminal
+from test_configurations import _broken_terminal, compose_labellings
 from test_operad import self_loop_operad
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -180,8 +179,9 @@ CASES = {
 
 
 def _law_check_calls(op: OperadStructure, bounds: Bounds, arity_fn, compose_fn, stride: int) -> list:
-    """The multiplications of ``check_operad_laws``, with ``arity_fn`` and
-    ``compose_fn`` in place of ``cell_arity`` and ``compose_labellings``:
+    """The multiplications of the law check without its table of products
+    (``reference_check_operad_laws``), with ``arity_fn`` and ``compose_fn``
+    in place of ``cell_arity`` and ``compose_labellings``:
     every ``op.mult`` call made from outside a multiplication, with its
     product, and the arity of every first-level product.  The second level
     is walked from every ``stride``-th first-level configuration."""
