@@ -59,7 +59,7 @@ def cmd_verify(suites: list[str], bounds: Bounds, fixture_path: str | None, out:
         except OSError as exc:
             print(f"cannot read fixture: {exc}", file=sys.stderr)
             return 2
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             print(f"malformed fixture: {exc!r}", file=sys.stderr)
             return 2
     reports = []
@@ -67,8 +67,9 @@ def cmd_verify(suites: list[str], bounds: Bounds, fixture_path: str | None, out:
     for name in suites:
         try:
             rep = verify.run_suite(name, bounds, fixture)
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
-            # with the names checked and the file parsed, these come from decoding
+        except (KeyError, IndexError, TypeError, ValueError, RecursionError) as exc:
+            # with the names checked and the file parsed, these come from
+            # decoding; RecursionError from nesting deeper than the decoders go
             if fixture is None:
                 raise
             print(f"malformed fixture: {exc!r}", file=sys.stderr)

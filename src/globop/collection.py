@@ -36,7 +36,10 @@ class Bounds:
     max_term_size: int
 
     def __post_init__(self):
-        if min(self.max_dim, self.max_arity_size, self.max_term_size) < 0:
+        values = (self.max_dim, self.max_arity_size, self.max_term_size)
+        if any(type(v) is not int for v in values):
+            raise ValueError(f"bounds must be ints, got {values!r}")
+        if min(values) < 0:
             raise ValueError("bounds must be non-negative")
 
 

@@ -10,8 +10,8 @@ Cells of a diagram are addressed by paths: a 0-cell of a diagram with m
 columns is one of the m+1 boundary points, and a j-cell (j >= 1) is a column
 index together with a (j-1)-cell address inside that column.  Substitution
 composes a diagram whose every cell is labelled by a diagram of the same
-dimension, gluing labels along shared boundaries; ``emb_map`` records where
-each cell of each label lands inside the composite.
+dimension, gluing labels along shared boundaries; ``emb_map`` gives, for each
+cell, the positions in the composite where the cells of its label land.
 """
 
 from __future__ import annotations
@@ -277,43 +277,78 @@ def boundary_restrict(ld: LabelledDiagram, side: int) -> LabelledDiagram:
 # ---------------------------------------------------------------------------
 # substitution
 
-# substitute() composes a diagram of diagrams.  The recursion generalises the
-# two visible cases: at shift 0 the columns of the result are concatenated
-# horizontally, at shift s >= 1 the per-column composites are glued along the
-# shared boundary s levels down.
+# substitute() composes a diagram of diagrams.  A k-diagram labelled at shift
+# s has its j-cells labelled by (j+s)-diagrams.  The columns of the shape
+# compose to parts that share their boundary s levels down, and gluing them
+# concatenates the children of their depth-s nodes.  So a cell of a part moves
+# only at index s of its path, by the children that the earlier parts have
+# under the same depth-s node; a point label's top cells land at that same
+# running offset, and its lower cells where they are.
 
 
-def _compose_at(u: PastingDiagram, v: PastingDiagram, s: int) -> PastingDiagram:
+@lru_cache(maxsize=None)
+def _paths(pi: PastingDiagram) -> tuple[tuple[int, ...], ...]:
+    return tuple(a.path for a in all_cells(pi))
+
+
+def _getter(ps: tuple):
+    """The function taking a tuple to the tuple of its items at ``ps``."""
+    return itemgetter(*ps) if len(ps) > 1 else itemgetter(slice(ps[0], ps[0] + 1))
+
+
+@lru_cache(maxsize=None)
+def _columns(e: PastingDiagram) -> tuple:
+    """For each column of ``e``: the column, the positions in ``all_cells(e)``
+    of its cells, and a getter of the labels at those positions."""
+    index = _addr_index(e)
+    out = []
+    for i, child in enumerate(e.children, start=1):
+        ps = tuple(index[CellAddr(a.dim + 1, (i,) + a.path)] for a in all_cells(child))
+        out.append((child, ps, _getter(ps)))
+    return tuple(out)
+
+
+def _glue(parts: list, s: int, prefix: tuple, offsets: list) -> PastingDiagram:
+    """Glue ``parts`` along their shared boundary ``s`` levels down; record in
+    ``offsets[q][x]`` (q >= 1) how many children the first q parts have under
+    the depth-s node at path prefix x."""
     if s == 0:
-        return PastingDiagram(u.dim, u.children + v.children)
-    if len(u.children) != len(v.children):
-        raise ValueError("gluing mismatch: incompatible boundaries")
+        run = 0
+        for off, part in zip(offsets[1:], parts):
+            run += len(part.children)
+            off[prefix] = run
+        return PastingDiagram(parts[0].dim, sum((p.children for p in parts), ()))
+    columns = zip(*(p.children for p in parts), strict=True)
     return PastingDiagram(
-        u.dim,
-        tuple(_compose_at(a, b, s - 1) for a, b in zip(u.children, v.children)),
+        parts[0].dim,
+        tuple(_glue(cs, s - 1, prefix + (i,), offsets) for i, cs in enumerate(columns, start=1)),
     )
 
 
-def _column_labels(labels: dict[CellAddr, object], child: PastingDiagram, i: int):
-    out = {}
-    for inner in all_cells(child):
-        out[inner] = labels[CellAddr(inner.dim + 1, (i,) + inner.path)]
-    return out
+def _shift(paths, s: int, off):
+    """``paths`` moved by ``off`` at index s; ``None`` is no move."""
+    if off is None:
+        return paths
+    return [x if len(x) <= s else (y := x[:s]) + (x[s] + off[y],) + x[s + 1 :] for x in paths]
 
 
-def _gamma(e: PastingDiagram, labels: dict[CellAddr, PastingDiagram], s: int) -> PastingDiagram:
-    if e.dim == 0:
-        return labels[CellAddr(0, (0,))]
+def _compose(e: PastingDiagram, labels: tuple, s: int):
+    """The composite of ``e`` labelled at shift ``s`` (``labels`` aligned with
+    ``all_cells(e)``), and for each cell of ``e`` the paths in the composite
+    where the cells of its label land."""
     if not e.children:
-        return degenerate(labels[CellAddr(0, (0,))], e.dim)
-    parts = [
-        _gamma(child, _column_labels(labels, child, i), s + 1)
-        for i, child in enumerate(e.children, start=1)
-    ]
-    acc = parts[0]
-    for part in parts[1:]:
-        acc = _compose_at(acc, part, s)
-    return acc
+        alpha = labels[0]
+        return degenerate(alpha, e.dim), (_paths(alpha),)
+    parts = [(ps, *_compose(child, take(labels), s + 1)) for child, ps, take in _columns(e)]
+    offsets = [None] + [{} for _ in parts]
+    composite = _glue([part for _, part, _ in parts], s, (), offsets)
+    lands = [None] * len(labels)
+    for q, off in enumerate(offsets):
+        lands[q] = _shift(_paths(labels[q]), s, off)
+    for off, (ps, _, sub) in zip(offsets, parts):
+        for p, paths in zip(ps, sub):
+            lands[p] = _shift(paths, s, off)
+    return composite, lands
 
 
 def check_label_dims(ld: LabelledDiagram) -> None:
@@ -332,11 +367,16 @@ def check_label_boundaries(ld: LabelledDiagram) -> None:
             raise ValueError(f"label of {side} of {addr} differs from label boundary")
 
 
-def substitute(ld: LabelledDiagram) -> PastingDiagram:
-    """Compose a diagram whose cells are labelled by diagrams."""
+def _checked_compose(shape: PastingDiagram, arities: tuple):
+    ld = LabelledDiagram(shape, arities)
     check_label_dims(ld)
     check_label_boundaries(ld)
-    return _gamma(ld.shape, ld.as_dict(), 0)
+    return _compose(shape, arities, 0)
+
+
+def substitute(ld: LabelledDiagram) -> PastingDiagram:
+    """Compose a diagram whose cells are labelled by diagrams."""
+    return _substitute_cached(ld.shape, ld.labels)
 
 
 def subst_arities(shape: PastingDiagram, arities: tuple) -> PastingDiagram:
@@ -346,110 +386,19 @@ def subst_arities(shape: PastingDiagram, arities: tuple) -> PastingDiagram:
 
 @lru_cache(maxsize=None)
 def _substitute_cached(shape: PastingDiagram, arities: tuple) -> PastingDiagram:
-    return substitute(LabelledDiagram(shape, arities))
-
-
-# --- the same recursion, tracking where each label cell lands ---------------
-
-
-def _compose_at_emb(u, v, s):
-    tree = _compose_at(u, v, s)
-    inc_u: dict[CellAddr, CellAddr] = {}
-    inc_v: dict[CellAddr, CellAddr] = {}
-    if s == 0:
-        m = len(u.children)
-        for a in all_cells(u):
-            inc_u[a] = a
-        for a in all_cells(v):
-            if a.dim == 0:
-                inc_v[a] = CellAddr(0, (a.path[0] + m,))
-            else:
-                inc_v[a] = CellAddr(a.dim, (a.path[0] + m,) + a.path[1:])
-    else:
-        cols = [
-            _compose_at_emb(a, b, s - 1) for a, b in zip(u.children, v.children)
-        ]
-        for p in range(len(tree.children) + 1):
-            inc_u[CellAddr(0, (p,))] = CellAddr(0, (p,))
-            inc_v[CellAddr(0, (p,))] = CellAddr(0, (p,))
-        for i, (_, col_u, col_v) in enumerate(cols, start=1):
-            for a, b in col_u.items():
-                inc_u[CellAddr(a.dim + 1, (i,) + a.path)] = CellAddr(b.dim + 1, (i,) + b.path)
-            for a, b in col_v.items():
-                inc_v[CellAddr(a.dim + 1, (i,) + a.path)] = CellAddr(b.dim + 1, (i,) + b.path)
-    return tree, inc_u, inc_v
-
-
-def _iterated_boundary_inclusion(w: PastingDiagram, side: int, times: int):
-    """Embedding of cells of the ``times``-fold boundary of ``w`` into ``w``."""
-    mapping = {a: a for a in all_cells(w)}
-    cur = w
-    for _ in range(times):
-        incl = boundary_inclusion(cur, side)
-        mapping = {a: mapping[b] for a, b in incl.items()}
-        cur = boundary(cur)
-    return cur, mapping
-
-
-def _gamma_emb(e: PastingDiagram, labels: dict[CellAddr, PastingDiagram], s: int):
-    """Returns (composite, emb) with emb[(cell of e, cell of its label)] a cell
-    of the composite."""
-    if e.dim == 0:
-        pt = CellAddr(0, (0,))
-        tree = labels[pt]
-        return tree, {(pt, x): x for x in all_cells(tree)}
-    if not e.children:
-        pt = CellAddr(0, (0,))
-        alpha = labels[pt]
-        tree = degenerate(alpha, e.dim)
-        return tree, {(pt, x): x for x in all_cells(alpha)}
-
-    parts = []
-    for i, child in enumerate(e.children, start=1):
-        sub_tree, sub_emb = _gamma_emb(child, _column_labels(labels, child, i), s + 1)
-        parts.append((i, child, sub_tree, sub_emb))
-
-    acc = parts[0][2]
-    # inclusion of each part into the running composite
-    incs: list[dict[CellAddr, CellAddr]] = [{a: a for a in all_cells(acc)}]
-    for _, _, part_tree, _ in parts[1:]:
-        acc, inc_old, inc_new = _compose_at_emb(acc, part_tree, s)
-        incs = [{a: inc_old[b] for a, b in m.items()} for m in incs]
-        incs.append(inc_new)
-
-    emb: dict[tuple[CellAddr, CellAddr], CellAddr] = {}
-    for (i, child, part_tree, sub_emb), inc in zip(parts, incs):
-        for (cell_of_child, cell_of_label), target in sub_emb.items():
-            outer = CellAddr(cell_of_child.dim + 1, (i,) + cell_of_child.path)
-            emb[(outer, cell_of_label)] = inc[target]
-    # 0-cells of e: their labels land on the glued boundaries of the parts
-    m = len(e.children)
-    for q in range(m + 1):
-        pt = CellAddr(0, (q,))
-        alpha = labels[pt]
-        part_idx = 0 if q == 0 else q - 1
-        side = 0 if q == 0 else 1
-        part_tree = parts[part_idx][2]
-        bnd, route = _iterated_boundary_inclusion(part_tree, side, e.dim)
-        if bnd != alpha:
-            raise ValueError("boundary of a column composite differs from the point label")
-        inc = incs[part_idx]
-        for x in all_cells(alpha):
-            emb[(pt, x)] = inc[route[x]]
-    return acc, emb
+    return _checked_compose(shape, arities)[0]
 
 
 @lru_cache(maxsize=None)
-def emb_map(shape: PastingDiagram, arities: tuple):
-    """For each (cell c of shape, cell e of its arity label) the cell of the
-    composite ``subst_arities(shape, arities)`` where e lands."""
-    ld = LabelledDiagram(shape, arities)
-    check_label_dims(ld)
-    check_label_boundaries(ld)
-    tree, emb = _gamma_emb(shape, ld.as_dict(), 0)
-    assert tree == subst_arities(shape, arities)
-    assert set(emb.values()) == set(all_cells(tree))
-    return emb
+def emb_map(shape: PastingDiagram, arities: tuple) -> tuple[tuple[int, ...], ...]:
+    """For each cell c of ``shape``, in ``all_cells`` order, the positions in
+    ``all_cells(subst_arities(shape, arities))`` where the cells of c's arity
+    land, in ``all_cells`` order of the arity."""
+    composite, lands = _checked_compose(shape, arities)
+    index = {path: i for i, path in enumerate(_paths(composite))}
+    out = tuple(tuple(index[x] for x in paths) for paths in lands)
+    assert len({p for ps in out for p in ps}) == len(index)
+    return out
 
 
 def flatten(shape: PastingDiagram, inner: Mapping[CellAddr, LabelledDiagram]) -> LabelledDiagram:
@@ -461,26 +410,12 @@ def flatten(shape: PastingDiagram, inner: Mapping[CellAddr, LabelledDiagram]) ->
     """
     arities = tuple(inner[a].shape for a in all_cells(shape))
     composite = subst_arities(shape, arities)
-    emb = emb_map(shape, arities)
-    out: dict[CellAddr, object] = {}
-    for (c, e), target in emb.items():
-        lab = inner[c].label_of(e)
-        if target in out and out[target] != lab:
-            raise ValueError(f"incompatible labels glued at {target}")
-        out[target] = lab
-    return labelled(composite, out)
-
-
-def _slice_positions(shape: PastingDiagram, arities: tuple) -> tuple[tuple[int, ...], ...]:
-    """For each cell c of ``shape``, in ``all_cells`` order, the positions in
-    the labels of ``subst_arities(shape, arities)`` where the cells of c's
-    arity land."""
-    emb = emb_map(shape, arities)
-    index = _addr_index(subst_arities(shape, arities))
-    return tuple(
-        tuple(index[emb[(c, e)]] for e in all_cells(alpha))
-        for c, alpha in zip(all_cells(shape), arities)
-    )
+    out: dict[int, object] = {}
+    for c, positions in zip(all_cells(shape), emb_map(shape, arities)):
+        for p, lab in zip(positions, inner[c].labels):
+            if out.setdefault(p, lab) != lab:
+                raise ValueError(f"incompatible labels glued at {all_cells(composite)[p]}")
+    return LabelledDiagram(composite, tuple(out[p] for p in range(len(out))))
 
 
 @lru_cache(maxsize=None)
@@ -488,10 +423,7 @@ def slicers(shape: PastingDiagram, arities: tuple) -> tuple:
     """For each cell c of ``shape``, in ``all_cells`` order, a function that
     takes the labels of a labelling of ``subst_arities(shape, arities)`` to
     the tuple of labels over c's arity."""
-    return tuple(
-        itemgetter(*ps) if len(ps) > 1 else itemgetter(slice(ps[0], ps[0] + 1))
-        for ps in _slice_positions(shape, arities)
-    )
+    return tuple(_getter(ps) for ps in emb_map(shape, arities))
 
 
 # ---------------------------------------------------------------------------

@@ -240,6 +240,16 @@ def state_text(s: OwcState) -> str:
 def state_from_json(data: dict) -> DecodedState:
     bounds = Bounds(**data["bounds"])
     stage = tuple(data["stage"])
+    if not (
+        len(stage) == 2
+        and all(type(x) is int for x in stage)
+        and stage[0] - stage[1] in (0, 1)
+        and 0 <= stage[1] <= stage[0] <= bounds.max_dim
+        and stage[0] < len(data["cells"])
+    ):
+        raise ValueError(
+            f"stage {list(stage)!r} is not (k, k) or (k + 1, k) within max_dim and the layers"
+        )
     cells_by_dim = []
     provenance = {}
     for k, layer in enumerate(data["cells"]):
@@ -248,6 +258,8 @@ def state_from_json(data: dict) -> DecodedState:
             c = cell_from_json(entry["cell"], k)
             decoded.append(c)
             p = entry.get("provenance", {})
+            if not isinstance(p, dict):
+                raise ValueError(f"provenance {p!r} is not an object")
             provenance[(k, c)] = Provenance(p.get("step", "input"), p.get("stratum"))
         cells_by_dim.append(tuple(decoded))
     max_dim = len(cells_by_dim) - 1

@@ -163,8 +163,10 @@ def check_substitution_laws(max_shape_size: int, max_label_size: int, max_dim: i
     """Unit laws, associativity and boundary naturality of substitution,
     exhaustively over the stated ranges."""
     rep = Report("monoid-laws")
+    counts = dict.fromkeys(("unit_law_trees", "shapes", "labellings", "nested_labellings"), 0)
     for d in range(max_dim + 1):
         for t in enumerate_trees(d, max_label_size):
+            counts["unit_law_trees"] += 1
             arg = {}
             for a in all_cells(unit_tree(d)):
                 v = t
@@ -174,10 +176,12 @@ def check_substitution_laws(max_shape_size: int, max_label_size: int, max_dim: i
             if substitute(labelled(unit_tree(d), arg)) != t:
                 rep.add("left unit law fails", witness=repr(t))
         for shape in enumerate_trees(d, max_shape_size):
+            counts["shapes"] += 1
             ru = labelled(shape, {a: unit_tree(a.dim) for a in all_cells(shape)})
             if substitute(ru) != shape:
                 rep.add("right unit law fails", witness=repr(shape))
             for outer in tree_labellings(shape, max_label_size):
+                counts["labellings"] += 1
                 composed = substitute(outer)
                 if d >= 1:
                     b = boundary(composed)
@@ -200,6 +204,7 @@ def check_substitution_laws(max_shape_size: int, max_label_size: int, max_dim: i
                     },
                 )
                 for nested in second:
+                    counts["nested_labellings"] += 1
                     inner = nested.as_dict()
                     one = substitute(
                         labelled(
@@ -213,6 +218,7 @@ def check_substitution_laws(max_shape_size: int, max_label_size: int, max_dim: i
                             "associativity of substitution fails",
                             witness=(repr(shape), repr(outer.labels)),
                         )
+    rep.counts = counts
     return rep
 
 

@@ -122,6 +122,17 @@ def test_verify_single_suite_with_reports(tmp_path, capsys):
     assert data[0]["suite"] == "monoid-laws" and data[0]["pass"] is True
 
 
+def test_verify_monoid_laws_reports_what_it_covered(tmp_path, capsys):
+    reports = tmp_path / "reports.json"
+    code, out, _ = run(capsys, "verify", "--suite", "monoid-laws", "--out", str(reports))
+    assert code == 0
+    assert "monoid-laws: pass" in out
+    counts = json.loads(reports.read_text())[0]["counts"]
+    assert counts == {
+        "unit_law_trees": 8, "shapes": 13, "labellings": 115, "nested_labellings": 5247,
+    }
+
+
 def test_verify_corrupted_fixture_fails(tmp_path, capsys):
     reports = tmp_path / "reports.json"
     code, out, _ = run(
@@ -156,3 +167,57 @@ def test_verify_rejects_a_malformed_index(tmp_path, capsys, case, suite):
     code, out, err = run(capsys, "verify", "--suite", suite, "--input", str(fixture))
     assert code == 2
     assert "malformed fixture" in err and out == ""
+
+
+def _edited_state(tmp_path, edit):
+    data = json.loads((FIXTURES / "valid_state.json").read_text())
+    edit(data)
+    fixture = tmp_path / "state.json"
+    fixture.write_text(json.dumps(data))
+    return fixture
+
+
+def _nested(atom, depth):
+    for _ in range(depth):
+        atom = [atom]
+    return atom
+
+
+HOSTILE = {
+    "provenance-list": lambda data: data["cells"][0][0].update(provenance=[]),
+    "provenance-string": lambda data: data["cells"][0][0].update(provenance="input"),
+    # deeper than the decoder's recursion goes, not than the JSON parser's
+    "atom-nested-700": lambda data: data["cells"][0][0].update(cell={"atom": _nested("v", 700)}),
+}
+
+
+@pytest.mark.parametrize("case", HOSTILE)
+@pytest.mark.parametrize("suite", ["operad-laws", "contraction-laws", "stability-operad"])
+def test_verify_rejects_hostile_state_without_a_traceback(tmp_path, capsys, case, suite):
+    fixture = _edited_state(tmp_path, HOSTILE[case])
+    code, out, err = run(capsys, "verify", "--suite", suite, "--input", str(fixture))
+    assert code == 2
+    assert "malformed fixture" in err and out == ""
+
+
+def test_verify_rejects_a_fixture_nested_deeper_than_the_parser_goes(tmp_path, capsys):
+    fixture = tmp_path / "state.json"
+    fixture.write_text("[" * 100000)
+    code, out, err = run(capsys, "verify", "--suite", "operad-laws", "--input", str(fixture))
+    assert code == 2
+    assert "malformed fixture" in err and out == ""
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("stage", [9, 9]), ("stage", [1, 2]), ("stage", [True, True]), ("max_dim", True)],
+)
+def test_verify_rejects_a_stage_or_bounds_the_state_cannot_have(tmp_path, capsys, field, value):
+    def edit(data):
+        (data if field == "stage" else data["bounds"])[field] = value
+
+    fixture = _edited_state(tmp_path, edit)
+    for suite in ("operad-laws", "triangle-identities", "ladder-coherence"):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--input", str(fixture))
+        assert code == 2, suite
+        assert "malformed fixture" in err and out == ""

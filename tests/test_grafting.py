@@ -37,9 +37,9 @@ from globop.operad import (
 from globop.pasting import (
     LabelledDiagram,
     PastingDiagram,
-    _slice_positions,
     all_cells,
     cells,
+    emb_map,
     labelled,
     subst_arities,
     unit_tree,
@@ -63,7 +63,7 @@ def reference_slices(phi: LabelledDiagram, shape: PastingDiagram, arities: tuple
     labels = phi.labels
     return tuple(
         LabelledDiagram(alpha, tuple(labels[p] for p in positions))
-        for alpha, positions in zip(arities, _slice_positions(shape, arities))
+        for alpha, positions in zip(arities, emb_map(shape, arities))
     )
 
 

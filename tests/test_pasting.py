@@ -9,11 +9,14 @@ from globop.pasting import (
     PastingDiagram,
     all_cells,
     boundary,
+    boundary_inclusion,
     boundary_restrict,
+    cell_ends,
     cell_src,
     cell_tgt,
     cells,
     chain,
+    emb_map,
     enumerate_trees,
     flatten,
     labelled,
@@ -25,6 +28,7 @@ from globop.pasting import (
     trees_with_boundary,
     unit_tree,
 )
+from globop.verify import tree_labellings
 
 PD201 = PastingDiagram(2, (chain(2), chain(0), chain(1)))
 
@@ -210,6 +214,29 @@ def test_boundary_restrict_naturality():
     out = substitute(ld)
     for side in (0, 1):
         assert substitute(boundary_restrict(ld, side)) == boundary(out)
+
+
+
+def test_label_cells_land_where_their_boundaries_do():
+    """At dimension 3 the parts are glued at shifts 0, 1 and 2.  Where a
+    cell's label meets the labels of its source and target, the cells must
+    land on the same cells of the composite, and together the labels cover
+    it."""
+    count = 0
+    for shape in enumerate_trees(3, 9):
+        for ld in tree_labellings(shape, 7):
+            count += 1
+            lands = emb_map(shape, ld.labels)
+            covered = {p for ps in lands for p in ps}
+            assert covered == set(range(len(all_cells(substitute(ld)))))
+            for p, *ends in cell_ends(shape):
+                alpha = ld.labels[p]
+                order = all_cells(alpha)
+                for side, q in enumerate(ends):
+                    incl = boundary_inclusion(alpha, side)
+                    for i, b in enumerate(all_cells(boundary(alpha))):
+                        assert lands[p][order.index(incl[b])] == lands[q][i], (ld, side)
+    assert count == 1235
 
 
 # --- enumeration ---------------------------------------------------------------

@@ -81,6 +81,12 @@ def test_globset_roundtrip():
     assert globset_from_json(globset_to_json(g)) == g
 
 
+@pytest.mark.parametrize("values", [(True, 5, 2), (1, 5.0, 2), (1, 5, "2")])
+def test_bounds_reject_fields_that_are_not_ints(values):
+    with pytest.raises(ValueError, match="bounds must be ints"):
+        Bounds(*values)
+
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
 # one case per field the decoders read an index from: each value picks a cell
