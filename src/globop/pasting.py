@@ -291,7 +291,7 @@ def _paths(pi: PastingDiagram) -> tuple[tuple[int, ...], ...]:
     return tuple(a.path for a in all_cells(pi))
 
 
-def _getter(ps: tuple):
+def _getter(ps):
     """The function taking a tuple to the tuple of its items at ``ps``."""
     return itemgetter(*ps) if len(ps) > 1 else itemgetter(slice(ps[0], ps[0] + 1))
 
@@ -300,12 +300,14 @@ def _getter(ps: tuple):
 def _columns(e: PastingDiagram) -> tuple:
     """For each column of ``e``: the column, the positions in ``all_cells(e)``
     of its cells, and a getter of the labels at those positions."""
-    index = _addr_index(e)
-    out = []
-    for i, child in enumerate(e.children, start=1):
-        ps = tuple(index[CellAddr(a.dim + 1, (i,) + a.path)] for a in all_cells(child))
-        out.append((child, ps, _getter(ps)))
-    return tuple(out)
+    positions = [[] for _ in e.children]
+    p = len(e.children) + 1  # the points of e come first
+    for j in range(e.dim):
+        for ps, child in zip(positions, e.children):
+            n = len(cells(child, j))
+            ps.extend(range(p, p + n))
+            p += n
+    return tuple((child, tuple(ps), _getter(ps)) for child, ps in zip(e.children, positions))
 
 
 def _glue(parts: list, s: int, prefix: tuple, offsets: list) -> PastingDiagram:
@@ -334,20 +336,25 @@ def _shift(paths, s: int, off):
 
 def _compose(e: PastingDiagram, labels: tuple, s: int):
     """The composite of ``e`` labelled at shift ``s`` (``labels`` aligned with
-    ``all_cells(e)``), and for each cell of ``e`` the paths in the composite
-    where the cells of its label land."""
+    ``all_cells(e)``), and a function giving, for each cell of ``e``, the
+    paths in the composite where the cells of its label land.  Most callers
+    want only the composite, so the paths are moved only when asked for."""
     if not e.children:
         alpha = labels[0]
-        return degenerate(alpha, e.dim), (_paths(alpha),)
+        return degenerate(alpha, e.dim), lambda: (_paths(alpha),)
     parts = [(ps, *_compose(child, take(labels), s + 1)) for child, ps, take in _columns(e)]
     offsets = [None] + [{} for _ in parts]
     composite = _glue([part for _, part, _ in parts], s, (), offsets)
-    lands = [None] * len(labels)
-    for q, off in enumerate(offsets):
-        lands[q] = _shift(_paths(labels[q]), s, off)
-    for off, (ps, _, sub) in zip(offsets, parts):
-        for p, paths in zip(ps, sub):
-            lands[p] = _shift(paths, s, off)
+
+    def lands():
+        out = [None] * len(labels)
+        for q, off in enumerate(offsets):
+            out[q] = _shift(_paths(labels[q]), s, off)
+        for off, (ps, _, sub) in zip(offsets, parts):
+            for p, paths in zip(ps, sub()):
+                out[p] = _shift(paths, s, off)
+        return out
+
     return composite, lands
 
 
@@ -396,7 +403,7 @@ def emb_map(shape: PastingDiagram, arities: tuple) -> tuple[tuple[int, ...], ...
     land, in ``all_cells`` order of the arity."""
     composite, lands = _checked_compose(shape, arities)
     index = {path: i for i, path in enumerate(_paths(composite))}
-    out = tuple(tuple(index[x] for x in paths) for paths in lands)
+    out = tuple(tuple(index[x] for x in paths) for paths in lands())
     assert len({p for ps in out for p in ps}) == len(index)
     return out
 
