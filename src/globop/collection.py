@@ -164,6 +164,15 @@ def truncate(a: Collection, k: int) -> Collection:
 # labellings of a shape valued in a graded cell family
 
 
+def labelling_order(shape: PastingDiagram) -> list[int]:
+    """The positions in ``all_cells(shape)`` in the order
+    ``enumerate_labellings`` assigns them: top dimension first, then by
+    path.  It yields labellings sorted by the candidate positions of their
+    labels read in this order."""
+    addrs = all_cells(shape)
+    return sorted(range(len(addrs)), key=lambda p: (-addrs[p].dim, addrs[p].path))
+
+
 def enumerate_labellings(
     shape: PastingDiagram,
     candidates_by_dim,
@@ -180,7 +189,7 @@ def enumerate_labellings(
     individual cells.  Deterministic output order.
     """
     addrs = all_cells(shape)
-    order = sorted(range(len(addrs)), key=lambda p: (-addrs[p].dim, addrs[p].path))
+    order = labelling_order(shape)
     ends = [None] * len(addrs)
     for p, s, t in cell_ends(shape):
         ends[p] = (s, t)
@@ -234,32 +243,29 @@ def collection_labellings(shape: PastingDiagram, b: Collection, overrides=None) 
     )
 
 
-def configurations(operations, b: Collection, max_arity_size: int, narrow=None):
+def configurations(operations, b: Collection, max_arity_size: int):
     """For each ``(x, shape)`` of ``operations``, in order, yield ``(x, fits,
     over)``: the pairs ``(phi, composite)`` of a labelling of ``shape`` by
     cells of ``b``, in ``collection_labellings`` order, with the substitution
     of its labels' arities into ``shape``, split at ``max_arity_size``.
-    ``narrow(x)``, if given, is a tuple of candidates for the top cells.
 
-    Labellings are enumerated once per shape and narrowing.  ``operations``
-    is read one item per item yielded, so one call's composites can be
-    streamed back in as another's operations.
+    Labellings are enumerated once per shape.  ``operations`` is read one
+    item per item yielded, so one call's composites can be streamed back in
+    as another's operations.
     """
     memo: dict = {}
     for x, shape in operations:
-        tops = narrow(x) if narrow is not None else None
         try:
-            fits, over = memo[shape, tops]
+            fits, over = memo[shape]
         except KeyError:
-            overrides = None if tops is None else dict.fromkeys(pasting.cells(shape, shape.dim), tops)
             addrs = all_cells(shape)
             fits, over = [], []
-            for phi in collection_labellings(shape, b, overrides):
+            for phi in collection_labellings(shape, b):
                 composite = subst_arities(
                     shape, tuple(b.arity_of(a.dim, lab) for a, lab in zip(addrs, phi.labels))
                 )
                 (fits if size(composite) <= max_arity_size else over).append((phi, composite))
-            fits, over = memo[shape, tops] = tuple(fits), tuple(over)
+            fits, over = memo[shape] = tuple(fits), tuple(over)
         yield x, fits, over
 
 

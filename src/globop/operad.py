@@ -17,12 +17,13 @@ operad structure one dimension down and stored in the cell tables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import islice
+from itertools import islice, product
+from operator import itemgetter
 from typing import Callable
 from weakref import KeyedRef
 
-from .collection import Bounds, Collection, Overflow, configurations
-from .collection import enumerate_labellings, make_collection
+from .collection import Bounds, Collection, Overflow, collection_labellings, configurations
+from .collection import enumerate_labellings, labelling_order, make_collection
 from .pasting import (
     LabelledDiagram,
     PastingDiagram,
@@ -30,6 +31,7 @@ from .pasting import (
     boundary,
     boundary_inclusion,
     cells,
+    emb_map,
     labelled,
     size,
     slicers,
@@ -384,7 +386,16 @@ def _free_at(coll: Collection, lower: OperadStructure | None, d: int, bounds: Bo
         return ntgt[lab] if j == d and is_term(lab) else coll.tgt_of(j, lab)
 
     strata: dict = {}
-    skipped: dict[str, list] = {"term": [], "arity": [], "boundary": []}
+    # per reason, the number of rejected candidates and the first three,
+    # which are all the state records of them
+    rejected = dict.fromkeys(("term", "arity", "boundary"), 0)
+    samples: dict[str, list] = {reason: [] for reason in rejected}
+
+    def reject(reason, cell):
+        rejected[reason] += 1
+        if len(samples[reason]) < 3:
+            samples[reason].append(cell)
+
     old: list = []
     current: list = [unit]
     frontier: list = [unit]
@@ -413,17 +424,17 @@ def _free_at(coll: Collection, lower: OperadStructure | None, d: int, bounds: Bo
                     continue
                 ts = term_size(ctx, d, cell)
                 if ts > bounds.max_term_size:
-                    skipped["term"].append(cell)
+                    reject("term", cell)
                     continue
                 ar = cell_arity(ctx, d, cell)
                 if size(ar) > bounds.max_arity_size:
-                    skipped["arity"].append(cell)
+                    reject("arity", cell)
                     continue
                 if d >= 1:
                     s = term_src(ctx, d, cell)
                     t = term_tgt(ctx, d, cell)
                     if s not in lower_cells or t not in lower_cells:
-                        skipped["boundary"].append(cell)
+                        reject("boundary", cell)
                         continue
                     nsrc[cell], ntgt[cell] = s, t
                 narity[cell] = ar
@@ -459,11 +470,11 @@ def _free_at(coll: Collection, lower: OperadStructure | None, d: int, bounds: Bo
             step=f"operad-{d}",
             dim=d,
             reason=reason,
-            count=len(items),
-            sample=tuple(repr(c) for c in items[:3]),
+            count=count,
+            sample=tuple(repr(c) for c in samples[reason]),
         )
-        for reason, items in skipped.items()
-        if items
+        for reason, count in rejected.items()
+        if count
     )
     strata[unit] = 0
     return FreeOperadResult(
@@ -479,13 +490,6 @@ def _free_at(coll: Collection, lower: OperadStructure | None, d: int, bounds: Bo
 # tables and law checking
 
 
-def _configurations(op: OperadStructure, d: int, bounds: Bounds, narrow=None):
-    """The composable configurations of the d-cells of ``op`` with cells of
-    ``op.over``."""
-    operations = ((a, op.over.arity_of(d, a)) for a in op.over.cells_at(d))
-    return configurations(operations, op.over, bounds.max_arity_size, narrow)
-
-
 def mult_table(op: OperadStructure, bounds: Bounds, dims=None) -> dict:
     """Materialized multiplication on all composable pairs within bounds.
 
@@ -494,7 +498,8 @@ def mult_table(op: OperadStructure, bounds: Bounds, dims=None) -> dict:
     """
     table = {}
     for d in dims if dims is not None else range(op.up_to_dim + 1):
-        for a, fits, _ in _configurations(op, d, bounds):
+        operations = ((a, op.over.arity_of(d, a)) for a in op.over.cells_at(d))
+        for a, fits, _ in configurations(operations, op.over, bounds.max_arity_size):
             for phi, _ in fits:
                 table[(d, a, phi.labels)] = op.mult(d, a, phi)
     return table
@@ -502,35 +507,169 @@ def mult_table(op: OperadStructure, bounds: Bounds, dims=None) -> dict:
 
 def cell_products(op: OperadStructure, bounds: Bounds, dims=None) -> dict:
     """The entries of ``mult_table`` whose product is a cell, in the same
-    order, without computing the other products.
+    order, found by cutting each d-cell ``c`` instead of multiplying every
+    configuration.
 
-    Grafting adds term sizes: the product of ``a`` with ``phi`` has
-    ``term_size(a)`` plus the term sizes of the top labels.  A product
-    larger than every d-cell is not a d-cell, so only top labels that fit
-    into the room ``a`` leaves below that size are enumerated.  In a built
-    state the largest size is ``max(max_term_size, 1)``: a bare generator
-    has size 1 even at term bound 0.  Narrowing the candidates of the top
-    cells keeps the labelling order.
+    Grafting is free, so ``a∘phi`` is ``c`` only for a top piece ``a`` of
+    ``c``, and only for labels that agree with the quotient of ``c`` by
+    ``a`` (see ``_Cuts``); ``collection_labellings`` fills in the
+    labels the quotient leaves open.  A cut is kept when its operation and
+    labels are cells, its composite arity is within the bound and
+    ``op.mult`` gives ``c``.  The cuts are sorted by operation, then by the
+    layer positions of their labels read in ``labelling_order``, which is
+    ``mult_table``'s order.
+
+    Raises ``ValueError`` for a dimension whose multiplication is not
+    ``term_mult``, and for a table in ``op.products``: either would multiply
+    otherwise than the grafting the cuts invert.
     """
+    if op.products:
+        raise ValueError("cell_products cuts cells by grafting; op.products would override it")
+    dims = list(dims if dims is not None else range(op.up_to_dim + 1))
+    for d in dims:
+        if op.mults[d] is not term_mult:
+            raise ValueError(f"dimension {d} is not free: its multiplication is not grafting")
+    over = op.over
+    index = [{c: i for i, c in enumerate(over.cells_at(j))} for j in range(over.max_dim + 1)]
+    cuts = _Cuts(op, [(d, c) for d in dims for c in over.cells_at(d)])
     table = {}
-    for d in dims if dims is not None else range(op.up_to_dim + 1):
-        layer = op.over.cells_at(d)
-        tsize = {c: term_size(op, d, c) for c in layer}
-        cap = max(tsize.values(), default=0)
-
-        def fitting(a):
-            return tuple(c for c in layer if tsize[c] <= cap - tsize[a])
-
-        for a, fits, _ in _configurations(op, d, bounds, fitting):
-            room = cap - tsize[a]
-            tops = cells(op.over.arity_of(d, a), d)
-            for phi, _ in fits:
-                if sum(tsize[phi.label_of(x)] for x in tops) > room:
+    for d in dims:
+        layer = index[d]
+        found = []
+        for c in layer:
+            for a in cuts.pieces(d, c):
+                if a not in layer:
                     continue
-                r = op.mult(d, a, phi)
-                if op.over.has_cell(d, r):
-                    table[(d, a, phi.labels)] = r
+                q = cuts.quotient(d, a, c)
+                if q is None:
+                    continue
+                shape = over.arity_of(d, a)
+                addrs = all_cells(shape)
+                overrides = {
+                    x: (lab,) if lab in index[x.dim] else ()
+                    for x, lab in zip(addrs, q)
+                    if lab is not None
+                }
+                for phi in collection_labellings(shape, over, overrides):
+                    labels = phi.labels
+                    arities = tuple([over.arity_of(x.dim, lab) for x, lab in zip(addrs, labels)])
+                    if size(subst_arities(shape, arities)) > bounds.max_arity_size:
+                        continue
+                    r = op.mult(d, a, phi)
+                    if r != c:
+                        continue
+                    # a forced label outside its layer (a corrupted
+                    # collection) is fixed by the labels read before it
+                    key = tuple([index[addrs[p].dim].get(labels[p], -1) for p in labelling_order(shape)])
+                    found.append(((layer[a], key), (d, a, labels), r))
+        found.sort(key=itemgetter(0))
+        for _, entry, r in found:
+            table[entry] = r
     return table
+
+
+class _Cuts:
+    """The top pieces and quotients of terms, memoized for one
+    ``cell_products`` call.
+
+    Pieces are looked up among the known terms: the cells given and,
+    recursively, the labels of their nodes.  A cut's operation is one of
+    the cells given, so it and its labels are known and the lookup misses
+    no cut; without it, the pieces of a label would grow into every node
+    that pieces of its labels could form.
+    """
+
+    def __init__(self, op: OperadStructure, cells):
+        self.op = op
+        self.known = [{} for _ in range(op.over.max_dim + 1)]
+        self.nodes = [{} for _ in range(op.over.max_dim + 1)]  # (gen, labels) -> node
+        self.memo: dict = {}
+        self.quotients: dict = {}
+        for j, c in cells:
+            self._know(j, c)
+
+    def _know(self, j: int, t) -> None:
+        if t in self.known[j]:
+            return
+        self.known[j][t] = None
+        if isinstance(t, NodeTerm):
+            self.nodes[j][t.gen, t.labels] = t
+            for x, lab in zip(all_cells(self.op.over.arity_of(j, t.gen)), t.labels):
+                self._know(x.dim, lab)
+
+    def pieces(self, j: int, t) -> tuple:
+        """The known top pieces of the j-term ``t``: every ``a`` with ``t``
+        among the products ``term_mult(a, psi)``.  They are the unit, the
+        generator of ``t`` and its nodes whose labels are pieces of ``t``'s
+        labels, a bare generator counting as its node with the unit labels.
+        At a dimension whose multiplication is not grafting every known
+        term counts as a piece."""
+        out = self.memo.get((j, t))
+        if out is not None:
+            return out
+        op = self.op
+        if op.mults[j] is not term_mult:
+            out = tuple(self.known[j])
+        elif isinstance(t, UnitTerm):
+            out = (t,)
+        else:
+            gen = t.gen if isinstance(t, NodeTerm) else t
+            shape = op.over.arity_of(j, gen)
+            labels = t.labels if isinstance(t, NodeTerm) else unit_labelling(op, j, shape).labels
+            choices = [self.pieces(x.dim, lab) for x, lab in zip(all_cells(shape), labels)]
+            found = map(self.nodes[j].get, ((gen, ls) for ls in product(*choices)))
+            out = (UnitTerm(j), gen, *[a for a in found if a is not None])
+        self.memo[j, t] = out
+        return out
+
+    def quotient(self, j: int, a, c):
+        """The labels, over the arity of ``a``, that every ``psi`` with
+        ``term_mult(a, psi) == c`` has, or None if there is no such
+        ``psi``.  Grafting is free, so they are unique.  An entry is None
+        where the quotient leaves it open: below the top cell of a unit's
+        arity, where the top label forces the labels, and at a dimension
+        whose multiplication is not grafting."""
+        key = (j, a, c)
+        try:
+            return self.quotients[key]
+        except KeyError:
+            pass
+        if isinstance(a, UnitTerm):
+            # the top cell comes last in all_cells
+            q = (None,) * (len(all_cells(unit_tree(j))) - 1) + (c,)
+        else:
+            gen = a.gen if isinstance(a, NodeTerm) else a
+            shape = self.op.over.arity_of(j, gen)
+            if isinstance(c, NodeTerm) and c.gen == gen:
+                q = c.labels
+            elif c == gen:
+                q = unit_labelling(self.op, j, shape).labels
+            else:
+                q = None
+            if q is not None and isinstance(a, NodeTerm):
+                q = self._glue(shape, a.labels, q)
+        self.quotients[key] = q
+        return q
+
+    def _glue(self, shape, labels: tuple, targets: tuple):
+        """Divide each target by its label of a node over ``shape`` and glue
+        the slices over the node's arity; None if a slice fails or two
+        disagree."""
+        op = self.op
+        arities = _label_arities(op, shape, labels)
+        out = [None] * len(all_cells(subst_arities(shape, arities)))
+        for x, lab, t, positions in zip(all_cells(shape), labels, targets, emb_map(shape, arities)):
+            if op.mults[x.dim] is not term_mult:
+                continue
+            part = self.quotient(x.dim, lab, t)
+            if part is None:
+                return None
+            for p, v in zip(positions, part):
+                if out[p] is None:
+                    out[p] = v
+                elif v is not None and v != out[p]:
+                    return None
+        return tuple(out)
 
 
 def _unit_argument(op: OperadStructure, d: int, t) -> LabelledDiagram:

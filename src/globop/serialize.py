@@ -122,17 +122,27 @@ def globset_to_json(g) -> dict:
     }
 
 
+def _layers(data: dict, key: str) -> list:
+    """``data[key]``, checked to be a list of lists: iterating an object
+    would read its keys as layers and their characters as cells."""
+    layers = data[key]
+    if not isinstance(layers, list) or not all(isinstance(layer, list) for layer in layers):
+        raise ValueError(f"{key} is not a list of layers")
+    return layers
+
+
 def globset_from_json(data: dict):
     from .globset import glob_set
 
-    cells = [[_atom_from_json(c) for c in layer] for layer in data["cells"]]
+    cells = [[_atom_from_json(c) for c in layer] for layer in _layers(data, "cells")]
+    src_layers, tgt_layers = _layers(data, "src"), _layers(data, "tgt")
     dims = len(cells)
     src = [{} for _ in range(dims)]
     tgt = [{} for _ in range(dims)]
     for k in range(1, dims):
         for i, c in enumerate(cells[k]):
-            src[k][c] = _at(cells[k - 1], data["src"][k - 1][i], "src")
-            tgt[k][c] = _at(cells[k - 1], data["tgt"][k - 1][i], "tgt")
+            src[k][c] = _at(cells[k - 1], src_layers[k - 1][i], "src")
+            tgt[k][c] = _at(cells[k - 1], tgt_layers[k - 1][i], "tgt")
     return glob_set(cells, src, tgt)
 
 

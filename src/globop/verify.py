@@ -326,6 +326,7 @@ def _suite_stability_contraction(bounds: Bounds, fixture) -> Report:
         want = cell_products(rebuilt.operad, rebuilt.bounds)
         for key in _table_diffs(want, decoded.mult_entries):
             rep.add("fixture multiplication table differs from a fresh build", witness=repr(key))
+        rep.counts.update(rebuilt_products=len(want), fixture_entries=len(decoded.mult_entries))
         return rep
     trace = cached_trace(STABILITY_BOUNDS)
     for (label_before, before), (label_after, after) in zip(trace, trace[1:]):

@@ -191,6 +191,14 @@ HOSTILE = {
 }
 
 
+@pytest.mark.parametrize("cells", [{"a": 1}, [{"a": 1}]], ids=["object", "object-layer"])
+def test_verify_globularity_rejects_layers_that_are_not_lists(tmp_path, capsys, cells):
+    fixture = _edited_state(tmp_path, lambda data: data.update(cells=cells))
+    code, out, err = run(capsys, "verify", "--suite", "globularity", "--input", str(fixture))
+    assert code == 2
+    assert "malformed fixture" in err and "not a list" in err and out == ""
+
+
 @pytest.mark.parametrize("case", HOSTILE)
 @pytest.mark.parametrize("suite", ["operad-laws", "contraction-laws", "stability-operad"])
 def test_verify_rejects_hostile_state_without_a_traceback(tmp_path, capsys, case, suite):

@@ -8,13 +8,18 @@ The reference functions below are verbatim copies of them, with
 imports are hoisted).  The tests check that the generator visits the same
 configurations, with the same composite arities and the same split at the
 arity bound, in the same order, and that the functions built on it give the
-same tables and reports.  The tables ask for the same multiplications in the
-same order; the law check multiplies each first-level configuration once and
-reads it from then on, so it is checked on the products it multiplies.
+same tables and reports.  ``mult_table`` asks for the same multiplications
+in the same order; the law check multiplies each first-level configuration
+once and reads it from then on, so it is checked on the products it
+multiplies.  ``cell_products`` now cuts each cell instead of enumerating
+configurations, so it is checked on its result alone: the same keys, values
+and order as ``reference_cell_products``.
 """
 
 import dataclasses
+import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -56,7 +61,12 @@ from globop.pasting import (
     subst_arities,
 )
 from globop.report import Report
+from globop.serialize import state_from_json
 from globop.verify import cached_initial
+
+from test_operad import CELL_PRODUCT_CASES
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 # --- reference: the loops before the shared enumeration, verbatim -----------
@@ -217,15 +227,13 @@ def reference_check_operad_laws(op: OperadStructure, bounds: Bounds, dims=None) 
     return rep
 
 
-def reference_configurations(operations, b, max_arity_size, narrow=None):
+def reference_configurations(operations, b, max_arity_size):
     """The enumeration the loops above share, one operation at a time and
     without a memo: ``tensor``'s inline composite, split at the bound."""
     out = []
     for item, shape in operations:
-        tops = narrow(item) if narrow is not None else None
-        overrides = None if tops is None else {t: list(tops) for t in cells(shape, shape.dim)}
         fits, over = [], []
-        for phi in collection_labellings(shape, b, overrides):
+        for phi in collection_labellings(shape, b):
             composed = subst_arities(
                 shape, tuple(b.arity_of(x.dim, phi.label_of(x)) for x in all_cells(shape))
             )
@@ -263,27 +271,17 @@ def _operations(op, d):
     return [(a, op.over.arity_of(d, a)) for a in op.over.cells_at(d)]
 
 
-def _room_narrowing(op, d):
-    """``cell_products``' narrowing: the cells that fit into the term-size
-    room an operation leaves."""
-    layer = op.over.cells_at(d)
-    tsize = {c: term_size(op, d, c) for c in layer}
-    cap = max(tsize.values(), default=0)
-    return lambda a: tuple(c for c in layer if tsize[c] <= cap - tsize[a])
-
-
 # --- the generator -----------------------------------------------------------
 
 
-@pytest.mark.parametrize("case", CASES)
-@pytest.mark.parametrize("narrowed", [False, True], ids=["all", "room"])
-def test_configurations_match_the_reference(case, narrowed):
+# every labelling of each shape, as the ids say
+@pytest.mark.parametrize("case", CASES, ids=[f"all-{case}" for case in CASES])
+def test_configurations_match_the_reference(case):
     op, bounds = CASES[case]()
     for d in range(op.up_to_dim + 1):
-        narrow = _room_narrowing(op, d) if narrowed else None
         ops = _operations(op, d)
-        got = list(configurations(iter(ops), op.over, bounds.max_arity_size, narrow))
-        assert got == reference_configurations(ops, op.over, bounds.max_arity_size, narrow)
+        got = list(configurations(iter(ops), op.over, bounds.max_arity_size))
+        assert got == reference_configurations(ops, op.over, bounds.max_arity_size)
         # the composite is the one the operad loops computed
         for _, fits, over in got[:20]:
             for phi, composed in fits + over:
@@ -316,16 +314,6 @@ def test_operations_are_read_one_per_configuration():
         assert read[-1] == a and len(read) == n
 
 
-def test_an_empty_narrowing_leaves_only_shapes_without_top_cells():
-    op, bounds = CASES["one-atom-251"]()
-    ops = _operations(op, 1)
-    got = list(configurations(ops, op.over, bounds.max_arity_size, lambda a: ()))
-    want = reference_configurations(ops, op.over, bounds.max_arity_size)
-    assert [x for x, _, _ in got] == list(op.over.cells_at(1))
-    for (a, shape), found, unnarrowed in zip(ops, got, want):
-        assert found == (unnarrowed if not cells(shape, 1) else (a, (), ()))
-
-
 # --- the functions built on it -------------------------------------------------
 
 
@@ -354,11 +342,61 @@ def _same_calls(new, old, op, *args, **kwargs):
 @pytest.mark.parametrize("case", CASES)
 def test_tables_match_the_reference(case):
     op, bounds = CASES[case]()
-    new, old = _same_calls(cell_products, reference_cell_products, op, bounds)
-    assert list(new.items()) == list(old.items())
+    if case == "terminal-252":
+        # substitution does not add term sizes, so there is nothing to cut by
+        with pytest.raises(ValueError, match="dimension 0"):
+            cell_products(op, bounds)
+    else:
+        assert list(cell_products(op, bounds).items()) == list(reference_cell_products(op, bounds).items())
     dims = [0, 1] if case == "initial-252" else None
     new, old = _same_calls(mult_table, reference_mult_table, op, bounds, dims=dims)
     assert list(new.items()) == list(old.items())
+
+
+def _decoded(name):
+    decoded = state_from_json(json.loads((FIXTURES / name).read_text()))
+    return decoded.state.operad, decoded.state.bounds
+
+
+# the operads the cuts are checked on besides ``CASES``: free structures on
+# small collections, and every state fixture, whose corruptions include
+# cells whose generator has no arity
+CUT_CASES = {
+    **{
+        f"{name}-{b.max_dim}{b.max_arity_size}{b.max_term_size}": lambda make=make, b=b: (free_owc(make(), b).operad, b)
+        for name, make, b in CELL_PRODUCT_CASES
+    },
+    **{p.name: lambda name=p.name: _decoded(name) for p in sorted(FIXTURES.glob("*state*.json"))},
+}
+
+
+@pytest.mark.parametrize("case", CUT_CASES)
+def test_cell_products_match_the_reference(case):
+    op, bounds = CUT_CASES[case]()
+    if case == "corrupt_state_cells.json":
+        with pytest.raises(KeyError) as old:
+            reference_cell_products(op, bounds)
+        with pytest.raises(KeyError) as new:
+            cell_products(op, bounds)
+        assert new.value.args == old.value.args
+        return
+    assert list(cell_products(op, bounds).items()) == list(reference_cell_products(op, bounds).items())
+
+
+def test_cell_products_multiply_about_what_they_keep():
+    """The enumeration multiplied 14,644 configurations at (3, 9, 1) to keep
+    344 of them; the cuts multiply only candidates for a known product."""
+    bounds = Bounds(3, 9, 1)
+    rec, log = _recording(_initial(3, 9, 1).operad)
+    table = cell_products(rec, bounds)
+    assert len(table) == 344
+    assert len(log) <= 5 * len(table)
+
+
+def test_cell_products_refuse_a_table_of_products():
+    op, bounds = _wrong_product()
+    with pytest.raises(ValueError, match="products"):
+        cell_products(op, bounds)
 
 
 def _broken_terminal():
