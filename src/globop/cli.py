@@ -112,16 +112,17 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     if args.command == "trees":
-        return cmd_trees(args.dim, args.max_size, args.out)
-    bounds = Bounds(args.dim, args.max_arity_size, args.max_term_size)
-    if args.command == "build-initial":
-        if 2 * bounds.max_dim + 1 > bounds.max_arity_size:
-            print(
-                f"max-arity-size must be at least {2 * bounds.max_dim + 1} "
-                f"to fit the unit at dimension {bounds.max_dim}",
-                file=sys.stderr,
-            )
+        if args.dim < 0:
+            print("invalid bounds: dim must be non-negative", file=sys.stderr)
             return 2
+        return cmd_trees(args.dim, args.max_size, args.out)
+    try:
+        bounds = Bounds(args.dim, args.max_arity_size, args.max_term_size)
+        bounds.check_unit(bounds.max_dim)
+    except ValueError as exc:
+        print(f"invalid bounds: {exc}", file=sys.stderr)
+        return 2
+    if args.command == "build-initial":
         return cmd_build_initial(bounds, args.out)
     return cmd_verify(args.suite, bounds, args.input, args.out)
 

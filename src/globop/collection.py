@@ -10,6 +10,7 @@ every multiplication and operad law.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from . import pasting
 from .globset import GlobularSet, empty_glob_set, glob_set
@@ -41,6 +42,11 @@ class Bounds:
             raise ValueError(f"bounds must be ints, got {values!r}")
         if min(values) < 0:
             raise ValueError("bounds must be non-negative")
+
+    def check_unit(self, d: int) -> None:
+        """Raise ``ValueError`` unless the unit at dimension ``d``, of arity size ``2d + 1``, fits."""
+        if 2 * d + 1 > self.max_arity_size:
+            raise ValueError(f"max-arity-size must be at least {2 * d + 1} to fit the unit at dimension {d}")
 
 
 @dataclass(frozen=True)
@@ -243,30 +249,33 @@ def collection_labellings(shape: PastingDiagram, b: Collection, overrides=None) 
     )
 
 
+def labelling_fits(b: Collection, max_arity_size: int):
+    """A memo of ``shape -> (fits, over)``: the pairs ``(phi, composite)``
+    of a labelling of ``shape`` by cells of ``b``, in
+    ``collection_labellings`` order, with the substitution of its labels'
+    arities into ``shape``, split at ``max_arity_size``.  Labellings are
+    enumerated once per shape."""
+
+    @cache
+    def split(shape: PastingDiagram) -> tuple[tuple, tuple]:
+        addrs = all_cells(shape)
+        fits, over = [], []
+        for phi in collection_labellings(shape, b):
+            composite = subst_arities(
+                shape, tuple(b.arity_of(a.dim, lab) for a, lab in zip(addrs, phi.labels))
+            )
+            (fits if size(composite) <= max_arity_size else over).append((phi, composite))
+        return tuple(fits), tuple(over)
+
+    return split
+
+
 def configurations(operations, b: Collection, max_arity_size: int):
     """For each ``(x, shape)`` of ``operations``, in order, yield ``(x, fits,
-    over)``: the pairs ``(phi, composite)`` of a labelling of ``shape`` by
-    cells of ``b``, in ``collection_labellings`` order, with the substitution
-    of its labels' arities into ``shape``, split at ``max_arity_size``.
-
-    Labellings are enumerated once per shape.  ``operations`` is read one
-    item per item yielded, so one call's composites can be streamed back in
-    as another's operations.
-    """
-    memo: dict = {}
+    over)`` as ``labelling_fits`` splits ``shape``."""
+    split = labelling_fits(b, max_arity_size)
     for x, shape in operations:
-        try:
-            fits, over = memo[shape]
-        except KeyError:
-            addrs = all_cells(shape)
-            fits, over = [], []
-            for phi in collection_labellings(shape, b):
-                composite = subst_arities(
-                    shape, tuple(b.arity_of(a.dim, lab) for a, lab in zip(addrs, phi.labels))
-                )
-                (fits if size(composite) <= max_arity_size else over).append((phi, composite))
-            fits, over = memo[shape] = tuple(fits), tuple(over)
-        yield x, fits, over
+        yield x, *split(shape)
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,14 @@ operad structure one dimension down and stored in the cell tables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import islice, product
+from functools import cache
+from itertools import product
 from operator import itemgetter
 from typing import Callable
 from weakref import KeyedRef
 
 from .collection import Bounds, Collection, Overflow, collection_labellings, configurations
-from .collection import enumerate_labellings, labelling_order, make_collection
+from .collection import enumerate_labellings, labelling_fits, labelling_order, make_collection
 from .pasting import (
     LabelledDiagram,
     PastingDiagram,
@@ -316,8 +317,7 @@ def terminal_operad(bounds: Bounds) -> OperadStructure:
     """Diagrams as cells, substitution as multiplication."""
     from .collection import terminal_collection
 
-    if 2 * bounds.max_dim + 1 > bounds.max_arity_size:
-        raise ValueError("single-cell diagrams at the top dimension exceed the arity bound")
+    bounds.check_unit(bounds.max_dim)
     return OperadStructure(
         terminal_collection(bounds),
         {k: unit_tree(k) for k in range(bounds.max_dim + 1)},
@@ -351,10 +351,7 @@ def free_operad_step(x: OperadStructure, bounds: Bounds) -> FreeOperadResult:
 def _free_at(coll: Collection, lower: OperadStructure | None, d: int, bounds: Bounds) -> FreeOperadResult:
     if d > coll.max_dim:
         raise ValueError("collection has no layer at the requested dimension")
-    if 2 * d + 1 > bounds.max_arity_size:
-        raise ValueError(
-            f"the unit at dimension {d} needs arity size {2 * d + 1}, over the bound"
-        )
+    bounds.check_unit(d)
     ctx = extend_operad(lower, coll, d)
     gens = list(coll.cells_at(d))
     unit = UnitTerm(d)
@@ -512,7 +509,7 @@ def cell_products(op: OperadStructure, bounds: Bounds, dims=None) -> dict:
 
     Grafting is free, so ``a∘phi`` is ``c`` only for a top piece ``a`` of
     ``c``, and only for labels that agree with the quotient of ``c`` by
-    ``a`` (see ``_Cuts``); ``collection_labellings`` fills in the
+    ``a`` (see ``_cuts``); ``collection_labellings`` fills in the
     labels the quotient leaves open.  A cut is kept when its operation and
     labels are cells, its composite arity is within the bound and
     ``op.mult`` gives ``c``.  The cuts are sorted by operation, then by the
@@ -531,20 +528,19 @@ def cell_products(op: OperadStructure, bounds: Bounds, dims=None) -> dict:
             raise ValueError(f"dimension {d} is not free: its multiplication is not grafting")
     over = op.over
     index = [{c: i for i, c in enumerate(over.cells_at(j))} for j in range(over.max_dim + 1)]
-    cuts = _Cuts(op, [(d, c) for d in dims for c in over.cells_at(d)])
+    cuts = _cuts(op, [(d, c) for d in dims for c in over.cells_at(d)])
+    order_of = cache(labelling_order)
     table = {}
     for d in dims:
         layer = index[d]
         found = []
         for c in layer:
-            for a in cuts.pieces(d, c):
+            for a, q in cuts(d, c).items():
                 if a not in layer:
-                    continue
-                q = cuts.quotient(d, a, c)
-                if q is None:
                     continue
                 shape = over.arity_of(d, a)
                 addrs = all_cells(shape)
+                order = order_of(shape)
                 overrides = {
                     x: (lab,) if lab in index[x.dim] else ()
                     for x, lab in zip(addrs, q)
@@ -560,7 +556,7 @@ def cell_products(op: OperadStructure, bounds: Bounds, dims=None) -> dict:
                         continue
                     # a forced label outside its layer (a corrupted
                     # collection) is fixed by the labels read before it
-                    key = tuple([index[addrs[p].dim].get(labels[p], -1) for p in labelling_order(shape)])
+                    key = tuple([index[addrs[p].dim].get(labels[p], -1) for p in order])
                     found.append(((layer[a], key), (d, a, labels), r))
         found.sort(key=itemgetter(0))
         for _, entry, r in found:
@@ -568,108 +564,80 @@ def cell_products(op: OperadStructure, bounds: Bounds, dims=None) -> dict:
     return table
 
 
-class _Cuts:
-    """The top pieces and quotients of terms, memoized for one
-    ``cell_products`` call.
+def _cuts(op: OperadStructure, cells):
+    """The cut recursion of one ``cell_products`` call, memoized.
 
-    Pieces are looked up among the known terms: the cells given and,
-    recursively, the labels of their nodes.  A cut's operation is one of
-    the cells given, so it and its labels are known and the lookup misses
-    no cut; without it, the pieces of a label would grow into every node
-    that pieces of its labels could form.
+    ``cuts(j, t)`` maps each known top piece ``a`` of the j-term ``t``
+    (each ``a`` with ``t = term_mult(a, psi)`` for some ``psi``) to the
+    quotient of ``t`` by ``a``, the labels every such ``psi`` has; grafting
+    is free, so they are unique.  The pieces are the unit, with ``t`` on
+    the top cell; the generator of ``t``, with ``t``'s labels (a bare
+    generator counts as its node with the unit labels); and each known node
+    of that generator whose labels are pieces of ``t``'s labels, with their
+    quotients glued over its arity.  A quotient leaves a label open (None)
+    below the top cell of a unit's arity, which the top label forces, and
+    at a dimension whose multiplication is not grafting, where every known
+    term is a piece.
+
+    Known terms are the cells given and, recursively, the labels of their
+    nodes.  A cut's operation is a cell given, so the lookup misses no cut;
+    without it, the pieces of a label would grow into every node that
+    pieces of its labels could form.
     """
+    over = op.over
+    known = [{} for _ in range(over.max_dim + 1)]
+    nodes = [{} for _ in range(over.max_dim + 1)]  # (gen, labels) -> node
 
-    def __init__(self, op: OperadStructure, cells):
-        self.op = op
-        self.known = [{} for _ in range(op.over.max_dim + 1)]
-        self.nodes = [{} for _ in range(op.over.max_dim + 1)]  # (gen, labels) -> node
-        self.memo: dict = {}
-        self.quotients: dict = {}
-        for j, c in cells:
-            self._know(j, c)
+    def know(j: int, t) -> None:
+        if t not in known[j]:
+            known[j][t] = None
+            if isinstance(t, NodeTerm):
+                nodes[j][t.gen, t.labels] = t
+                for x, lab in zip(all_cells(over.arity_of(j, t.gen)), t.labels):
+                    know(x.dim, lab)
 
-    def _know(self, j: int, t) -> None:
-        if t in self.known[j]:
-            return
-        self.known[j][t] = None
-        if isinstance(t, NodeTerm):
-            self.nodes[j][t.gen, t.labels] = t
-            for x, lab in zip(all_cells(self.op.over.arity_of(j, t.gen)), t.labels):
-                self._know(x.dim, lab)
+    for j, c in cells:
+        know(j, c)
 
-    def pieces(self, j: int, t) -> tuple:
-        """The known top pieces of the j-term ``t``: every ``a`` with ``t``
-        among the products ``term_mult(a, psi)``.  They are the unit, the
-        generator of ``t`` and its nodes whose labels are pieces of ``t``'s
-        labels, a bare generator counting as its node with the unit labels.
-        At a dimension whose multiplication is not grafting every known
-        term counts as a piece."""
-        out = self.memo.get((j, t))
-        if out is not None:
-            return out
-        op = self.op
+    @cache
+    def cuts(j: int, t) -> dict:
         if op.mults[j] is not term_mult:
-            out = tuple(self.known[j])
-        elif isinstance(t, UnitTerm):
-            out = (t,)
-        else:
-            gen = t.gen if isinstance(t, NodeTerm) else t
-            shape = op.over.arity_of(j, gen)
-            labels = t.labels if isinstance(t, NodeTerm) else unit_labelling(op, j, shape).labels
-            choices = [self.pieces(x.dim, lab) for x, lab in zip(all_cells(shape), labels)]
-            found = map(self.nodes[j].get, ((gen, ls) for ls in product(*choices)))
-            out = (UnitTerm(j), gen, *[a for a in found if a is not None])
-        self.memo[j, t] = out
+            return dict.fromkeys(known[j])
+        # the top cell comes last in all_cells
+        out = {UnitTerm(j): (None,) * (len(all_cells(unit_tree(j))) - 1) + (t,)}
+        if isinstance(t, UnitTerm):
+            return out
+        gen = t.gen if isinstance(t, NodeTerm) else t
+        shape = over.arity_of(j, gen)
+        labels = t.labels if isinstance(t, NodeTerm) else unit_labelling(op, j, shape).labels
+        out[gen] = labels
+        parts = [cuts(x.dim, lab) for x, lab in zip(all_cells(shape), labels)]
+        for pieces in product(*parts):
+            a = nodes[j].get((gen, pieces))
+            if a is not None:
+                q = _glue(op, shape, pieces, [part[p] for part, p in zip(parts, pieces)])
+                if q is not None:
+                    out[a] = q
         return out
 
-    def quotient(self, j: int, a, c):
-        """The labels, over the arity of ``a``, that every ``psi`` with
-        ``term_mult(a, psi) == c`` has, or None if there is no such
-        ``psi``.  Grafting is free, so they are unique.  An entry is None
-        where the quotient leaves it open: below the top cell of a unit's
-        arity, where the top label forces the labels, and at a dimension
-        whose multiplication is not grafting."""
-        key = (j, a, c)
-        try:
-            return self.quotients[key]
-        except KeyError:
-            pass
-        if isinstance(a, UnitTerm):
-            # the top cell comes last in all_cells
-            q = (None,) * (len(all_cells(unit_tree(j))) - 1) + (c,)
-        else:
-            gen = a.gen if isinstance(a, NodeTerm) else a
-            shape = self.op.over.arity_of(j, gen)
-            if isinstance(c, NodeTerm) and c.gen == gen:
-                q = c.labels
-            elif c == gen:
-                q = unit_labelling(self.op, j, shape).labels
-            else:
-                q = None
-            if q is not None and isinstance(a, NodeTerm):
-                q = self._glue(shape, a.labels, q)
-        self.quotients[key] = q
-        return q
+    return cuts
 
-    def _glue(self, shape, labels: tuple, targets: tuple):
-        """Divide each target by its label of a node over ``shape`` and glue
-        the slices over the node's arity; None if a slice fails or two
-        disagree."""
-        op = self.op
-        arities = _label_arities(op, shape, labels)
-        out = [None] * len(all_cells(subst_arities(shape, arities)))
-        for x, lab, t, positions in zip(all_cells(shape), labels, targets, emb_map(shape, arities)):
-            if op.mults[x.dim] is not term_mult:
-                continue
-            part = self.quotient(x.dim, lab, t)
-            if part is None:
+
+def _glue(op: OperadStructure, shape, labels: tuple, parts: list):
+    """The quotients ``parts`` of a node's targets by its ``labels``, glued
+    over the node's arity; None if two slices disagree.  A part that is
+    None leaves its slice open."""
+    arities = _label_arities(op, shape, labels)
+    out = [None] * len(all_cells(subst_arities(shape, arities)))
+    for positions, part in zip(emb_map(shape, arities), parts):
+        if part is None:
+            continue
+        for p, v in zip(positions, part):
+            if out[p] is None:
+                out[p] = v
+            elif v is not None and v != out[p]:
                 return None
-            for p, v in zip(positions, part):
-                if out[p] is None:
-                    out[p] = v
-                elif v is not None and v != out[p]:
-                    return None
-        return tuple(out)
+    return tuple(out)
 
 
 def _unit_argument(op: OperadStructure, d: int, t) -> LabelledDiagram:
@@ -695,9 +663,9 @@ def check_operad_laws(op: OperadStructure, bounds: Bounds, dims=None) -> Report:
     multiplied once, into a table seeded with ``op.products`` that lives for
     this call, and the check runs on a view of ``op`` whose ``products`` is
     that table: the lhs ``(a∘phi)∘chi``, the label products of ``1⊗μ``, the
-    rhs and the lower labels inside grafting read it.  Each configuration is
-    then streamed back in as an operation of its composite arity, whose own
-    configurations ``chi`` are the third factor.
+    rhs and the lower labels inside grafting read it.  The third factor
+    ``chi`` is a configuration of the composite arity of ``(a, phi)``; both
+    levels read one ``labelling_fits`` memo per dimension.
 
     ``counts`` gives the configurations at both levels and how many of the
     products the check asked for were multiplied or read from the table.
@@ -721,47 +689,37 @@ def check_operad_laws(op: OperadStructure, bounds: Bounds, dims=None) -> Report:
     for d in dims if dims is not None else range(op.up_to_dim + 1):
         unit = op.units[d]
         layer = op.over.cells_at(d)
-        level1 = []
-
-        def operations():
-            # the d-cells, then the composites: one configurations call, so
-            # both levels share its memo of labellings per shape
-            for a in layer:
-                yield a, op.over.arity_of(d, a)
-            for a, shape, fits in level1:
-                if product(d, a, shape, unit_labelling(view, d, shape).labels) != a:
-                    rep.add("right unit law fails", witness=(d, a))
-                for phi, mid_shape in fits:
-                    r = table[(d, a, phi.labels)]
-                    if cell_arity(op, d, r) != mid_shape:
-                        rep.add("arity of composite differs from substitution", witness=(d, a, phi.labels))
-                        continue
-                    yield (a, shape, phi, r, mid_shape), mid_shape
-
-        levels = configurations(operations(), op.over, bounds.max_arity_size)
-        for a, fits, _ in islice(levels, len(layer)):
+        split = labelling_fits(op.over, bounds.max_arity_size)
+        for a in layer:
             shape = op.over.arity_of(d, a)
-            level1.append((a, shape, fits))
+            fits, _ = split(shape)
             first += len(fits)
             for phi, _ in fits:
                 table[(d, a, phi.labels)] = product(d, a, shape, phi.labels)
         for t in layer:
             if product(d, unit, unit_tree(d), _unit_argument(view, d, t).labels) != t:
                 rep.add("left unit law fails", witness=(d, t))
-        for (a, shape, phi, r, mid_shape), fits, _ in levels:
-            if not fits:
-                continue
-            triples += len(fits)
-            arities = _label_arities(op, shape, phi.labels)
-            factors = tuple(
-                zip([x.dim for x in all_cells(shape)], phi.labels, arities, slicers(shape, arities))
-            )
-            for chi, _ in fits:
-                labels = chi.labels
-                lhs = product(d, r, mid_shape, labels)
-                composed = tuple([product(j, lab, alpha, take(labels)) for j, lab, alpha, take in factors])
-                if lhs != product(d, a, shape, composed):
-                    rep.add("associativity fails", witness=(d, a, phi.labels, labels))
+        for a in layer:
+            shape = op.over.arity_of(d, a)
+            if product(d, a, shape, unit_labelling(view, d, shape).labels) != a:
+                rep.add("right unit law fails", witness=(d, a))
+            for phi, mid_shape in split(shape)[0]:
+                r = table[(d, a, phi.labels)]
+                if cell_arity(op, d, r) != mid_shape:
+                    rep.add("arity of composite differs from substitution", witness=(d, a, phi.labels))
+                    continue
+                fits, _ = split(mid_shape)
+                triples += len(fits)
+                arities = _label_arities(op, shape, phi.labels)
+                factors = tuple(
+                    zip([x.dim for x in all_cells(shape)], phi.labels, arities, slicers(shape, arities))
+                )
+                for chi, _ in fits:
+                    labels = chi.labels
+                    lhs = product(d, r, mid_shape, labels)
+                    composed = tuple([product(j, lab, alpha, take(labels)) for j, lab, alpha, take in factors])
+                    if lhs != product(d, a, shape, composed):
+                        rep.add("associativity fails", witness=(d, a, phi.labels, labels))
     rep.counts.update(
         first_level_configurations=first,
         associativity_configurations=triples,

@@ -71,6 +71,25 @@ def test_build_initial_rejects_tight_arity(capsys):
     assert "at least 5" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["build-initial", "--dim", "-1"], "non-negative"),
+        (["build-initial", "--max-term-size", "-2"], "non-negative"),
+        (["verify", "--suite", "globularity", "--dim", "-1"], "non-negative"),
+        (["trees", "--dim", "-1", "--max-size", "3"], "non-negative"),
+        (["verify", "--suite", "globularity", "--dim", "3", "--max-arity-size", "5"], "at least 7"),
+    ],
+    ids=["build-dim", "build-term-size", "verify-dim", "trees-dim", "verify-tight-arity"],
+)
+def test_invalid_bounds_exit_2_with_one_line(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invalid bounds: ") and message in err
+    assert err.count("\n") == 1
+
+
 def test_verify_empty_suite_list(capsys):
     code, out, _ = run(capsys, "verify")
     assert code == 0

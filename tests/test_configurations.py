@@ -511,6 +511,30 @@ def test_law_check_counts_what_it_covered():
     assert counts["products_read_from_table"] > counts["products_multiplied"]
 
 
+def test_law_check_enumerates_each_shape_once(monkeypatch):
+    """Both levels of the law check read one memo of labellings: each
+    distinct shape, an arity of a cell or a composite arity, is enumerated
+    once."""
+    from globop import collection
+
+    op, bounds = CASES["one-atom-251"]()
+    expected = set()
+    for d in range(op.up_to_dim + 1):
+        expected.update(shape for _, shape in _operations(op, d))
+        for _, fits, _ in configurations(_operations(op, d), op.over, bounds.max_arity_size):
+            expected.update(mid for _, mid in fits)
+    enumerated = Counter()
+    labellings = collection.collection_labellings
+
+    def counted(shape, b, overrides=None):
+        enumerated[shape] += 1
+        return labellings(shape, b, overrides)
+
+    monkeypatch.setattr(collection, "collection_labellings", counted)
+    check_operad_laws(op, bounds)
+    assert enumerated == Counter(expected)
+
+
 @pytest.mark.parametrize(
     "a_bounds, bounds",
     [
