@@ -196,6 +196,7 @@ def enumerate_labellings(
     """
     addrs = all_cells(shape)
     order = labelling_order(shape)
+    dims = [a.dim for a in addrs]
     ends = [None] * len(addrs)
     for p, s, t in cell_ends(shape):
         ends[p] = (s, t)
@@ -203,37 +204,47 @@ def enumerate_labellings(
     free = object()
     forced = [free] * len(addrs)
     assign = [None] * len(addrs)
+    last = len(order)
     out: list[LabelledDiagram] = []
 
-    def options(p: int):
-        if forced[p] is not free:
-            return (forced[p],)
-        if narrowed[p] is not None:
-            return narrowed[p]
-        return candidates_by_dim(addrs[p].dim)
-
     def place(i: int) -> None:
-        if i == len(order):
+        if i == last:
             out.append(LabelledDiagram(shape, tuple(assign)))
             return
         p = order[i]
-        dim = addrs[p].dim
-        for lab in options(p):
-            pushed = []
-            ok = True
-            if ends[p] is not None:
-                for neighbour, value in zip(ends[p], (src_of(dim, lab), tgt_of(dim, lab))):
-                    if forced[neighbour] is free:
-                        forced[neighbour] = value
-                        pushed.append(neighbour)
-                    elif forced[neighbour] != value:
-                        ok = False
-                        break
-            if ok:
+        dim = dims[p]
+        if forced[p] is not free:
+            options = (forced[p],)
+        elif narrowed[p] is not None:
+            options = narrowed[p]
+        else:
+            options = candidates_by_dim(dim)
+        if ends[p] is None:
+            for lab in options:
                 assign[p] = lab
                 place(i + 1)
-            for neighbour in pushed:
-                forced[neighbour] = free
+            return
+        s, t = ends[p]
+        for lab in options:
+            # both neighbours agree before either is pushed
+            fs = forced[s]
+            vs = src_of(dim, lab)
+            if fs is not free and fs != vs:
+                continue
+            ft = forced[t]
+            vt = tgt_of(dim, lab)
+            if ft is not free and ft != vt:
+                continue
+            if fs is free:
+                forced[s] = vs
+            if ft is free:
+                forced[t] = vt
+            assign[p] = lab
+            place(i + 1)
+            if fs is free:
+                forced[s] = free
+            if ft is free:
+                forced[t] = free
 
     place(0)
     return out

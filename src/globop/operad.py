@@ -30,7 +30,7 @@ from .pasting import (
     PastingDiagram,
     all_cells,
     boundary,
-    boundary_inclusion,
+    boundary_slicer,
     cells,
     emb_map,
     labelled,
@@ -102,10 +102,6 @@ class NodeTerm(Keyed):
         return (self.dim, self.gen, self.labels)
 
 
-def is_term(c) -> bool:
-    return isinstance(c, (UnitTerm, NodeTerm))
-
-
 @dataclass
 class OperadStructure:
     """A collection with unit cells and one multiplication per dimension.
@@ -120,8 +116,8 @@ class OperadStructure:
     units: dict[int, object]
     mults: tuple[Callable[[OperadStructure, int, object, LabelledDiagram], object], ...]
     products: dict = field(default_factory=dict)
-    # per shape, the labels of ``unit_labelling`` for make_node's unit
-    # collapse; ``units`` is not changed once nodes are built
+    # per shape, the labels of ``unit_labelling`` for the unit collapse of
+    # nodes; ``units`` is not changed once nodes are built
     _unit_labels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -180,9 +176,7 @@ def _term_side(op: OperadStructure, j: int, c, side: int):
         return op.units[j - 1]
     if isinstance(c, NodeTerm):
         shape = op.over.arity_of(j, c.gen)
-        incl = boundary_inclusion(shape, side)
-        mapping = dict(zip(all_cells(shape), c.labels))
-        phi = labelled(boundary(shape), {a: mapping[incl[a]] for a in incl})
+        phi = LabelledDiagram(boundary(shape), boundary_slicer(shape, side)(c.labels))
         head = op.over.src_of(j, c.gen) if side == 0 else op.over.tgt_of(j, c.gen)
         return op.mult(j - 1, head, phi)
     return op.over.src_of(j, c) if side == 0 else op.over.tgt_of(j, c)
@@ -207,10 +201,16 @@ def make_node(op: OperadStructure, d: int, gen, phi: LabelledDiagram):
 
 
 def _node(op: OperadStructure, d: int, gen, shape: PastingDiagram, labels: tuple):
+    units = op._unit_labels.get(shape) or _unit_labels(op, shape)
+    return gen if labels == units else NodeTerm(d, gen, labels)
+
+
+def _unit_labels(op: OperadStructure, shape: PastingDiagram) -> tuple:
+    """The labels of ``unit_labelling`` over ``shape``, memoized on ``op``."""
     units = op._unit_labels.get(shape)
     if units is None:
         units = op._unit_labels[shape] = tuple(op.units[x.dim] for x in all_cells(shape))
-    return gen if labels == units else NodeTerm(d, gen, labels)
+    return units
 
 
 def unit_labelling(op: OperadStructure, d: int, shape: PastingDiagram) -> LabelledDiagram:
@@ -251,7 +251,7 @@ def _graft(op: OperadStructure, d: int, a, labels: tuple):
 
 
 def _graft_node(op: OperadStructure, d: int, a: NodeTerm, shape, arities: tuple, labels: tuple):
-    products, mults = op.products, op.mults
+    products = op.products
     new_labels = []
     for x, lab, alpha, take in zip(all_cells(shape), a.labels, arities, slicers(shape, arities)):
         piece = take(labels)
@@ -259,14 +259,21 @@ def _graft_node(op: OperadStructure, d: int, a: NodeTerm, shape, arities: tuple,
         if j == d:
             r = _graft(op, d, lab, piece)
         else:
-            # op.mult, building a LabelledDiagram only for a multiplication
-            # other than grafting
             r = products.get((j, lab, piece)) if products else None
             if r is None:
-                mult = mults[j]
-                r = _graft(op, j, lab, piece) if mult is term_mult else mult(op, j, lab, LabelledDiagram(alpha, piece))
+                r = _mult_labels(op, j, lab, alpha, piece)
         new_labels.append(r)
     return _node(op, d, a.gen, shape, tuple(new_labels))
+
+
+def _mult_labels(op: OperadStructure, j: int, a, alpha: PastingDiagram, labels: tuple):
+    """``op.mults[j]`` on ``a`` and a label tuple known to lie over
+    ``alpha``, the arity of ``a``: grafting takes the tuple, any other
+    multiplication a ``LabelledDiagram`` built for it."""
+    mult = op.mults[j]
+    if mult is term_mult:
+        return _graft(op, j, a, labels)
+    return mult(op, j, a, LabelledDiagram(alpha, labels))
 
 
 def counit_eval(y: OperadStructure, d: int, t):
@@ -349,38 +356,84 @@ def free_operad_step(x: OperadStructure, bounds: Bounds) -> FreeOperadResult:
 
 
 def _free_at(coll: Collection, lower: OperadStructure | None, d: int, bounds: Bounds) -> FreeOperadResult:
+    """The free operad step at dimension ``d``, built stratum by stratum.
+
+    Each generator ``g`` is tried with the labellings of its arity whose top
+    labels come from the earlier strata (at least one from the last), in
+    ``enumerate_labellings`` order.  A candidate label tuple is checked in
+    this order, and only a survivor is made a ``NodeTerm``:
+
+    1. unit collapse: the unit labels give ``g`` itself, which is skipped;
+    2. term size, ``1 + Σ tsize`` over the top labels, within the bound,
+       else rejected as "term";
+    3. arity, the substitution of the labels' arities into ``g``'s arity,
+       within the bound, else rejected as "arity";
+    4. the node is skipped if an earlier stratum holds it;
+    5. for ``d >= 1``, the boundary: ``g``'s src and tgt grafted in the lower
+       operad with the labels on the src and tgt boundary of ``g``'s arity
+       must be cells of the lower layer, else rejected as "boundary".
+
+    These are the checks ``make_node``, ``term_size``, ``cell_arity`` and
+    ``term_src``/``term_tgt`` make, on the same candidates in the same
+    order, so the cells, tables, counts and samples do not move: a node in
+    ``strata`` passed checks 2 and 3, so skipping it after them rejects
+    nothing new, and a rejected node is built only to be one of the first
+    three samples of its reason.  The shape check ``term_mult`` makes on
+    every call is made once per generator, before the loop: the arity of
+    each of ``g``'s src and tgt must be the boundary of ``g``'s arity.
+    """
     if d > coll.max_dim:
         raise ValueError("collection has no layer at the requested dimension")
     bounds.check_unit(d)
     ctx = extend_operad(lower, coll, d)
     gens = list(coll.cells_at(d))
     unit = UnitTerm(d)
+    max_term, max_arity = bounds.max_term_size, bounds.max_arity_size
 
-    nsrc: dict = {}
-    ntgt: dict = {}
+    # the tables of the new layer (the plan adds the generators); the arity,
+    # src and tgt of a lower cell are read from ``coll``
     narity: dict = {unit: unit_tree(d)}
     tsize: dict = {unit: 0}
-    for g in gens:
-        tsize[g] = 1
+    nsrc: dict = dict(coll.carrier.src[d])
+    ntgt: dict = dict(coll.carrier.tgt[d])
     if d >= 1:
-        nsrc[unit] = ctx.units[d - 1]
-        ntgt[unit] = ctx.units[d - 1]
+        nsrc[unit] = ntgt[unit] = ctx.units[d - 1]
     lower_cells = set(coll.cells_at(d - 1)) if d >= 1 else set()
+    arity_tables = (*coll.arity[:d], narity)
+    src_tables = (*coll.carrier.src[:d], nsrc)
+    tgt_tables = (*coll.carrier.tgt[:d], ntgt)
+
+    # per generator: its arity, top cells, unit labels, the position of the
+    # first top label (the top cells come last in all_cells), the table each
+    # label's arity is read from and, for d >= 1, the boundary of its arity
+    # with its src and tgt, each with the slicer of its side of the boundary
+    plan = []
+    for g in gens:
+        shape = narity[g] = coll.arity_of(d, g)
+        tsize[g] = 1
+        addrs, tops = all_cells(shape), cells(shape, d)
+        sides = None
+        if d >= 1:
+            bshape = boundary(shape)
+            heads = (coll.src_of(d, g), coll.tgt_of(d, g))
+            if ctx.mults[d - 1] is term_mult and any(cell_arity(ctx, d - 1, h) != bshape for h in heads):
+                raise ValueError("labelling shape differs from the arity of the operation")
+            sides = (bshape, *zip(heads, (boundary_slicer(shape, 0), boundary_slicer(shape, 1))))
+        tables = [arity_tables[x.dim] for x in addrs]
+        plan.append((g, shape, tops, _unit_labels(ctx, shape), len(addrs) - len(tops), tables, sides))
 
     def fits(terms):
         # a node is at least one bigger than any of its top labels
-        return [t for t in terms if tsize[t] <= bounds.max_term_size - 1]
+        return [t for t in terms if tsize[t] <= max_term - 1]
 
     def candidates(j):
-        if j == d:
-            return fits(current)
-        return coll.cells_at(j)
+        return top_current if j == d else coll.cells_at(j)
 
     def src_of(j, lab):
-        return nsrc[lab] if j == d and is_term(lab) else coll.src_of(j, lab)
+        return src_tables[j][lab]
 
     def tgt_of(j, lab):
-        return ntgt[lab] if j == d and is_term(lab) else coll.tgt_of(j, lab)
+        return tgt_tables[j][lab]
 
     strata: dict = {}
     # per reason, the number of rejected candidates and the first three,
@@ -388,10 +441,10 @@ def _free_at(coll: Collection, lower: OperadStructure | None, d: int, bounds: Bo
     rejected = dict.fromkeys(("term", "arity", "boundary"), 0)
     samples: dict[str, list] = {reason: [] for reason in rejected}
 
-    def reject(reason, cell):
+    def reject(reason, g, labels):
         rejected[reason] += 1
         if len(samples[reason]) < 3:
-            samples[reason].append(cell)
+            samples[reason].append(NodeTerm(d, g, labels))
 
     old: list = []
     current: list = [unit]
@@ -401,37 +454,40 @@ def _free_at(coll: Collection, lower: OperadStructure | None, d: int, bounds: Bo
     while frontier:
         n += 1
         additions = []
-        for g in gens:
-            shape = coll.arity_of(d, g)
-            tops = cells(shape, d)
+        top_old, top_frontier, top_current = fits(old), fits(frontier), fits(current)
+        for g, shape, tops, units, first_top, tables, sides in plan:
             labellings: list[LabelledDiagram] = []
             if not tops:
                 if n == 1:
                     labellings = enumerate_labellings(shape, candidates, src_of, tgt_of)
             else:
                 for pos in range(len(tops)):
-                    overrides = {tops[i]: fits(old) for i in range(pos)}
-                    overrides[tops[pos]] = fits(frontier)
+                    overrides = {tops[i]: top_old for i in range(pos)}
+                    overrides[tops[pos]] = top_frontier
                     labellings.extend(
                         enumerate_labellings(shape, candidates, src_of, tgt_of, overrides)
                     )
             for phi in labellings:
-                cell = make_node(ctx, d, g, phi)
-                if not isinstance(cell, NodeTerm) or cell in strata:
+                labels = phi.labels
+                if labels == units:
                     continue
-                ts = term_size(ctx, d, cell)
-                if ts > bounds.max_term_size:
-                    reject("term", cell)
+                ts = 1 + sum([tsize[lab] for lab in labels[first_top:]])
+                if ts > max_term:
+                    reject("term", g, labels)
                     continue
-                ar = cell_arity(ctx, d, cell)
-                if size(ar) > bounds.max_arity_size:
-                    reject("arity", cell)
+                ar = subst_arities(shape, tuple([table[lab] for table, lab in zip(tables, labels)]))
+                if size(ar) > max_arity:
+                    reject("arity", g, labels)
+                    continue
+                cell = NodeTerm(d, g, labels)
+                if cell in strata:
                     continue
                 if d >= 1:
-                    s = term_src(ctx, d, cell)
-                    t = term_tgt(ctx, d, cell)
+                    bshape, (hs, take_s), (ht, take_t) = sides
+                    s = _mult_labels(ctx, d - 1, hs, bshape, take_s(labels))
+                    t = _mult_labels(ctx, d - 1, ht, bshape, take_t(labels)) if s in lower_cells else None
                     if s not in lower_cells or t not in lower_cells:
-                        reject("boundary", cell)
+                        reject("boundary", g, labels)
                         continue
                     nsrc[cell], ntgt[cell] = s, t
                 narity[cell] = ar

@@ -267,11 +267,18 @@ def labelled(shape: PastingDiagram, mapping: Mapping[CellAddr, object]) -> Label
     return LabelledDiagram(shape, labels)
 
 
+@lru_cache(maxsize=None)
+def boundary_slicer(pi: PastingDiagram, side: int):
+    """The function taking the labels of a labelling of ``pi`` to the labels
+    of its restriction along the source (0) or target (1) boundary."""
+    index = _addr_index(pi)
+    incl = boundary_inclusion(pi, side)
+    return _getter([index[incl[a]] for a in all_cells(boundary(pi))])
+
+
 def boundary_restrict(ld: LabelledDiagram, side: int) -> LabelledDiagram:
     """Restrict a labelling along the source (0) or target (1) boundary."""
-    incl = boundary_inclusion(ld.shape, side)
-    b = boundary(ld.shape)
-    return labelled(b, {a: ld.label_of(incl[a]) for a in all_cells(b)})
+    return LabelledDiagram(boundary(ld.shape), boundary_slicer(ld.shape, side)(ld.labels))
 
 
 # ---------------------------------------------------------------------------

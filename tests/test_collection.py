@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from globop.collection import (
@@ -6,6 +8,8 @@ from globop.collection import (
     check_collection,
     collection_labellings,
     empty_collection,
+    enumerate_labellings,
+    labelling_order,
     make_collection,
     one_cell_collection,
     tensor,
@@ -14,11 +18,16 @@ from globop.collection import (
     unit_collection,
 )
 from globop.globset import check_globularity
+from globop.interleave import free_owc
 from globop.pasting import (
     DOT,
+    LabelledDiagram,
     all_cells,
     boundary,
+    cell_ends,
+    cells,
     chain,
+    enumerate_trees,
     size,
     subst_arities,
     unit_tree,
@@ -175,3 +184,60 @@ def test_tensor_cells_satisfy_collection_invariant():
     res = tensor(t, t, Bounds(2, 5, 2))
     assert check_collection(res.collection).passed
     assert check_globularity(res.collection.carrier).passed
+
+
+# --- the labelling enumerator against product-and-filter ---------------------
+
+
+def reference_labellings(shape, candidates_by_dim, src_of, tgt_of, overrides=None) -> list:
+    """Every choice of one candidate per cell, read in ``labelling_order``
+    and tried in the order ``itertools.product`` gives, kept when each
+    cell's src and tgt carry the src and tgt of its label.  ``overrides``
+    narrows top cells only: they are never a boundary, so the enumerator
+    never forces them."""
+    addrs = all_cells(shape)
+    order = labelling_order(shape)
+    overrides = overrides or {}
+    options = [overrides.get(addrs[p], candidates_by_dim(addrs[p].dim)) for p in order]
+    out = []
+    for combo in itertools.product(*options):
+        labels = [None] * len(addrs)
+        for p, lab in zip(order, combo):
+            labels[p] = lab
+        if all(
+            labels[s] == src_of(addrs[p].dim, labels[p]) and labels[t] == tgt_of(addrs[p].dim, labels[p])
+            for p, s, t in cell_ends(shape)
+        ):
+            out.append(LabelledDiagram(shape, tuple(labels)))
+    return out
+
+
+def _narrowed(shape, coll):
+    # per top cell a different list, strided and reversed so that the
+    # override's own order is the one followed
+    tops = cells(shape, shape.dim)
+    layer = coll.cells_at(shape.dim)
+    return {x: layer[i % 2 :: 2][::-1] for i, x in enumerate(tops)}
+
+
+# a built state's layers are larger, so its shapes stay smaller
+@pytest.mark.parametrize(
+    "make, max_size",
+    [
+        (lambda: terminal_collection(Bounds(3, 7, 1)), 7),
+        (lambda: free_owc(empty_collection(), Bounds(3, 7, 1)).collection, 5),
+    ],
+    ids=["terminal-37", "initial-371"],
+)
+def test_enumerate_labellings_matches_product_and_filter(make, max_size):
+    coll = make()
+    args = (coll.cells_at, coll.src_of, coll.tgt_of)
+    found = 0
+    for k in range(4):
+        for shape in enumerate_trees(k, max_size):
+            for overrides in (None, _narrowed(shape, coll)):
+                out = enumerate_labellings(shape, *args, overrides)
+                assert isinstance(out, list)
+                assert out == reference_labellings(shape, *args, overrides)
+                found += len(out)
+    assert found > 100

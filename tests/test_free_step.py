@@ -1,0 +1,254 @@
+"""The free operad step's candidate loop against the one it replaced.
+
+``_free_at`` used to build every candidate as a ``NodeTerm`` (``make_node``)
+and then reject it by ``term_size``, ``cell_arity`` and the boundary
+evaluated by ``term_src``/``term_tgt``.  ``reference_free_at`` below is a
+verbatim copy of that loop, with the ``is_term`` it called (only the name
+is prefixed and the imports hoisted).  The test runs both at every operad
+step of a ladder and checks that the new layer, its order, the strata, the
+src/tgt/arity tables, the stabilization depth and the overflow records
+(reason, count and samples) are the same.
+"""
+
+import pytest
+
+from globop import interleave
+from globop.collection import (
+    Bounds,
+    Collection,
+    Overflow,
+    empty_collection,
+    enumerate_labellings,
+    make_collection,
+    one_cell_collection,
+    unit_collection,
+)
+from globop.interleave import free_owc
+from globop.operad import (
+    FreeOperadResult,
+    NodeTerm,
+    OperadStructure,
+    UnitTerm,
+    _free_at,
+    cell_arity,
+    extend_operad,
+    free_operad_step,
+    make_node,
+    term_size,
+    term_src,
+    term_tgt,
+)
+from globop.pasting import LabelledDiagram, cells, size, unit_tree
+from globop.util import canonical_key
+
+from test_operad import self_loop_operad
+
+
+# --- reference: the candidate loop before the rewrite, verbatim ---------------
+
+
+def is_term(c) -> bool:
+    return isinstance(c, (UnitTerm, NodeTerm))
+
+
+def reference_free_at(coll: Collection, lower: OperadStructure | None, d: int, bounds: Bounds) -> FreeOperadResult:
+    if d > coll.max_dim:
+        raise ValueError("collection has no layer at the requested dimension")
+    bounds.check_unit(d)
+    ctx = extend_operad(lower, coll, d)
+    gens = list(coll.cells_at(d))
+    unit = UnitTerm(d)
+
+    nsrc: dict = {}
+    ntgt: dict = {}
+    narity: dict = {unit: unit_tree(d)}
+    tsize: dict = {unit: 0}
+    for g in gens:
+        tsize[g] = 1
+    if d >= 1:
+        nsrc[unit] = ctx.units[d - 1]
+        ntgt[unit] = ctx.units[d - 1]
+    lower_cells = set(coll.cells_at(d - 1)) if d >= 1 else set()
+
+    def fits(terms):
+        # a node is at least one bigger than any of its top labels
+        return [t for t in terms if tsize[t] <= bounds.max_term_size - 1]
+
+    def candidates(j):
+        if j == d:
+            return fits(current)
+        return coll.cells_at(j)
+
+    def src_of(j, lab):
+        return nsrc[lab] if j == d and is_term(lab) else coll.src_of(j, lab)
+
+    def tgt_of(j, lab):
+        return ntgt[lab] if j == d and is_term(lab) else coll.tgt_of(j, lab)
+
+    strata: dict = {}
+    # per reason, the number of rejected candidates and the first three,
+    # which are all the state records of them
+    rejected = dict.fromkeys(("term", "arity", "boundary"), 0)
+    samples: dict[str, list] = {reason: [] for reason in rejected}
+
+    def reject(reason, cell):
+        rejected[reason] += 1
+        if len(samples[reason]) < 3:
+            samples[reason].append(cell)
+
+    old: list = []
+    current: list = [unit]
+    frontier: list = [unit]
+    depth = 0
+    n = 0
+    while frontier:
+        n += 1
+        additions = []
+        for g in gens:
+            shape = coll.arity_of(d, g)
+            tops = cells(shape, d)
+            labellings: list[LabelledDiagram] = []
+            if not tops:
+                if n == 1:
+                    labellings = enumerate_labellings(shape, candidates, src_of, tgt_of)
+            else:
+                for pos in range(len(tops)):
+                    overrides = {tops[i]: fits(old) for i in range(pos)}
+                    overrides[tops[pos]] = fits(frontier)
+                    labellings.extend(
+                        enumerate_labellings(shape, candidates, src_of, tgt_of, overrides)
+                    )
+            for phi in labellings:
+                cell = make_node(ctx, d, g, phi)
+                if not isinstance(cell, NodeTerm) or cell in strata:
+                    continue
+                ts = term_size(ctx, d, cell)
+                if ts > bounds.max_term_size:
+                    reject("term", cell)
+                    continue
+                ar = cell_arity(ctx, d, cell)
+                if size(ar) > bounds.max_arity_size:
+                    reject("arity", cell)
+                    continue
+                if d >= 1:
+                    s = term_src(ctx, d, cell)
+                    t = term_tgt(ctx, d, cell)
+                    if s not in lower_cells or t not in lower_cells:
+                        reject("boundary", cell)
+                        continue
+                    nsrc[cell], ntgt[cell] = s, t
+                narity[cell] = ar
+                tsize[cell] = ts
+                strata[cell] = n
+                additions.append(cell)
+        additions.sort(key=canonical_key)
+        if additions or (n == 1 and gens):
+            depth = n
+        if n == 1:
+            frontier = gens + additions
+        else:
+            frontier = additions
+        old = current
+        current = current + frontier
+
+    nodes = sorted((c for c in strata), key=canonical_key)
+    new_layer = tuple(gens) + (unit,) + tuple(nodes)
+    cells_by_dim = [
+        new_layer if k == d else coll.cells_at(k) for k in range(coll.max_dim + 1)
+    ]
+    src = [dict(coll.carrier.src[k]) for k in range(coll.max_dim + 1)]
+    tgt = [dict(coll.carrier.tgt[k]) for k in range(coll.max_dim + 1)]
+    arity = [dict(coll.arity[k]) for k in range(coll.max_dim + 1)]
+    if d >= 1:
+        src[d].update({c: nsrc[c] for c in (unit, *nodes)})
+        tgt[d].update({c: ntgt[c] for c in (unit, *nodes)})
+    arity[d].update({c: narity[c] for c in (unit, *nodes)})
+    new_coll = make_collection(cells_by_dim, src, tgt, arity)
+
+    overflows = tuple(
+        Overflow(
+            step=f"operad-{d}",
+            dim=d,
+            reason=reason,
+            count=count,
+            sample=tuple(repr(c) for c in samples[reason]),
+        )
+        for reason, count in rejected.items()
+        if count
+    )
+    strata[unit] = 0
+    return FreeOperadResult(
+        operad=extend_operad(lower, new_coll, d),
+        new_dim=d,
+        stabilization_depth=depth,
+        overflows=overflows,
+        strata=strata,
+    )
+
+
+# --- comparison ----------------------------------------------------------------
+
+
+def _assert_same_step(new: FreeOperadResult, old: FreeOperadResult) -> None:
+    d = old.new_dim
+    assert new.new_dim == d
+    a, b = new.operad.over, old.operad.over
+    assert a.cells_at(d) == b.cells_at(d)
+    assert list(new.strata.items()) == list(old.strata.items())
+    for table_a, table_b in ((a.carrier.src, b.carrier.src), (a.carrier.tgt, b.carrier.tgt), (a.arity, b.arity)):
+        assert list(table_a[d].items()) == list(table_b[d].items())
+    assert new.stabilization_depth == old.stabilization_depth
+    assert new.overflows == old.overflows
+
+
+def _checked_ladder(monkeypatch, coll: Collection, bounds: Bounds) -> list:
+    """Build the ladder on ``coll``, running the reference beside every
+    operad step; returns what each step rejected."""
+    seen = []
+
+    def dim0(a, b):
+        new, old = _free_at(a, None, 0, b), reference_free_at(a, None, 0, b)
+        _assert_same_step(new, old)
+        seen.append(new.overflows)
+        return new
+
+    def step(x, b):
+        d = x.up_to_dim + 1
+        new, old = _free_at(x.over, x, d, b), reference_free_at(x.over, x, d, b)
+        _assert_same_step(new, old)
+        seen.append(new.overflows)
+        return new
+
+    monkeypatch.setattr(interleave, "free_operad_dim0", dim0)
+    monkeypatch.setattr(interleave, "free_operad_step", step)
+    free_owc(coll, bounds)
+    assert len(seen) == bounds.max_dim + 1
+    return seen
+
+
+CASES = {
+    "empty-152": (empty_collection, Bounds(1, 5, 2)),
+    "empty-252": (empty_collection, Bounds(2, 5, 2)),
+    "empty-271": (empty_collection, Bounds(2, 7, 1)),
+    "empty-391": (empty_collection, Bounds(3, 9, 1)),
+    "one-cell-251": (lambda: one_cell_collection(2), Bounds(2, 5, 1)),
+    "unit-251": (lambda: unit_collection(2), Bounds(2, 5, 1)),
+    # the lower multiplication is not grafting, so the boundary is
+    # evaluated through a labelling
+    "self-loop-174": (None, Bounds(1, 7, 4)),
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_free_step_matches_the_reference(monkeypatch, case):
+    make, bounds = CASES[case]
+    if make is None:
+        lower = self_loop_operad()
+        new = free_operad_step(lower, bounds)
+        _assert_same_step(new, reference_free_at(lower.over, lower, 1, bounds))
+        overflows = [new.overflows]
+    else:
+        overflows = _checked_ladder(monkeypatch, make(), bounds)
+    if case in ("empty-252", "empty-391"):
+        # rejections past the three samples kept are compared too
+        assert any(o.count > 3 for step in overflows for o in step)
