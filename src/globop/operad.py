@@ -23,7 +23,7 @@ from operator import itemgetter
 from typing import Callable
 from weakref import KeyedRef
 
-from .collection import Bounds, Collection, Overflow, collection_labellings, configurations
+from .collection import Bounds, Collection, Overflow, configurations
 from .collection import enumerate_labellings, labelling_fits, labelling_order, make_collection
 from .pasting import (
     LabelledDiagram,
@@ -31,6 +31,7 @@ from .pasting import (
     all_cells,
     boundary,
     boundary_slicer,
+    cell_ends,
     cells,
     emb_map,
     labelled,
@@ -560,29 +561,28 @@ def mult_table(op: OperadStructure, bounds: Bounds, dims=None) -> dict:
 
 def cell_products(op: OperadStructure, bounds: Bounds, dims=None) -> dict:
     """The entries of ``mult_table`` whose product is a cell, in the same
-    order, found by cutting each d-cell ``c`` instead of multiplying every
-    configuration.
+    order, found by inverting grafting instead of multiplying.
 
-    Grafting is free, so ``a∘phi`` is ``c`` only for a top piece ``a`` of
-    ``c``, and only for labels that agree with the quotient of ``c`` by
-    ``a`` (see ``_cuts``); ``collection_labellings`` fills in the
-    labels the quotient leaves open.  A cut is kept when its operation and
-    labels are cells, its composite arity is within the bound and
-    ``op.mult`` gives ``c``.  The cuts are sorted by operation, then by the
-    layer positions of their labels read in ``labelling_order``, which is
-    ``mult_table``'s order.
+    Grafting is free, so ``a∘phi`` is the d-cell ``c`` exactly when ``a`` is
+    a top piece of ``c`` and ``phi`` the quotient of ``c`` by ``a`` (see
+    ``_cuts``).  Each cut whose operation is a cell is an entry, unless its
+    composite arity is over the bound or its labels are not a labelling of
+    the operation's arity by cells (a decoded state can have such cuts).
+    Entries are sorted by operation, then by the layer positions of their
+    labels read in ``labelling_order``, which is ``mult_table``'s order.
 
-    Raises ``ValueError`` for a dimension whose multiplication is not
-    ``term_mult``, and for a table in ``op.products``: either would multiply
-    otherwise than the grafting the cuts invert.
+    Raises ``ValueError`` for a table in ``op.products``, or if a dimension
+    up to the largest one asked for multiplies otherwise than by
+    ``term_mult``: the cuts invert grafting at every dimension below.
     """
     if op.products:
         raise ValueError("cell_products cuts cells by grafting; op.products would override it")
     dims = list(dims if dims is not None else range(op.up_to_dim + 1))
-    for d in dims:
+    for d in range(max(dims, default=-1) + 1):
         if op.mults[d] is not term_mult:
             raise ValueError(f"dimension {d} is not free: its multiplication is not grafting")
     over = op.over
+    src, tgt = over.carrier.src, over.carrier.tgt
     index = [{c: i for i, c in enumerate(over.cells_at(j))} for j in range(over.max_dim + 1)]
     cuts = _cuts(op, [(d, c) for d in dims for c in over.cells_at(d)])
     order_of = cache(labelling_order)
@@ -596,44 +596,37 @@ def cell_products(op: OperadStructure, bounds: Bounds, dims=None) -> dict:
                     continue
                 shape = over.arity_of(d, a)
                 addrs = all_cells(shape)
-                order = order_of(shape)
-                overrides = {
-                    x: (lab,) if lab in index[x.dim] else ()
-                    for x, lab in zip(addrs, q)
-                    if lab is not None
-                }
-                for phi in collection_labellings(shape, over, overrides):
-                    labels = phi.labels
-                    arities = tuple([over.arity_of(x.dim, lab) for x, lab in zip(addrs, labels)])
-                    if size(subst_arities(shape, arities)) > bounds.max_arity_size:
-                        continue
-                    r = op.mult(d, a, phi)
-                    if r != c:
-                        continue
-                    # a forced label outside its layer (a corrupted
-                    # collection) is fixed by the labels read before it
-                    key = tuple([index[addrs[p].dim].get(labels[p], -1) for p in order])
-                    found.append(((layer[a], key), (d, a, labels), r))
+                if len(q) != len(addrs) or any(lab not in index[x.dim] for x, lab in zip(addrs, q)):
+                    continue
+                if any(
+                    src[addrs[p].dim][q[p]] != q[s] or tgt[addrs[p].dim][q[p]] != q[t]
+                    for p, s, t in cell_ends(shape)
+                ):
+                    continue
+                arities = tuple([over.arity_of(x.dim, lab) for x, lab in zip(addrs, q)])
+                if size(subst_arities(shape, arities)) > bounds.max_arity_size:
+                    continue
+                key = tuple([index[addrs[p].dim][q[p]] for p in order_of(shape)])
+                found.append(((layer[a], key), (d, a, q), c))
         found.sort(key=itemgetter(0))
-        for _, entry, r in found:
-            table[entry] = r
+        for _, entry, c in found:
+            table[entry] = c
     return table
 
 
 def _cuts(op: OperadStructure, cells):
     """The cut recursion of one ``cell_products`` call, memoized.
 
-    ``cuts(j, t)`` maps each known top piece ``a`` of the j-term ``t``
-    (each ``a`` with ``t = term_mult(a, psi)`` for some ``psi``) to the
-    quotient of ``t`` by ``a``, the labels every such ``psi`` has; grafting
-    is free, so they are unique.  The pieces are the unit, with ``t`` on
-    the top cell; the generator of ``t``, with ``t``'s labels (a bare
-    generator counts as its node with the unit labels); and each known node
-    of that generator whose labels are pieces of ``t``'s labels, with their
-    quotients glued over its arity.  A quotient leaves a label open (None)
-    below the top cell of a unit's arity, which the top label forces, and
-    at a dimension whose multiplication is not grafting, where every known
-    term is a piece.
+    ``cuts(j, t)`` maps each known top piece ``a`` of the j-term ``t`` to
+    the quotient of ``t`` by ``a``: the one ``psi`` with ``t =
+    term_mult(a, psi)``, unique since grafting is free.  The pieces are the
+    unit, with ``_unit_argument`` of ``t`` if ``t`` is a cell (else the
+    quotient would hold ``t`` as a label); the generator of ``t``, with
+    ``t``'s labels (a bare generator counts as its node with the unit
+    labels); and each known node of that generator whose labels are pieces
+    of ``t``'s labels, with their quotients glued over its arity.  The terms
+    are normal forms, as grafting builds them; the state decoder rejects
+    any other node.
 
     Known terms are the cells given and, recursively, the labels of their
     nodes.  A cut's operation is a cell given, so the lookup misses no cut;
@@ -641,12 +634,12 @@ def _cuts(op: OperadStructure, cells):
     pieces of its labels could form.
     """
     over = op.over
-    known = [{} for _ in range(over.max_dim + 1)]
+    known = [set() for _ in range(over.max_dim + 1)]
     nodes = [{} for _ in range(over.max_dim + 1)]  # (gen, labels) -> node
 
     def know(j: int, t) -> None:
         if t not in known[j]:
-            known[j][t] = None
+            known[j].add(t)
             if isinstance(t, NodeTerm):
                 nodes[j][t.gen, t.labels] = t
                 for x, lab in zip(all_cells(over.arity_of(j, t.gen)), t.labels):
@@ -657,15 +650,12 @@ def _cuts(op: OperadStructure, cells):
 
     @cache
     def cuts(j: int, t) -> dict:
-        if op.mults[j] is not term_mult:
-            return dict.fromkeys(known[j])
-        # the top cell comes last in all_cells
-        out = {UnitTerm(j): (None,) * (len(all_cells(unit_tree(j))) - 1) + (t,)}
+        out = {UnitTerm(j): _unit_argument(op, j, t).labels} if over.has_cell(j, t) else {}
         if isinstance(t, UnitTerm):
             return out
         gen = t.gen if isinstance(t, NodeTerm) else t
         shape = over.arity_of(j, gen)
-        labels = t.labels if isinstance(t, NodeTerm) else unit_labelling(op, j, shape).labels
+        labels = t.labels if isinstance(t, NodeTerm) else _unit_labels(op, shape)
         out[gen] = labels
         parts = [cuts(x.dim, lab) for x, lab in zip(all_cells(shape), labels)]
         for pieces in product(*parts):
@@ -681,30 +671,28 @@ def _cuts(op: OperadStructure, cells):
 
 def _glue(op: OperadStructure, shape, labels: tuple, parts: list):
     """The quotients ``parts`` of a node's targets by its ``labels``, glued
-    over the node's arity; None if two slices disagree.  A part that is
-    None leaves its slice open."""
+    over the node's arity; None if two slices disagree."""
     arities = _label_arities(op, shape, labels)
     out = [None] * len(all_cells(subst_arities(shape, arities)))
     for positions, part in zip(emb_map(shape, arities), parts):
-        if part is None:
-            continue
         for p, v in zip(positions, part):
             if out[p] is None:
                 out[p] = v
-            elif v is not None and v != out[p]:
+            elif v != out[p]:
                 return None
     return tuple(out)
 
 
 def _unit_argument(op: OperadStructure, d: int, t) -> LabelledDiagram:
-    """The labelling of the single-cell shape whose top label is ``t``."""
+    """The labelling of the single-cell shape whose top label is ``t``, its
+    lower labels read from the src and tgt tables."""
     shape = unit_tree(d)
     out = {}
     for addr in all_cells(shape):
         c = t
         j = d
         while j > addr.dim:
-            c = term_src(op, j, c) if addr.path[-1] == 0 else term_tgt(op, j, c)
+            c = op.over.src_of(j, c) if addr.path[-1] == 0 else op.over.tgt_of(j, c)
             j -= 1
         out[addr] = c
     return labelled(shape, out)

@@ -62,15 +62,15 @@ def cell_from_json(data, dim: int):
     if "gen" in data:
         return cell_from_json(data["gen"], dim)
     if "unit" in data:
-        return UnitTerm(int(data["unit"]))
+        return UnitTerm(_dim(data["unit"]))
     if "node" in data:
         node = data["node"]
-        d = int(node["dim"])
+        d = _dim(node["dim"])
         labels = tuple(cell_from_json(l, -1) for l in node["labels"])
         return NodeTerm(d, cell_from_json(node["gen"], d), labels)
     if "ctr" in data:
         ctr = data["ctr"]
-        d = int(ctr.get("dim", dim if dim >= 1 else _depth(ctr["theta"])))
+        d = _dim(ctr["dim"]) if "dim" in ctr else dim if dim >= 1 else _depth(ctr["theta"])
         theta = tree_from_json(ctr["theta"], d)
         return CtrCell(
             cell_from_json(ctr["a"], d - 1),
@@ -80,6 +80,13 @@ def cell_from_json(data, dim: int):
     if "atom" in data:
         return _atom_from_json(data["atom"])
     raise ValueError(f"unrecognized cell encoding: {data!r}")
+
+
+def _dim(v) -> int:
+    """A dimension as the format writes it: an int, not a bool, float or string."""
+    if type(v) is not int:
+        raise ValueError(f"dimension {v!r} is not an int")
+    return v
 
 
 def _depth(data) -> int:
@@ -93,6 +100,42 @@ def _at(table, i, what: str):
     if type(i) is not int or not 0 <= i < len(table):
         raise ValueError(f"{what} {i!r} is not an index into {len(table)} entries")
     return table[i]
+
+
+def _distinct(layer: list, k: int) -> tuple:
+    """``layer`` as a tuple, checked to list no cell twice: the tables are
+    keyed by cell, so a second listing would overwrite the first's entries."""
+    if len(set(layer)) != len(layer):
+        raise ValueError(f"layer {k} lists a cell twice")
+    return tuple(layer)
+
+
+def _check_nodes(cells_by_dim: list, arity: list) -> None:
+    """Raise ``ValueError`` unless every node listed or among the labels of
+    one is a normal form, as grafting builds it and ``cell_products``
+    inverts it: of its layer's dimension, over a generator that is not a
+    term, with a label per cell of the generator's arity, not all units.  A
+    generator without an arity is left to the suites."""
+    seen = set()
+
+    def check(k: int, c) -> None:
+        if not isinstance(c, NodeTerm) or (k, c) in seen:
+            return
+        seen.add((k, c))
+        if c.dim != k or isinstance(c.gen, (UnitTerm, NodeTerm)):
+            raise ValueError(f"node {c!r} is not a term of dimension {k} over a generator")
+        shape = arity[k].get(c.gen)
+        if shape is None:
+            return
+        addrs = all_cells(shape)
+        if len(c.labels) != len(addrs) or c.labels == tuple(UnitTerm(x.dim) for x in addrs):
+            raise ValueError(f"node {c!r} is not in normal form over the arity of its generator")
+        for x, lab in zip(addrs, c.labels):
+            check(x.dim, lab)
+
+    for k, layer in enumerate(cells_by_dim):
+        for c in layer:
+            check(k, c)
 
 
 def _term_json(c, is_term_dim: bool) -> dict:
@@ -134,7 +177,8 @@ def _layers(data: dict, key: str) -> list:
 def globset_from_json(data: dict):
     from .globset import glob_set
 
-    cells = [[_atom_from_json(c) for c in layer] for layer in _layers(data, "cells")]
+    layers = enumerate(_layers(data, "cells"))
+    cells = [_distinct([_atom_from_json(c) for c in layer], k) for k, layer in layers]
     src_layers, tgt_layers = _layers(data, "src"), _layers(data, "tgt")
     dims = len(cells)
     src = [{} for _ in range(dims)]
@@ -271,7 +315,7 @@ def state_from_json(data: dict) -> DecodedState:
             if not isinstance(p, dict):
                 raise ValueError(f"provenance {p!r} is not an object")
             provenance[(k, c)] = Provenance(p.get("step", "input"), p.get("stratum"))
-        cells_by_dim.append(tuple(decoded))
+        cells_by_dim.append(_distinct(decoded, k))
     max_dim = len(cells_by_dim) - 1
     src = [{} for _ in range(max_dim + 1)]
     tgt = [{} for _ in range(max_dim + 1)]
@@ -286,6 +330,7 @@ def state_from_json(data: dict) -> DecodedState:
         }
         for k in range(max_dim + 1)
     ]
+    _check_nodes(cells_by_dim, arity)
     coll = make_collection(cells_by_dim, src, tgt, arity)
     operad = state_operad(coll, stage[1])
     gamma = {}

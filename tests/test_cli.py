@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from globop.cli import main
+from globop.verify import SUITE_NAMES
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -202,11 +203,34 @@ def _nested(atom, depth):
     return atom
 
 
+def _node_19(data):
+    # NodeTerm(1, CtrCell('v', 'v', PD(1, [])), ('v',)), whose arity is a point
+    return data["cells"][1][19]["cell"]["node"]
+
+
+def _top_label_unit_labelled(node, data):
+    node["labels"][2] = {"node": {**_node_19(data), "labels": [{"unit": 0}]}}
+
+
 HOSTILE = {
     "provenance-list": lambda data: data["cells"][0][0].update(provenance=[]),
     "provenance-string": lambda data: data["cells"][0][0].update(provenance="input"),
     # deeper than the decoder's recursion goes, not than the JSON parser's
     "atom-nested-700": lambda data: data["cells"][0][0].update(cell={"atom": _nested("v", 700)}),
+    # a dimension is an int: each of these used to decode as one
+    "unit-dim-float": lambda data: data["cells"][1][18].update(cell={"unit": 1.5}),
+    "unit-dim-bool": lambda data: data["cells"][1][18].update(cell={"unit": True}),
+    "unit-dim-string": lambda data: data["cells"][1][18].update(cell={"unit": "1"}),
+    "node-dim-string": lambda data: data["cells"][0][2]["cell"]["node"].update(dim="0"),
+    "ctr-dim-string": lambda data: data["cells"][1][0]["cell"]["gen"]["ctr"].update(dim="1"),
+    # nodes grafting does not build, listed or as a label of a listed node
+    "node-unit-labels": lambda data: _node_19(data).update(labels=[{"unit": 0}]),
+    "node-label-count": lambda data: _node_19(data).update(labels=[{"atom": "v"}, {"atom": "v"}]),
+    "node-dim": lambda data: _node_19(data).update(dim=0),
+    "node-gen-a-term": lambda data: _node_19(data).update(
+        gen={"unit": 1}, labels=[{"atom": "v"}, {"atom": "v"}, data["cells"][1][1]["cell"]]
+    ),
+    "node-label-unit-labels": lambda data: _top_label_unit_labelled(data["cells"][1][21]["cell"]["node"], data),
 }
 
 
@@ -225,6 +249,34 @@ def test_verify_rejects_hostile_state_without_a_traceback(tmp_path, capsys, case
     code, out, err = run(capsys, "verify", "--suite", suite, "--input", str(fixture))
     assert code == 2
     assert "malformed fixture" in err and out == ""
+
+
+def _last_one_cell_listed_twice(data):
+    # with its src, tgt and arity, so every index and table still lines up
+    for key, k in (("cells", 1), ("src", 0), ("tgt", 0), ("arity", 1)):
+        data[key][k].append(data[key][k][-1])
+
+
+STATE_SUITES = [name for name in SUITE_NAMES if name not in ("globularity", "monoid-laws")]
+
+
+def test_verify_rejects_a_cell_listed_twice_in_a_layer(tmp_path, capsys):
+    """The tables are keyed by cell, so a second listing overwrote the
+    first: a state passed 7 of its 8 suites, and a globular set gave one
+    cell two targets and passed globularity."""
+    fixture = _edited_state(tmp_path, _last_one_cell_listed_twice)
+    for suite in STATE_SUITES:
+        code, out, err = run(capsys, "verify", "--suite", suite, "--input", str(fixture))
+        assert code == 2, suite
+        assert "malformed fixture" in err and "lists a cell twice" in err and out == ""
+    globset = tmp_path / "globset.json"
+    globset.write_text(json.dumps({"dims": 1, "cells": [["x", "y"], ["f", "f"]], "src": [[0, 0]], "tgt": [[1, 0]]}))
+    code, out, err = run(capsys, "verify", "--suite", "globularity", "--input", str(globset))
+    assert code == 2
+    assert "lists a cell twice" in err and out == ""
+    # the same atom in two layers is legal
+    globset.write_text(json.dumps({"dims": 1, "cells": [["x", "y"], ["x"]], "src": [[0]], "tgt": [[1]]}))
+    assert run(capsys, "verify", "--suite", "globularity", "--input", str(globset))[0] == 0
 
 
 def test_verify_rejects_a_fixture_nested_deeper_than_the_parser_goes(tmp_path, capsys):

@@ -353,20 +353,42 @@ def test_tables_match_the_reference(case):
     assert list(new.items()) == list(old.items())
 
 
-def _decoded(name):
-    decoded = state_from_json(json.loads((FIXTURES / name).read_text()))
+def _decoded(name, edit=None):
+    data = json.loads((FIXTURES / name).read_text())
+    if edit is not None:
+        edit(data["cells"][1][21]["cell"]["node"], data)
+        # the serialized table is not read here, and may no longer decode
+        data["mult"] = []
+    decoded = state_from_json(data)
     return decoded.state.operad, decoded.state.bounds
 
 
+def _label_off_its_boundary(node, data):
+    # the tgt label of the node, a 0-cell that is not the tgt of its top label
+    node["labels"][1] = data["cells"][0][2]["cell"]
+
+
+def _label_not_a_cell(node, data):
+    # the top label of the node, a term over the term-size bound
+    term = data["cells"][1][1]["cell"]
+    for _ in range(3):
+        term = {"node": {"dim": 1, "gen": node["gen"], "labels": [{"atom": "v"}, {"atom": "v"}, term]}}
+    node["labels"][2] = term
+
+
 # the operads the cuts are checked on besides ``CASES``: free structures on
-# small collections, and every state fixture, whose corruptions include
-# cells whose generator has no arity
+# small collections, every state fixture, whose corruptions include cells
+# whose generator has no arity, and ``valid_state.json`` with the labels of
+# one node edited so that its cut by its generator is not a labelling by
+# cells: the reference never enumerates it, and the cuts must drop it
 CUT_CASES = {
     **{
         f"{name}-{b.max_dim}{b.max_arity_size}{b.max_term_size}": lambda make=make, b=b: (free_owc(make(), b).operad, b)
         for name, make, b in CELL_PRODUCT_CASES
     },
     **{p.name: lambda name=p.name: _decoded(name) for p in sorted(FIXTURES.glob("*state*.json"))},
+    "label-off-its-boundary": lambda: _decoded("valid_state.json", _label_off_its_boundary),
+    "label-not-a-cell": lambda: _decoded("valid_state.json", _label_not_a_cell),
 }
 
 
@@ -383,14 +405,40 @@ def test_cell_products_match_the_reference(case):
     assert list(cell_products(op, bounds).items()) == list(reference_cell_products(op, bounds).items())
 
 
-def test_cell_products_multiply_about_what_they_keep():
+def test_cell_products_drop_a_cut_off_the_listed_arity():
+    """A node listed with a wrong arity: its cut by itself has the labels of
+    the arity grafting gives it, which do not cover the listed one.  The
+    reference enumerates the listed arity and raises in ``term_mult``; the
+    cuts drop that entry and keep the valid state's others."""
+
+    def edit(node, data):
+        data["arity"][1][21] = []
+
+    op, bounds = _decoded("valid_state.json", edit)
+    with pytest.raises(ValueError, match="labelling shape"):
+        reference_cell_products(op, bounds)
+    node = op.over.cells_at(1)[21]
+    valid = cell_products(*_decoded("valid_state.json"))
+    assert list(cell_products(op, bounds).items()) == [(k, r) for k, r in valid.items() if k[1] is not node]
+
+
+def test_cell_products_multiply_about_what_they_keep(monkeypatch):
     """The enumeration multiplied 14,644 configurations at (3, 9, 1) to keep
-    344 of them; the cuts multiply only candidates for a known product."""
-    bounds = Bounds(3, 9, 1)
-    rec, log = _recording(_initial(3, 9, 1).operad)
-    table = cell_products(rec, bounds)
-    assert len(table) == 344
-    assert len(log) <= 5 * len(table)
+    344 of them.  The cuts invert grafting: they neither enumerate
+    labellings nor multiply to confirm a product."""
+    from globop import collection, operad
+
+    def enumerated(*args, **kwargs):
+        raise AssertionError("collection_labellings called")
+
+    for dims, entries in (((3, 9, 1), 344), ((2, 5, 2), 1107)):
+        rec, log = _recording(_initial(*dims).operad)
+        with monkeypatch.context() as m:
+            m.setattr(collection, "collection_labellings", enumerated)
+            m.setattr(operad, "collection_labellings", enumerated, raising=False)
+            table = cell_products(rec, Bounds(*dims))
+        assert len(table) == entries
+        assert log == []
 
 
 def test_cell_products_refuse_a_table_of_products():

@@ -231,17 +231,25 @@ def test_grafting_matches_the_reference(case):
     assert new == old
 
 
-@pytest.mark.parametrize("case", ["initial-252", "initial-371", "valid-state", "self-loop-174"])
+@pytest.mark.parametrize("case", ["initial-252", "initial-371", "valid-state"])
 def test_cell_products_match_the_reference(case):
     op, bounds = CASES[case][0]()
-    # cell_products refuses a table of products, and a dimension that is not
-    # free: the self-loop's dimension 0 composes by its own function.  It
-    # cuts by ``term_mult``, so the reference grafting multiplies for the
-    # reference enumeration.
+    # cell_products refuses a table of products.  It cuts by ``term_mult``,
+    # so the reference grafting multiplies for the reference enumeration.
     op = dataclasses.replace(op, products={})
-    dims = [1] if case == "self-loop-174" else None
-    new = cell_products(op, bounds, dims=dims)
-    assert list(new.items()) == list(reference_cell_products(_reference(op), bounds, dims=dims).items())
+    new = cell_products(op, bounds)
+    assert list(new.items()) == list(reference_cell_products(_reference(op), bounds).items())
+
+
+def test_cell_products_refuse_an_operad_that_is_not_free_below():
+    """The self-loop's dimension 0 composes by its own function, so its
+    dimension-1 cells are not cut by grafting all the way down, even when
+    only dimension 1 is asked for."""
+    op, bounds = CASES["self-loop-174"][0]()
+    op = dataclasses.replace(op, products={})
+    assert op.mults[1] is term_mult
+    with pytest.raises(ValueError, match="dimension 0"):
+        cell_products(op, bounds, dims=[1])
 
 
 def test_make_node_collapses_as_the_reference():
