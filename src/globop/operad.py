@@ -198,12 +198,7 @@ def make_node(op: OperadStructure, d: int, gen, phi: LabelledDiagram):
     shape = op.over.arity_of(d, gen)
     if phi.shape != shape:
         raise ValueError("labelling shape differs from the generator arity")
-    return _node(op, d, gen, shape, phi.labels)
-
-
-def _node(op: OperadStructure, d: int, gen, shape: PastingDiagram, labels: tuple):
-    units = op._unit_labels.get(shape) or _unit_labels(op, shape)
-    return gen if labels == units else NodeTerm(d, gen, labels)
+    return gen if phi.labels == _unit_labels(op, shape) else NodeTerm(d, gen, phi.labels)
 
 
 def _unit_labels(op: OperadStructure, shape: PastingDiagram) -> tuple:
@@ -224,57 +219,59 @@ def term_mult(op: OperadStructure, d: int, a, phi: LabelledDiagram):
     ``phi`` lies over the arity of ``a``; its labels at dimension d are terms
     and its lower labels are cells.  Top labels of a node are composed with
     their slice of ``phi``, lower labels are composed in the lower operad.
-    The shape is checked here, once; the recursion passes label tuples.
+    The shape is checked here, once; the plan of ``a`` runs on the labels.
     """
     if isinstance(a, NodeTerm):
         shape = op.over.arity_of(d, a.gen)
-        arities = _label_arities(op, shape, a.labels)
-        arity = subst_arities(shape, arities)
+        arity = subst_arities(shape, _label_arities(op, shape, a.labels))
     else:
         arity = cell_arity(op, d, a)
     if phi.shape != arity:
         raise ValueError("labelling shape differs from the arity of the operation")
-    if isinstance(a, NodeTerm):
-        return _graft_node(op, d, a, shape, arities, phi.labels)
-    return _graft(op, d, a, phi.labels)
+    return _plan(op, d, a)(phi.labels)
 
 
-def _graft(op: OperadStructure, d: int, a, labels: tuple):
-    """``term_mult`` on a labelling known to lie over the arity of ``a``."""
+def _plan(op: OperadStructure, d: int, a) -> Callable[[tuple], object]:
+    """``term_mult`` on ``a`` without the shape check, as a function of the
+    label tuple.  The arity, label arities and slicers of ``a`` are read
+    once, here; each label of a node gets a plan, a top label its grafting
+    and a lower label its ``_mult_plan`` behind ``op.products``."""
     if isinstance(a, UnitTerm):
-        return labels[-1]  # the top cell comes last in all_cells
-    if isinstance(a, NodeTerm):
-        shape = op.over.arity_of(d, a.gen)
-        return _graft_node(op, d, a, shape, _label_arities(op, shape, a.labels), labels)
-    # bare generator: behaves as the unit-labelled node, so the slices are
-    # exactly the labels
-    return _node(op, d, a, op.over.arity_of(d, a), labels)
+        return itemgetter(-1)  # the top cell comes last in all_cells
+    gen = a.gen if isinstance(a, NodeTerm) else a
+    shape = op.over.arity_of(d, gen)
+    units = _unit_labels(op, shape)
+    if gen is a:
+        # bare generator: behaves as the unit-labelled node, so the slices
+        # are exactly the labels
+        return lambda labels: gen if labels == units else NodeTerm(d, gen, labels)
+    arities = _label_arities(op, shape, a.labels)
+    parts = [
+        (_plan(op, d, lab) if x.dim == d else _mult_plan(op, x.dim, lab, op.products), take)
+        for x, lab, take in zip(all_cells(shape), a.labels, slicers(shape, arities))
+    ]
+
+    def graft(labels):
+        new = tuple([run(take(labels)) for run, take in parts])
+        return gen if new == units else NodeTerm(d, gen, new)
+
+    return graft
 
 
-def _graft_node(op: OperadStructure, d: int, a: NodeTerm, shape, arities: tuple, labels: tuple):
-    products = op.products
-    new_labels = []
-    for x, lab, alpha, take in zip(all_cells(shape), a.labels, arities, slicers(shape, arities)):
-        piece = take(labels)
-        j = x.dim
-        if j == d:
-            r = _graft(op, d, lab, piece)
-        else:
-            r = products.get((j, lab, piece)) if products else None
-            if r is None:
-                r = _mult_labels(op, j, lab, alpha, piece)
-        new_labels.append(r)
-    return _node(op, d, a.gen, shape, tuple(new_labels))
-
-
-def _mult_labels(op: OperadStructure, j: int, a, alpha: PastingDiagram, labels: tuple):
-    """``op.mults[j]`` on ``a`` and a label tuple known to lie over
-    ``alpha``, the arity of ``a``: grafting takes the tuple, any other
-    multiplication a ``LabelledDiagram`` built for it."""
+def _mult_plan(op: OperadStructure, j: int, a, products=None) -> Callable[[tuple], object]:
+    """``op.mults[j]`` on ``a`` as a function of a label tuple: the plan of
+    ``a`` if dimension j grafts, else a call through a ``LabelledDiagram``.
+    A non-empty ``products`` is looked up first, as ``op.mult`` does."""
     mult = op.mults[j]
     if mult is term_mult:
-        return _graft(op, j, a, labels)
-    return mult(op, j, a, LabelledDiagram(alpha, labels))
+        run = _plan(op, j, a)
+    else:
+        arity = cell_arity(op, j, a)
+        run = lambda labels: mult(op, j, a, LabelledDiagram(arity, labels))
+    if not products:
+        return run
+    get = products.get
+    return lambda labels: run(labels) if (r := get((j, a, labels))) is None else r
 
 
 def counit_eval(y: OperadStructure, d: int, t):
@@ -406,8 +403,8 @@ def _free_at(coll: Collection, lower: OperadStructure | None, d: int, bounds: Bo
 
     # per generator: its arity, top cells, unit labels, the position of the
     # first top label (the top cells come last in all_cells), the table each
-    # label's arity is read from and, for d >= 1, the boundary of its arity
-    # with its src and tgt, each with the slicer of its side of the boundary
+    # label's arity is read from and, for d >= 1, the plans of its src and
+    # tgt, each with the slicer of its side of the boundary of its arity
     plan = []
     for g in gens:
         shape = narity[g] = coll.arity_of(d, g)
@@ -419,7 +416,7 @@ def _free_at(coll: Collection, lower: OperadStructure | None, d: int, bounds: Bo
             heads = (coll.src_of(d, g), coll.tgt_of(d, g))
             if ctx.mults[d - 1] is term_mult and any(cell_arity(ctx, d - 1, h) != bshape for h in heads):
                 raise ValueError("labelling shape differs from the arity of the operation")
-            sides = (bshape, *zip(heads, (boundary_slicer(shape, 0), boundary_slicer(shape, 1))))
+            sides = [(_mult_plan(ctx, d - 1, h), boundary_slicer(shape, i)) for i, h in enumerate(heads)]
         tables = [arity_tables[x.dim] for x in addrs]
         plan.append((g, shape, tops, _unit_labels(ctx, shape), len(addrs) - len(tops), tables, sides))
 
@@ -484,9 +481,9 @@ def _free_at(coll: Collection, lower: OperadStructure | None, d: int, bounds: Bo
                 if cell in strata:
                     continue
                 if d >= 1:
-                    bshape, (hs, take_s), (ht, take_t) = sides
-                    s = _mult_labels(ctx, d - 1, hs, bshape, take_s(labels))
-                    t = _mult_labels(ctx, d - 1, ht, bshape, take_t(labels)) if s in lower_cells else None
+                    (src_plan, take_s), (tgt_plan, take_t) = sides
+                    s = src_plan(take_s(labels))
+                    t = tgt_plan(take_t(labels)) if s in lower_cells else None
                     if s not in lower_cells or t not in lower_cells:
                         reject("boundary", g, labels)
                         continue
@@ -709,25 +706,32 @@ def check_operad_laws(op: OperadStructure, bounds: Bounds, dims=None) -> Report:
     that table: the lhs ``(a∘phi)∘chi``, the label products of ``1⊗μ``, the
     rhs and the lower labels inside grafting read it.  The third factor
     ``chi`` is a configuration of the composite arity of ``(a, phi)``; both
-    levels read one ``labelling_fits`` memo per dimension.
+    levels read one ``labelling_fits`` memo per dimension.  A product not in
+    the table runs a plan (``_plan``) built once per cell and per ``a∘phi``.
 
-    ``counts`` gives the configurations at both levels and how many of the
-    products the check asked for were multiplied or read from the table.
+    ``counts`` gives the configurations at both levels, those left out over
+    the arity bound, and how many of the products the check asked for were
+    multiplied or read from the table.
     """
     rep = Report("operad-laws")
     table = dict(op.products)
     view = replace(op, products=table)
-    get, mults = table.get, op.mults
-    asked = multiplied = first = triples = 0
+    get = table.get
+    asked = multiplied = first = triples = over_bound = 0
 
-    def product(j, c, shape, labels):
-        # view.mult, without building a labelling for a product in the table
+    @cache
+    def plan(j, c):
+        # the plan of a cell, built once per call
+        return _mult_plan(view, j, c)
+
+    def product(j, c, labels, run):
+        # view.mult on a label tuple, with ``run`` the plan of ``c``
         nonlocal asked, multiplied
         asked += 1
         r = get((j, c, labels))
         if r is None:
             multiplied += 1
-            r = mults[j](view, j, c, LabelledDiagram(shape, labels))
+            r = run(labels)
         return r
 
     for d in dims if dims is not None else range(op.up_to_dim + 1):
@@ -735,38 +739,43 @@ def check_operad_laws(op: OperadStructure, bounds: Bounds, dims=None) -> Report:
         layer = op.over.cells_at(d)
         split = labelling_fits(op.over, bounds.max_arity_size)
         for a in layer:
-            shape = op.over.arity_of(d, a)
-            fits, _ = split(shape)
+            fits, over = split(op.over.arity_of(d, a))
             first += len(fits)
+            over_bound += len(over)
             for phi, _ in fits:
-                table[(d, a, phi.labels)] = product(d, a, shape, phi.labels)
+                table[(d, a, phi.labels)] = product(d, a, phi.labels, plan(d, a))
         for t in layer:
-            if product(d, unit, unit_tree(d), _unit_argument(view, d, t).labels) != t:
+            if product(d, unit, _unit_argument(view, d, t).labels, plan(d, unit)) != t:
                 rep.add("left unit law fails", witness=(d, t))
         for a in layer:
             shape = op.over.arity_of(d, a)
-            if product(d, a, shape, unit_labelling(view, d, shape).labels) != a:
+            run_a = plan(d, a)
+            if product(d, a, unit_labelling(view, d, shape).labels, run_a) != a:
                 rep.add("right unit law fails", witness=(d, a))
             for phi, mid_shape in split(shape)[0]:
                 r = table[(d, a, phi.labels)]
                 if cell_arity(op, d, r) != mid_shape:
                     rep.add("arity of composite differs from substitution", witness=(d, a, phi.labels))
                     continue
-                fits, _ = split(mid_shape)
+                fits, over = split(mid_shape)
                 triples += len(fits)
+                over_bound += len(over)
+                run_r = _mult_plan(view, d, r)
                 arities = _label_arities(op, shape, phi.labels)
-                factors = tuple(
-                    zip([x.dim for x in all_cells(shape)], phi.labels, arities, slicers(shape, arities))
-                )
+                factors = [
+                    (x.dim, lab, plan(x.dim, lab), take)
+                    for x, lab, take in zip(all_cells(shape), phi.labels, slicers(shape, arities))
+                ]
                 for chi, _ in fits:
                     labels = chi.labels
-                    lhs = product(d, r, mid_shape, labels)
-                    composed = tuple([product(j, lab, alpha, take(labels)) for j, lab, alpha, take in factors])
-                    if lhs != product(d, a, shape, composed):
+                    lhs = product(d, r, labels, run_r)
+                    composed = tuple([product(j, lab, take(labels), run) for j, lab, run, take in factors])
+                    if lhs != product(d, a, composed, run_a):
                         rep.add("associativity fails", witness=(d, a, phi.labels, labels))
     rep.counts.update(
         first_level_configurations=first,
         associativity_configurations=triples,
+        configurations_over_bound=over_bound,
         products_multiplied=multiplied,
         products_read_from_table=asked - multiplied,
     )

@@ -39,9 +39,11 @@ from globop.collection import (
 from globop.globset import glob_set
 from globop.interleave import free_owc
 from globop.operad import (
+    NodeTerm,
     OperadStructure,
     _label_arities,
     _unit_argument,
+    _unit_labels,
     cell_arity,
     cell_products,
     check_operad_laws,
@@ -475,12 +477,38 @@ def _wrong_product():
     return dataclasses.replace(op, products={key: layer[3]}), bounds
 
 
+def _wrong_lower_product():
+    """The one-atom operad with one wrong dimension-1 entry in ``products``
+    that grafting reads inside a node: the first 1-cell that labels a 2-node
+    and has a twin (another 1-cell of its arity, src and tgt), composed with
+    the unit labelling, gives the twin.  Only the lookup of lower labels
+    inside grafting carries the entry to the right unit law at dimension 2."""
+    op, bounds = CASES["one-atom-251"]()
+    over = op.over
+
+    def ends(c):
+        return over.arity_of(1, c), over.src_of(1, c), over.tgt_of(1, c)
+
+    for node in over.cells_at(2):
+        if not isinstance(node, NodeTerm):
+            continue
+        for x, lab in zip(all_cells(over.arity_of(2, node.gen)), node.labels):
+            if x.dim != 1 or lab is op.units[1]:
+                continue
+            twins = [c for c in over.cells_at(1) if c is not lab and ends(c) == ends(lab)]
+            if twins:
+                key = (1, lab, _unit_labels(op, over.arity_of(1, lab)))
+                return dataclasses.replace(op, products={key: twins[0]}), bounds
+    raise AssertionError("no 1-cell label with a twin")
+
+
 LAW_CASES = {
     "initial-251": (lambda: CASES["initial-251"](), None),
     "initial-371": (lambda: CASES["initial-371"](), [0, 1]),
     "one-atom-251": (lambda: CASES["one-atom-251"](), [0, 1]),
     "broken-terminal": (_broken_terminal, None),
     "wrong-product-251": (_wrong_product, None),
+    "wrong-lower-product-251": (_wrong_lower_product, [2]),
 }
 
 
@@ -539,24 +567,48 @@ def test_law_check_matches_the_reference(case):
         assert any(v.witness[0] == 2 for v in new.violations)
 
 
+@pytest.mark.parametrize("case", LAW_CASES)
+def test_law_check_on_plans_matches_the_reference(case):
+    """Unwrapped, a dimension that grafts multiplies by ``term_mult`` itself,
+    so the check runs the plans of its operations.  ``_logged`` above wraps
+    every multiplication: its check multiplies through labellings and meets
+    a plan only inside each wrapped ``term_mult``.  The violations are the
+    reference's, in order, and the counts those of the wrapped run."""
+    make, dims = LAW_CASES[case]
+    op, bounds = make()
+    new = check_operad_laws(op, bounds, dims=dims)
+    assert new.violations == reference_check_operad_laws(op, bounds, dims=dims).violations
+    wrapped = check_operad_laws(_logged(op, lambda key, r: None), bounds, dims=dims)
+    assert new.counts == wrapped.counts
+    if case == "wrong-lower-product-251":
+        assert ("right unit law fails", 2) in {(v.message, v.witness[0]) for v in new.violations}
+
+
 def test_law_check_counts_what_it_covered():
     op, bounds = CASES["one-atom-251"]()
     counts = check_operad_laws(op, bounds).counts
     assert counts["first_level_configurations"] == 1424
     assert counts["associativity_configurations"] == 46384
+    assert counts["configurations_over_bound"] == 15008
+    assert counts["products_multiplied"] == 87460
+    assert counts["products_read_from_table"] == 226924
     # the products asked for: both unit laws on every cell, each first-level
     # product, and per associativity configuration the lhs, the rhs and one
-    # product per label of the first level
-    asked = 0
+    # product per label of the first level; and the configurations left out
+    # over the bound at both levels
+    asked = over_bound = 0
     for d in range(op.up_to_dim + 1):
         asked += 2 * len(op.over.cells_at(d))
-        first = configurations(_operations(op, d), op.over, bounds.max_arity_size)
+        first = list(configurations(_operations(op, d), op.over, bounds.max_arity_size))
         mids = [(phi, mid) for _, fits, _ in first for phi, mid in fits]
+        over_bound += sum(len(over) for _, _, over in first)
         asked += len(mids)
-        for phi, inner, _ in configurations(mids, op.over, bounds.max_arity_size):
+        for phi, inner, over in configurations(mids, op.over, bounds.max_arity_size):
             asked += len(inner) * (2 + len(phi.labels))
+            over_bound += len(over)
     assert counts["products_multiplied"] + counts["products_read_from_table"] == asked
     assert counts["products_read_from_table"] > counts["products_multiplied"]
+    assert counts["configurations_over_bound"] == over_bound
 
 
 def test_law_check_enumerates_each_shape_once(monkeypatch):

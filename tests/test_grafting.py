@@ -9,6 +9,12 @@ the names are prefixed and the imports hoisted).  The tests check that the
 rewrite gives the same products, and that the law check's multiplications,
 asked through ``op.mult``, are the same calls in the same order.
 
+Grafting on label tuples then became plans: ``_plan`` reads an operation's
+arity, its labels' arities and its slicers once and returns a function of
+the label tuple.  The recursion it replaced, ``_graft``, ``_graft_node``,
+``_mult_labels`` and ``_node``, is copied below verbatim as well, and one
+plan run on many label tuples must give the term it gives.
+
 Also here: the invariant the rewrite relies on, that the arity a layer's
 table holds for a cell is its structural arity.
 """
@@ -19,13 +25,16 @@ from pathlib import Path
 
 import pytest
 
-from globop.collection import Bounds, configurations, one_cell_collection
+from globop.collection import Bounds, configurations, labelling_fits, one_cell_collection
 from globop.interleave import free_owc
 from globop.operad import (
     NodeTerm,
     OperadStructure,
     UnitTerm,
+    _label_arities,
+    _plan,
     _unit_argument,
+    _unit_labels,
     cell_arity,
     cell_products,
     free_operad_step,
@@ -41,6 +50,7 @@ from globop.pasting import (
     cells,
     emb_map,
     labelled,
+    slicers,
     subst_arities,
     unit_tree,
 )
@@ -143,6 +153,52 @@ def _reference(op: OperadStructure) -> OperadStructure:
     return dataclasses.replace(op, mults=mults)
 
 
+# --- reference: grafting on label tuples before plans, verbatim ---------------
+
+
+def reference_graft(op: OperadStructure, d: int, a, labels: tuple):
+    """``term_mult`` on a labelling known to lie over the arity of ``a``."""
+    if isinstance(a, UnitTerm):
+        return labels[-1]  # the top cell comes last in all_cells
+    if isinstance(a, NodeTerm):
+        shape = op.over.arity_of(d, a.gen)
+        return reference_graft_node(op, d, a, shape, _label_arities(op, shape, a.labels), labels)
+    # bare generator: behaves as the unit-labelled node, so the slices are
+    # exactly the labels
+    return reference_node(op, d, a, op.over.arity_of(d, a), labels)
+
+
+def reference_graft_node(op: OperadStructure, d: int, a: NodeTerm, shape, arities: tuple, labels: tuple):
+    products = op.products
+    new_labels = []
+    for x, lab, alpha, take in zip(all_cells(shape), a.labels, arities, slicers(shape, arities)):
+        piece = take(labels)
+        j = x.dim
+        if j == d:
+            r = reference_graft(op, d, lab, piece)
+        else:
+            r = products.get((j, lab, piece)) if products else None
+            if r is None:
+                r = reference_mult_labels(op, j, lab, alpha, piece)
+        new_labels.append(r)
+    return reference_node(op, d, a.gen, shape, tuple(new_labels))
+
+
+def reference_mult_labels(op: OperadStructure, j: int, a, alpha: PastingDiagram, labels: tuple):
+    """``op.mults[j]`` on ``a`` and a label tuple known to lie over
+    ``alpha``, the arity of ``a``: grafting takes the tuple, any other
+    multiplication a ``LabelledDiagram`` built for it."""
+    mult = op.mults[j]
+    if mult is term_mult:
+        return reference_graft(op, j, a, labels)
+    return mult(op, j, a, LabelledDiagram(alpha, labels))
+
+
+def reference_node(op: OperadStructure, d: int, gen, shape: PastingDiagram, labels: tuple):
+    units = op._unit_labels.get(shape) or _unit_labels(op, shape)
+    return gen if labels == units else NodeTerm(d, gen, labels)
+
+
 # --- inputs ------------------------------------------------------------------
 
 
@@ -229,6 +285,48 @@ def test_grafting_matches_the_reference(case):
     old = _law_check_calls(_reference(op), bounds, reference_cell_arity, reference_compose_labellings, stride)
     assert len(new) == len(old)
     assert new == old
+
+
+@pytest.mark.parametrize("case", ["one-atom-251", "initial-371", "self-loop-174"])
+def test_plans_graft_as_the_reference(case):
+    """The plan of each cell runs on every first-level labelling of its
+    arity within the bound, and the plan of each product ``r = a∘phi`` on
+    every labelling ``chi`` of ``r``'s arity within the bound: the lhs of
+    the law check.  Each run gives the reference's term, by identity."""
+    op, bounds = CASES[case][0]()
+    split = labelling_fits(op.over, bounds.max_arity_size)
+    firsts = lhs = 0
+    for d in range(op.up_to_dim + 1):
+        if op.mults[d] is not term_mult:
+            continue
+        for a in op.over.cells_at(d):
+            plan = _plan(op, d, a)
+            for phi, mid in split(op.over.arity_of(d, a))[0]:
+                r = plan(phi.labels)
+                assert r is reference_graft(op, d, a, phi.labels)
+                firsts += 1
+                plan_r = _plan(op, d, r)
+                for chi, _ in split(mid)[0]:
+                    assert plan_r(chi.labels) is reference_graft(op, d, r, chi.labels)
+                    lhs += 1
+    assert firsts > 0 and lhs > firsts
+
+
+def test_plans_collapse_units_as_the_reference():
+    """In a free operad a grafted node never has only unit labels, so the
+    unit collapse after grafting a node shows only when ``products`` takes
+    each of its lower labels to a unit: the plan of the node then gives the
+    bare generator, as the reference does."""
+    op, _ = CASES["one-atom-251"][0]()
+    d = 2
+    node = next(c for c in op.over.cells_at(d) if isinstance(c, NodeTerm))
+    products = {}
+    for x, lab in zip(all_cells(op.over.arity_of(d, node.gen)), node.labels):
+        assert x.dim < d or lab is op.units[d]  # term size 1: top labels are units
+        products[(x.dim, lab, _unit_labels(op, cell_arity(op, x.dim, lab)))] = op.units[x.dim]
+    op = dataclasses.replace(op, products=products)
+    units = _unit_labels(op, op.over.arity_of(d, node))
+    assert _plan(op, d, node)(units) is reference_graft(op, d, node, units) is node.gen
 
 
 @pytest.mark.parametrize("case", ["initial-252", "initial-371", "valid-state"])

@@ -72,6 +72,9 @@ def test_state_suites_pass_on_valid_fixture(name):
         counts = rep.to_json()["counts"]
         assert counts["first_level_configurations"] == 5065
         assert counts["associativity_configurations"] == 233143
+        assert counts["configurations_over_bound"] == 0
+        assert counts["products_multiplied"] == 442368
+        assert counts["products_read_from_table"] == 727496
     if name == "stability-contraction":
         assert rep.counts == {"rebuilt_products": 316, "fixture_entries": 316}
 
