@@ -90,6 +90,22 @@ def make_collection(cells_by_dim, src, tgt, arity) -> Collection:
     return Collection(carrier, tuple(dict(a) for a in arity))
 
 
+def add_cells(coll: Collection, d: int, new, src, tgt, arity) -> Collection:
+    """``coll`` with the cells ``new`` appended to layer ``d``, their src, tgt
+    (from dimension 1) and arity read from the mappings given.  Every other
+    layer's tables are shared with ``coll``."""
+
+    def extend(layers: tuple, table) -> tuple:
+        layer = dict(layers[d])
+        layer.update((c, table[c]) for c in new)
+        return (*layers[:d], layer, *layers[d + 1 :])
+
+    g = coll.carrier
+    cells = (*g.cells[:d], g.cells[d] + tuple(new), *g.cells[d + 1 :])
+    ends = (extend(g.src, src), extend(g.tgt, tgt)) if d >= 1 else (g.src, g.tgt)
+    return Collection(GlobularSet(cells, *ends), extend(coll.arity, arity))
+
+
 def empty_collection(max_dim: int = 0) -> Collection:
     return Collection(empty_glob_set(max_dim), ({},) * (max_dim + 1))
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .collection import Bounds, Collection, make_collection
+from .collection import Bounds, Collection, add_cells
 from .globset import GlobMorphism, parallel
 from .pasting import PastingDiagram, trees_with_boundary
 from .report import Report
@@ -104,19 +104,14 @@ def free_contraction_step(
         new_cells.append(cell)
         gamma[(a, b, theta)] = cell
     new_cells = sorted(new_cells, key=canonical_key)
-
-    cells_by_dim = [
-        coll.cells_at(j) + (tuple(new_cells) if j == d else ())
-        for j in range(coll.max_dim + 1)
-    ]
-    src = [dict(coll.carrier.src[j]) for j in range(coll.max_dim + 1)]
-    tgt = [dict(coll.carrier.tgt[j]) for j in range(coll.max_dim + 1)]
-    arity = [dict(coll.arity[j]) for j in range(coll.max_dim + 1)]
-    for cell in new_cells:
-        src[d][cell] = cell.a
-        tgt[d][cell] = cell.b
-        arity[d][cell] = cell.theta
-    new_coll = make_collection(cells_by_dim, src, tgt, arity)
+    new_coll = add_cells(
+        coll,
+        d,
+        new_cells,
+        {c: c.a for c in new_cells},
+        {c: c.b for c in new_cells},
+        {c: c.theta for c in new_cells},
+    )
     return FreeContractionResult(
         collection=new_coll,
         contraction=ContractionStructure(new_coll, d, gamma),

@@ -100,10 +100,6 @@ class GlobMorphism:
         return self.maps[k][c]
 
 
-def identity_morphism(a_set: GlobularSet) -> GlobMorphism:
-    return GlobMorphism({k: {c: c for c in a_set.cells_at(k)} for k in range(a_set.max_dim + 1)})
-
-
 def check_glob_morphism(f: GlobMorphism, dom: GlobularSet, cod: GlobularSet) -> Report:
     rep = Report("glob-morphism")
     for k in range(dom.max_dim + 1):

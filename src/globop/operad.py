@@ -24,7 +24,7 @@ from typing import Callable
 from weakref import KeyedRef
 
 from .collection import Bounds, Collection, Overflow, configurations
-from .collection import enumerate_labellings, labelling_fits, labelling_order, make_collection
+from .collection import add_cells, enumerate_labellings, labelling_fits, labelling_order
 from .pasting import (
     LabelledDiagram,
     PastingDiagram,
@@ -170,35 +170,6 @@ def term_size(op: OperadStructure, j: int, c) -> int:
             if a.dim == j
         )
     return 1
-
-
-def _term_side(op: OperadStructure, j: int, c, side: int):
-    if isinstance(c, UnitTerm):
-        return op.units[j - 1]
-    if isinstance(c, NodeTerm):
-        shape = op.over.arity_of(j, c.gen)
-        phi = LabelledDiagram(boundary(shape), boundary_slicer(shape, side)(c.labels))
-        head = op.over.src_of(j, c.gen) if side == 0 else op.over.tgt_of(j, c.gen)
-        return op.mult(j - 1, head, phi)
-    return op.over.src_of(j, c) if side == 0 else op.over.tgt_of(j, c)
-
-
-def term_src(op: OperadStructure, j: int, c):
-    """Source of a dimension-j term, evaluated in the operad one level down."""
-    return _term_side(op, j, c, 0)
-
-
-def term_tgt(op: OperadStructure, j: int, c):
-    return _term_side(op, j, c, 1)
-
-
-def make_node(op: OperadStructure, d: int, gen, phi: LabelledDiagram):
-    """Build a normal-form node, collapsing the all-unit labelling to the
-    bare generator."""
-    shape = op.over.arity_of(d, gen)
-    if phi.shape != shape:
-        raise ValueError("labelling shape differs from the generator arity")
-    return gen if phi.labels == _unit_labels(op, shape) else NodeTerm(d, gen, phi.labels)
 
 
 def _unit_labels(op: OperadStructure, shape: PastingDiagram) -> tuple:
@@ -371,10 +342,11 @@ def _free_at(coll: Collection, lower: OperadStructure | None, d: int, bounds: Bo
        operad with the labels on the src and tgt boundary of ``g``'s arity
        must be cells of the lower layer, else rejected as "boundary".
 
-    These are the checks ``make_node``, ``term_size``, ``cell_arity`` and
-    ``term_src``/``term_tgt`` make, on the same candidates in the same
-    order, so the cells, tables, counts and samples do not move: a node in
-    ``strata`` passed checks 2 and 3, so skipping it after them rejects
+    These are the checks made by building every candidate as a node and
+    reading its ``term_size``, ``cell_arity`` and boundary, as the reference
+    loop in ``tests/test_free_step.py`` does, on the same candidates in the
+    same order, so the cells, tables, counts and samples do not move: a node
+    in ``strata`` passed checks 2 and 3, so skipping it after them rejects
     nothing new, and a rejected node is built only to be one of the first
     three samples of its reason.  The shape check ``term_mult`` makes on
     every call is made once per generator, before the loop: the arity of
@@ -502,19 +474,8 @@ def _free_at(coll: Collection, lower: OperadStructure | None, d: int, bounds: Bo
         old = current
         current = current + frontier
 
-    nodes = sorted((c for c in strata), key=canonical_key)
-    new_layer = tuple(gens) + (unit,) + tuple(nodes)
-    cells_by_dim = [
-        new_layer if k == d else coll.cells_at(k) for k in range(coll.max_dim + 1)
-    ]
-    src = [dict(coll.carrier.src[k]) for k in range(coll.max_dim + 1)]
-    tgt = [dict(coll.carrier.tgt[k]) for k in range(coll.max_dim + 1)]
-    arity = [dict(coll.arity[k]) for k in range(coll.max_dim + 1)]
-    if d >= 1:
-        src[d].update({c: nsrc[c] for c in (unit, *nodes)})
-        tgt[d].update({c: ntgt[c] for c in (unit, *nodes)})
-    arity[d].update({c: narity[c] for c in (unit, *nodes)})
-    new_coll = make_collection(cells_by_dim, src, tgt, arity)
+    nodes = sorted(strata, key=canonical_key)
+    new_coll = add_cells(coll, d, (unit, *nodes), nsrc, ntgt, narity)
 
     overflows = tuple(
         Overflow(

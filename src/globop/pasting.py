@@ -252,9 +252,6 @@ class LabelledDiagram(Keyed):
     def as_dict(self) -> dict[CellAddr, object]:
         return dict(zip(all_cells(self.shape), self.labels))
 
-    def map_labels(self, fn) -> "LabelledDiagram":
-        return LabelledDiagram(self.shape, tuple(fn(a, l) for a, l in zip(all_cells(self.shape), self.labels)))
-
     def _sort_key_(self):
         return (self.shape, self.labels)
 

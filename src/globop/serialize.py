@@ -58,25 +58,20 @@ def cell_to_json(c) -> dict:
     return {"atom": _atom_to_json(c)}
 
 
-def cell_from_json(data, dim: int):
+def cell_from_json(data):
     if "gen" in data:
-        return cell_from_json(data["gen"], dim)
+        return cell_from_json(data["gen"])
     if "unit" in data:
         return UnitTerm(_dim(data["unit"]))
     if "node" in data:
         node = data["node"]
         d = _dim(node["dim"])
-        labels = tuple(cell_from_json(l, -1) for l in node["labels"])
-        return NodeTerm(d, cell_from_json(node["gen"], d), labels)
+        labels = tuple(cell_from_json(l) for l in node["labels"])
+        return NodeTerm(d, cell_from_json(node["gen"]), labels)
     if "ctr" in data:
         ctr = data["ctr"]
-        d = _dim(ctr["dim"]) if "dim" in ctr else dim if dim >= 1 else _depth(ctr["theta"])
-        theta = tree_from_json(ctr["theta"], d)
-        return CtrCell(
-            cell_from_json(ctr["a"], d - 1),
-            cell_from_json(ctr["b"], d - 1),
-            theta,
-        )
+        theta = tree_from_json(ctr["theta"], _dim(ctr["dim"]))
+        return CtrCell(cell_from_json(ctr["a"]), cell_from_json(ctr["b"]), theta)
     if "atom" in data:
         return _atom_from_json(data["atom"])
     raise ValueError(f"unrecognized cell encoding: {data!r}")
@@ -87,12 +82,6 @@ def _dim(v) -> int:
     if type(v) is not int:
         raise ValueError(f"dimension {v!r} is not an int")
     return v
-
-
-def _depth(data) -> int:
-    if not data:
-        return 1
-    return 1 + max(_depth(c) for c in data)
 
 
 def _at(table, i, what: str):
@@ -149,22 +138,6 @@ def _term_json(c, is_term_dim: bool) -> dict:
 # globular sets
 
 
-def globset_to_json(g) -> dict:
-    index = [{c: i for i, c in enumerate(g.cells_at(k))} for k in range(g.max_dim + 1)]
-    return {
-        "dims": g.max_dim,
-        "cells": [[_atom_to_json(c) for c in g.cells_at(k)] for k in range(g.max_dim + 1)],
-        "src": [
-            [index[k - 1][g.src_of(k, c)] for c in g.cells_at(k)]
-            for k in range(1, g.max_dim + 1)
-        ],
-        "tgt": [
-            [index[k - 1][g.tgt_of(k, c)] for c in g.cells_at(k)]
-            for k in range(1, g.max_dim + 1)
-        ],
-    }
-
-
 def _layers(data: dict, key: str) -> list:
     """``data[key]``, checked to be a list of lists: iterating an object
     would read its keys as layers and their characters as cells."""
@@ -174,20 +147,25 @@ def _layers(data: dict, key: str) -> list:
     return layers
 
 
+def _ends(data: dict, cells: list) -> tuple[list, list]:
+    """The src and tgt tables of ``cells``, read from the index layers
+    ``data["src"]`` and ``data["tgt"]``."""
+    src_layers, tgt_layers = _layers(data, "src"), _layers(data, "tgt")
+    src = [{} for _ in cells]
+    tgt = [{} for _ in cells]
+    for k in range(1, len(cells)):
+        for i, c in enumerate(cells[k]):
+            src[k][c] = _at(cells[k - 1], src_layers[k - 1][i], "src")
+            tgt[k][c] = _at(cells[k - 1], tgt_layers[k - 1][i], "tgt")
+    return src, tgt
+
+
 def globset_from_json(data: dict):
     from .globset import glob_set
 
     layers = enumerate(_layers(data, "cells"))
     cells = [_distinct([_atom_from_json(c) for c in layer], k) for k, layer in layers]
-    src_layers, tgt_layers = _layers(data, "src"), _layers(data, "tgt")
-    dims = len(cells)
-    src = [{} for _ in range(dims)]
-    tgt = [{} for _ in range(dims)]
-    for k in range(1, dims):
-        for i, c in enumerate(cells[k]):
-            src[k][c] = _at(cells[k - 1], src_layers[k - 1][i], "src")
-            tgt[k][c] = _at(cells[k - 1], tgt_layers[k - 1][i], "tgt")
-    return glob_set(cells, src, tgt)
+    return glob_set(cells, *_ends(data, cells))
 
 
 # ---------------------------------------------------------------------------
@@ -309,26 +287,20 @@ def state_from_json(data: dict) -> DecodedState:
     for k, layer in enumerate(data["cells"]):
         decoded = []
         for entry in layer:
-            c = cell_from_json(entry["cell"], k)
+            c = cell_from_json(entry["cell"])
             decoded.append(c)
             p = entry.get("provenance", {})
             if not isinstance(p, dict):
                 raise ValueError(f"provenance {p!r} is not an object")
             provenance[(k, c)] = Provenance(p.get("step", "input"), p.get("stratum"))
         cells_by_dim.append(_distinct(decoded, k))
-    max_dim = len(cells_by_dim) - 1
-    src = [{} for _ in range(max_dim + 1)]
-    tgt = [{} for _ in range(max_dim + 1)]
-    for k in range(1, max_dim + 1):
-        for i, c in enumerate(cells_by_dim[k]):
-            src[k][c] = _at(cells_by_dim[k - 1], data["src"][k - 1][i], "src")
-            tgt[k][c] = _at(cells_by_dim[k - 1], data["tgt"][k - 1][i], "tgt")
+    src, tgt = _ends(data, cells_by_dim)
     arity = [
         {
             c: tree_from_json(data["arity"][k][i], k)
             for i, c in enumerate(cells_by_dim[k])
         }
-        for k in range(max_dim + 1)
+        for k in range(len(cells_by_dim))
     ]
     _check_nodes(cells_by_dim, arity)
     coll = make_collection(cells_by_dim, src, tgt, arity)

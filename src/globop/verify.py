@@ -38,7 +38,6 @@ from .interleave import (
     free_owc,
     free_owc_trace,
     induced_morphism,
-    initial_owc,
 )
 from .operad import (
     cell_products,
@@ -101,14 +100,11 @@ SUITE_NAMES = (
     "initiality-probe",
 )
 
-_state_cache: dict[Bounds, OwcState] = {}
 _trace_cache: dict[Bounds, list] = {}
 
 
 def cached_initial(bounds: Bounds) -> OwcState:
-    if bounds not in _state_cache:
-        _state_cache[bounds] = initial_owc(bounds)
-    return _state_cache[bounds]
+    return cached_trace(bounds)[-1][1]
 
 
 def cached_trace(bounds: Bounds) -> list:

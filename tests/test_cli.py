@@ -223,6 +223,8 @@ HOSTILE = {
     "unit-dim-string": lambda data: data["cells"][1][18].update(cell={"unit": "1"}),
     "node-dim-string": lambda data: data["cells"][0][2]["cell"]["node"].update(dim="0"),
     "ctr-dim-string": lambda data: data["cells"][1][0]["cell"]["gen"]["ctr"].update(dim="1"),
+    # the encoder has always written it, and the decoder reads it from nowhere else
+    "ctr-no-dim": lambda data: data["cells"][1][0]["cell"]["gen"]["ctr"].pop("dim"),
     # nodes grafting does not build, listed or as a label of a listed node
     "node-unit-labels": lambda data: _node_19(data).update(labels=[{"unit": 0}]),
     "node-label-count": lambda data: _node_19(data).update(labels=[{"atom": "v"}, {"atom": "v"}]),
@@ -249,6 +251,14 @@ def test_verify_rejects_hostile_state_without_a_traceback(tmp_path, capsys, case
     code, out, err = run(capsys, "verify", "--suite", suite, "--input", str(fixture))
     assert code == 2
     assert "malformed fixture" in err and out == ""
+
+
+@pytest.mark.parametrize("suite", ["operad-laws", "contraction-laws", "stability-operad"])
+def test_verify_rejects_a_state_whose_src_is_not_a_list_of_layers(tmp_path, capsys, suite):
+    fixture = _edited_state(tmp_path, lambda data: data.update(src={"0": [0]}))
+    code, out, err = run(capsys, "verify", "--suite", suite, "--input", str(fixture))
+    assert code == 2
+    assert "malformed fixture" in err and "src is not a list of layers" in err and out == ""
 
 
 def _last_one_cell_listed_twice(data):
@@ -300,3 +310,19 @@ def test_verify_rejects_a_stage_or_bounds_the_state_cannot_have(tmp_path, capsys
         code, out, err = run(capsys, "verify", "--suite", suite, "--input", str(fixture))
         assert code == 2, suite
         assert "malformed fixture" in err and out == ""
+
+
+@pytest.mark.parametrize(
+    "name, verdicts, code",
+    [
+        ("valid_state", {name: "pass" for name in STATE_SUITES}, 0),
+        ("corrupt_globset", {"globularity": "FAIL"}, 1),
+        ("valid_subst_vectors", {"monoid-laws": "pass"}, 0),
+    ],
+)
+def test_verify_all_on_a_fixture_runs_the_suites_that_read_it(capsys, name, verdicts, code):
+    """A state is read by eight suites, substitution cases by monoid-laws and
+    a globular set by globularity; one kind's suites never see another."""
+    got, out, err = run(capsys, "verify", "--suite", "all", "--input", str(FIXTURES / f"{name}.json"))
+    assert got == code and err == ""
+    assert [line.split(" (")[0] for line in out.splitlines()] == [f"{s}: {v}" for s, v in verdicts.items()]

@@ -5,6 +5,7 @@ import pytest
 from globop.collection import (
     Bounds,
     PairCell,
+    add_cells,
     check_collection,
     collection_labellings,
     empty_collection,
@@ -83,6 +84,24 @@ def test_truncate():
     assert truncate(empty_collection(2), 1) == empty_collection(1)
 
 
+def test_add_cells_extends_one_layer_and_shares_the_others():
+    u = unit_collection(2)
+    a = ("u", 0)
+    new = add_cells(u, 1, ["f"], {"f": a}, {"f": a}, {"f": unit_tree(1)})
+    assert new.cells_at(1) == (("u", 1), "f")
+    assert (new.src_of(1, "f"), new.tgt_of(1, "f"), new.arity_of(1, "f")) == (a, a, unit_tree(1))
+    assert check_collection(new).passed and check_globularity(new.carrier).passed
+    # the extended layer is a copy, every other one is shared
+    assert u.cells_at(1) == (("u", 1),) and "f" not in u.arity[1] and "f" not in u.carrier.src[1]
+    for k in (0, 2):
+        assert new.arity[k] is u.arity[k] and new.carrier.src[k] is u.carrier.src[k]
+        assert new.carrier.tgt[k] is u.carrier.tgt[k]
+    # dimension 0 has no src or tgt: only the arity is read
+    point = add_cells(u, 0, ["w"], {}, {}, {"w": DOT})
+    assert point.cells_at(0) == (a, "w") and point.arity_of(0, "w") == DOT
+    assert point.carrier.src == u.carrier.src and point.carrier.tgt == u.carrier.tgt
+
+
 def test_tensor_one_cell_square():
     one = one_cell_collection()
     res = tensor(one, one, B)
@@ -158,8 +177,9 @@ def test_tensor_associativity_small():
                 x: LabelledDiagram(alpha, take(psi.labels))
                 for x, alpha, take in zip(all_cells(shape), arities, slicers(shape, arities))
             }
-            chi = inner_pair.labelling.map_labels(
-                lambda addr, lab: PairCell(lab, pieces[addr])
+            chi = LabelledDiagram(
+                shape,
+                tuple(PairCell(lab, pieces[x]) for x, lab in zip(all_cells(shape), inner_pair.labelling.labels)),
             )
             remapped.add(PairCell(inner_pair.left, chi))
         assert remapped == set(rights)

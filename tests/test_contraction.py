@@ -10,8 +10,10 @@ from globop.contraction import (
     free_contraction_step,
     terminal_contraction,
 )
-from globop.globset import GlobMorphism, identity_morphism
+from globop.globset import GlobMorphism
 from globop.pasting import DOT, PastingDiagram, chain, size, unit_tree
+
+from test_globset import identity_morphism
 
 B = Bounds(max_dim=2, max_arity_size=5, max_term_size=2)
 

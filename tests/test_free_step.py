@@ -33,15 +33,12 @@ from globop.operad import (
     cell_arity,
     extend_operad,
     free_operad_step,
-    make_node,
     term_size,
-    term_src,
-    term_tgt,
 )
 from globop.pasting import LabelledDiagram, cells, size, unit_tree
 from globop.util import canonical_key
 
-from test_operad import self_loop_operad
+from test_operad import make_node, self_loop_operad, term_src, term_tgt
 
 
 # --- reference: the candidate loop before the rewrite, verbatim ---------------

@@ -5,13 +5,17 @@ from hypothesis import given, settings, strategies as st
 
 from globop.globset import (
     GlobMorphism,
+    GlobularSet,
     check_glob_morphism,
     check_globularity,
     empty_glob_set,
     glob_set,
-    identity_morphism,
     parallel,
 )
+
+
+def identity_morphism(a_set: GlobularSet) -> GlobMorphism:
+    return GlobMorphism({k: {c: c for c in a_set.cells_at(k)} for k in range(a_set.max_dim + 1)})
 
 
 def two_cell_globe():

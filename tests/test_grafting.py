@@ -38,7 +38,6 @@ from globop.operad import (
     cell_arity,
     cell_products,
     free_operad_step,
-    make_node,
     term_mult,
     terminal_operad,
     unit_labelling,
@@ -58,7 +57,7 @@ from globop.serialize import state_from_json
 from globop.verify import cached_initial
 
 from test_configurations import _broken_terminal, compose_labellings, reference_cell_products
-from test_operad import self_loop_operad
+from test_operad import make_node, self_loop_operad
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -360,12 +359,13 @@ def test_make_node_collapses_as_the_reference():
                     continue
                 shape = op.over.arity_of(d, g)
                 phi = unit_labelling(op, d, shape)
-                assert make_node(op, d, g, phi) is reference_make_node(op, d, g, phi) is g
+                assert make_node(op, d, g, phi) is reference_make_node(op, d, g, phi) is term_mult(op, d, g, phi) is g
                 # one top label that is not the unit
                 for x in cells(shape, d):
                     phi = labelled(shape, {y: (g if y == x else op.units[y.dim]) for y in all_cells(shape)})
                     node = make_node(op, d, g, phi)
                     assert isinstance(node, NodeTerm) and node is reference_make_node(op, d, g, phi)
+                    assert node is term_mult(op, d, g, phi)
 
 
 # --- the invariant the table lookup relies on ----------------------------------

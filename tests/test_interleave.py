@@ -22,6 +22,7 @@ from globop.interleave import (
     free_owc_trace,
     induced_morphism,
     initial_owc,
+    start_state,
     step_contraction,
     step_operad,
 )
@@ -115,6 +116,32 @@ def test_contraction_step_asserts_lower_layers_unchanged(monkeypatch, tamper):
     monkeypatch.setattr(interleave, "free_contraction_step", _tampered_contraction_step(tamper))
     with pytest.raises(AssertionError):
         step_contraction(m1)
+
+
+def _snapshot(state: OwcState) -> list:
+    # per layer: the cells in order, and the src, tgt and arity entries in order
+    coll = state.collection
+    tables = (coll.carrier.src, coll.carrier.tgt, coll.arity)
+    return [
+        (coll.cells_at(k), *(list(table[k].items()) for table in tables))
+        for k in range(coll.max_dim + 1)
+    ]
+
+
+def test_a_step_leaves_the_earlier_states_as_they_were():
+    """A step shares every layer it does not extend with the state before
+    it, so no step may change a layer in place."""
+    state = start_state(empty_collection(), Bounds(2, 5, 2))
+    states, snapshots = [state], [_snapshot(state)]
+    for step in (step_contraction, step_operad) * 2:
+        state = step(state)
+        before = states[-1].collection
+        assert any(a is b for a, b in zip(state.collection.arity, before.arity))
+        for earlier, snapshot in zip(states, snapshots):
+            assert _snapshot(earlier) == snapshot
+        states.append(state)
+        snapshots.append(_snapshot(state))
+    assert [s.stage for s in states] == [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2)]
 
 
 def test_golden_valid_state_fixture():

@@ -12,25 +12,60 @@ from globop.operad import (
     counit_eval,
     extend_operad,
     free_operad_dim0,
+    _unit_labels,
     free_operad_step,
-    make_node,
     mult_table,
     term_mult,
     term_size,
-    term_src,
-    term_tgt,
     terminal_operad,
     unit_labelling,
 )
 from globop.pasting import (
     DOT,
+    LabelledDiagram,
     all_cells,
+    boundary,
+    boundary_slicer,
     cells,
     chain,
     labelled,
     unit_tree,
     PastingDiagram,
 )
+
+
+# --- node building and term boundaries, one term at a time -------------------
+# ``_free_at`` checks candidates on label tuples instead; the reference loop in
+# test_free_step.py and the tests here build the node and read its boundary.
+
+
+def _term_side(op: OperadStructure, j: int, c, side: int):
+    if isinstance(c, UnitTerm):
+        return op.units[j - 1]
+    if isinstance(c, NodeTerm):
+        shape = op.over.arity_of(j, c.gen)
+        phi = LabelledDiagram(boundary(shape), boundary_slicer(shape, side)(c.labels))
+        head = op.over.src_of(j, c.gen) if side == 0 else op.over.tgt_of(j, c.gen)
+        return op.mult(j - 1, head, phi)
+    return op.over.src_of(j, c) if side == 0 else op.over.tgt_of(j, c)
+
+
+def term_src(op: OperadStructure, j: int, c):
+    """Source of a dimension-j term, evaluated in the operad one level down."""
+    return _term_side(op, j, c, 0)
+
+
+def term_tgt(op: OperadStructure, j: int, c):
+    return _term_side(op, j, c, 1)
+
+
+def make_node(op: OperadStructure, d: int, gen, phi: LabelledDiagram):
+    """Build a normal-form node, collapsing the all-unit labelling to the
+    bare generator."""
+    shape = op.over.arity_of(d, gen)
+    if phi.shape != shape:
+        raise ValueError("labelling shape differs from the generator arity")
+    return gen if phi.labels == _unit_labels(op, shape) else NodeTerm(d, gen, phi.labels)
 
 
 def self_loop_operad(max_dim=1):

@@ -9,16 +9,32 @@ from globop.interleave import free_owc, initial_owc
 from globop.operad import NodeTerm, UnitTerm
 from globop.pasting import DOT, PastingDiagram, chain
 from globop.serialize import (
+    _atom_to_json,
     cell_from_json,
     cell_to_json,
     globset_from_json,
-    globset_to_json,
     slice_json,
     state_from_json,
     state_text,
     state_to_json,
 )
 from globop.globset import glob_set
+
+
+def globset_to_json(g) -> dict:
+    index = [{c: i for i, c in enumerate(g.cells_at(k))} for k in range(g.max_dim + 1)]
+    return {
+        "dims": g.max_dim,
+        "cells": [[_atom_to_json(c) for c in g.cells_at(k)] for k in range(g.max_dim + 1)],
+        "src": [
+            [index[k - 1][g.src_of(k, c)] for c in g.cells_at(k)]
+            for k in range(1, g.max_dim + 1)
+        ],
+        "tgt": [
+            [index[k - 1][g.tgt_of(k, c)] for c in g.cells_at(k)]
+            for k in range(1, g.max_dim + 1)
+        ],
+    }
 
 
 def test_cell_roundtrip():
@@ -32,16 +48,16 @@ def test_cell_roundtrip():
         NodeTerm(1, CtrCell(UnitTerm(0), UnitTerm(0), chain(1)), (UnitTerm(0), UnitTerm(0), UnitTerm(1))),
     ]
     for c in samples:
-        assert cell_from_json(cell_to_json(c), -1) == c
+        assert cell_from_json(cell_to_json(c)) == c
 
 
 def test_degenerate_theta_keeps_dimension():
     c = CtrCell("a", "b", PastingDiagram(2, ()))
-    assert cell_from_json(cell_to_json(c), -1) == c
+    assert cell_from_json(cell_to_json(c)) == c
 
 
 def test_gen_wrapper_accepted():
-    assert cell_from_json({"gen": {"atom": "v"}}, 0) == "v"
+    assert cell_from_json({"gen": {"atom": "v"}}) == "v"
 
 
 def test_state_roundtrip_and_gen_wrapping():
