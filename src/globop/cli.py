@@ -57,9 +57,8 @@ def _suites_reading(fixture) -> list[str]:
 
 
 def cmd_verify(suites: list[str], bounds: Bounds, fixture_path: str | None, out: str | None) -> int:
-    run_all = "all" in suites
     for name in suites:
-        if not run_all and name not in verify.SUITE_NAMES:
+        if name != "all" and name not in verify.SUITE_NAMES:
             print(f"unknown suite: {name}", file=sys.stderr)
             return 2
     fixture = None
@@ -72,7 +71,11 @@ def cmd_verify(suites: list[str], bounds: Bounds, fixture_path: str | None, out:
         except (ValueError, RecursionError) as exc:
             print(f"malformed fixture: {exc!r}", file=sys.stderr)
             return 2
-    if run_all:
+        if fixture is None:
+            # the suites would read no fixture and build their own
+            print("malformed fixture: the file holds JSON null", file=sys.stderr)
+            return 2
+    if "all" in suites:
         suites = list(verify.SUITE_NAMES) if fixture_path is None else _suites_reading(fixture)
     reports = []
     failed = False

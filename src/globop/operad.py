@@ -34,6 +34,7 @@ from .pasting import (
     cell_ends,
     cells,
     emb_map,
+    inner_size,
     labelled,
     size,
     slicers,
@@ -330,25 +331,30 @@ def _free_at(coll: Collection, lower: OperadStructure | None, d: int, bounds: Bo
     Each generator ``g`` is tried with the labellings of its arity whose top
     labels come from the earlier strata (at least one from the last), in
     ``enumerate_labellings`` order.  A candidate label tuple is checked in
-    this order, and only a survivor is made a ``NodeTerm``:
+    this order, and only a survivor is made a ``NodeTerm`` and substituted:
 
     1. unit collapse: the unit labels give ``g`` itself, which is skipped;
     2. term size, ``1 + Σ tsize`` over the top labels, within the bound,
        else rejected as "term";
-    3. arity, the substitution of the labels' arities into ``g``'s arity,
-       within the bound, else rejected as "arity";
-    4. the node is skipped if an earlier stratum holds it;
-    5. for ``d >= 1``, the boundary: ``g``'s src and tgt grafted in the lower
+    3. arity, ``Σ inner_size`` of the labels' arities, within the bound,
+       else rejected as "arity".  The labelling is globular (the collection
+       was checked, and ``enumerate_labellings`` forces src and tgt), so the
+       sum is the size of the substitution of the labels' arities into
+       ``g``'s arity (see ``inner_size``), which is built only for a
+       survivor, as its arity;
+    4. for ``d >= 1``, the boundary: ``g``'s src and tgt grafted in the lower
        operad with the labels on the src and tgt boundary of ``g``'s arity
-       must be cells of the lower layer, else rejected as "boundary".
+       must be cells of the lower layer, else rejected as "boundary";
+    5. the node is built, and skipped if an earlier stratum holds it.
 
     These are the checks made by building every candidate as a node and
     reading its ``term_size``, ``cell_arity`` and boundary, as the reference
     loop in ``tests/test_free_step.py`` does, on the same candidates in the
     same order, so the cells, tables, counts and samples do not move: a node
-    in ``strata`` passed checks 2 and 3, so skipping it after them rejects
-    nothing new, and a rejected node is built only to be one of the first
-    three samples of its reason.  The shape check ``term_mult`` makes on
+    in ``strata`` passed checks 2 to 4 when it was added, and they read only
+    its labels, so skipping it after them rejects nothing new; and a
+    rejected candidate is made a node only to be one of the first three
+    samples of its reason.  The shape check ``term_mult`` makes on
     every call is made once per generator, before the loop: the arity of
     each of ``g``'s src and tgt must be the boundary of ``g``'s arity.
     """
@@ -361,8 +367,10 @@ def _free_at(coll: Collection, lower: OperadStructure | None, d: int, bounds: Bo
     max_term, max_arity = bounds.max_term_size, bounds.max_arity_size
 
     # the tables of the new layer (the plan adds the generators); the arity,
-    # src and tgt of a lower cell are read from ``coll``
+    # src and tgt of a lower cell are read from ``coll``, and its inner size
+    # from its arity
     narity: dict = {unit: unit_tree(d)}
+    ninner: dict = {unit: inner_size(unit_tree(d))}
     tsize: dict = {unit: 0}
     nsrc: dict = dict(coll.carrier.src[d])
     ntgt: dict = dict(coll.carrier.tgt[d])
@@ -370,16 +378,19 @@ def _free_at(coll: Collection, lower: OperadStructure | None, d: int, bounds: Bo
         nsrc[unit] = ntgt[unit] = ctx.units[d - 1]
     lower_cells = set(coll.cells_at(d - 1)) if d >= 1 else set()
     arity_tables = (*coll.arity[:d], narity)
+    inner_tables = (*({c: inner_size(a) for c, a in layer.items()} for layer in coll.arity[:d]), ninner)
     src_tables = (*coll.carrier.src[:d], nsrc)
     tgt_tables = (*coll.carrier.tgt[:d], ntgt)
 
     # per generator: its arity, top cells, unit labels, the position of the
-    # first top label (the top cells come last in all_cells), the table each
-    # label's arity is read from and, for d >= 1, the plans of its src and
-    # tgt, each with the slicer of its side of the boundary of its arity
+    # first top label (the top cells come last in all_cells), the tables each
+    # label's arity and inner size are read from and, for d >= 1, the plans
+    # of its src and tgt, each with the slicer of its side of the boundary of
+    # its arity
     plan = []
     for g in gens:
         shape = narity[g] = coll.arity_of(d, g)
+        ninner[g] = inner_size(shape)
         tsize[g] = 1
         addrs, tops = all_cells(shape), cells(shape, d)
         sides = None
@@ -390,7 +401,8 @@ def _free_at(coll: Collection, lower: OperadStructure | None, d: int, bounds: Bo
                 raise ValueError("labelling shape differs from the arity of the operation")
             sides = [(_mult_plan(ctx, d - 1, h), boundary_slicer(shape, i)) for i, h in enumerate(heads)]
         tables = [arity_tables[x.dim] for x in addrs]
-        plan.append((g, shape, tops, _unit_labels(ctx, shape), len(addrs) - len(tops), tables, sides))
+        inners = [inner_tables[x.dim] for x in addrs]
+        plan.append((g, shape, tops, _unit_labels(ctx, shape), len(addrs) - len(tops), tables, inners, sides))
 
     def fits(terms):
         # a node is at least one bigger than any of its top labels
@@ -425,7 +437,7 @@ def _free_at(coll: Collection, lower: OperadStructure | None, d: int, bounds: Bo
         n += 1
         additions = []
         top_old, top_frontier, top_current = fits(old), fits(frontier), fits(current)
-        for g, shape, tops, units, first_top, tables, sides in plan:
+        for g, shape, tops, units, first_top, tables, inners, sides in plan:
             labellings: list[LabelledDiagram] = []
             if not tops:
                 if n == 1:
@@ -445,12 +457,8 @@ def _free_at(coll: Collection, lower: OperadStructure | None, d: int, bounds: Bo
                 if ts > max_term:
                     reject("term", g, labels)
                     continue
-                ar = subst_arities(shape, tuple([table[lab] for table, lab in zip(tables, labels)]))
-                if size(ar) > max_arity:
+                if sum([inner[lab] for inner, lab in zip(inners, labels)]) > max_arity:
                     reject("arity", g, labels)
-                    continue
-                cell = NodeTerm(d, g, labels)
-                if cell in strata:
                     continue
                 if d >= 1:
                     (src_plan, take_s), (tgt_plan, take_t) = sides
@@ -459,8 +467,13 @@ def _free_at(coll: Collection, lower: OperadStructure | None, d: int, bounds: Bo
                     if s not in lower_cells or t not in lower_cells:
                         reject("boundary", g, labels)
                         continue
+                cell = NodeTerm(d, g, labels)
+                if cell in strata:
+                    continue
+                if d >= 1:
                     nsrc[cell], ntgt[cell] = s, t
-                narity[cell] = ar
+                ar = narity[cell] = subst_arities(shape, tuple([table[lab] for table, lab in zip(tables, labels)]))
+                ninner[cell] = inner_size(ar)
                 tsize[cell] = ts
                 strata[cell] = n
                 additions.append(cell)

@@ -121,6 +121,24 @@ def size(pi: PastingDiagram) -> int:
     return len(pi.children) + 1 + sum(size(c) for c in pi.children)
 
 
+def inner_size(pi: PastingDiagram) -> int:
+    """``|pi| - 2|∂pi| + 2|∂²pi| - …``, signs alternating down to dimension 0.
+
+    For a globular labelling ``A`` of ``shape`` (a cell's src and tgt carry
+    the boundary of its label), ``size(subst_arities(shape, A)) ==
+    Σ inner_size(A_x)`` over the cells x of ``shape``: a label's cells off
+    its boundary are new in the composite, the rest are glued onto lower
+    labels, and a degenerate label glues its src onto its tgt.  Off that
+    precondition the sum means nothing.
+    """
+    n, sign = size(pi), -2
+    while pi.dim:
+        pi = boundary(pi)
+        n += sign * size(pi)
+        sign = -sign
+    return n
+
+
 @lru_cache(maxsize=None)
 def cells(pi: PastingDiagram, j: int) -> tuple[CellAddr, ...]:
     """All j-cell addresses of ``pi`` in lexicographic path order."""

@@ -103,6 +103,16 @@ def test_verify_unknown_suite(capsys):
     assert "unknown suite" in err
 
 
+def test_verify_all_does_not_hide_an_unknown_suite(capsys):
+    """``all`` beside an unknown name used to run every suite and pass."""
+    fixture = str(FIXTURES / "valid_subst_vectors.json")
+    for suites in (["all", "bogus"], ["bogus", "all"]):
+        argv = [arg for name in suites for arg in ("--suite", name)]
+        code, out, err = run(capsys, "verify", *argv, "--input", fixture)
+        assert code == 2
+        assert err == "unknown suite: bogus\n" and out == ""
+
+
 def test_verify_malformed_state_fixture(tmp_path, capsys):
     fixture = tmp_path / "partial.json"
     fixture.write_text(json.dumps({"stage": [1, 1]}))
@@ -287,6 +297,17 @@ def test_verify_rejects_a_cell_listed_twice_in_a_layer(tmp_path, capsys):
     # the same atom in two layers is legal
     globset.write_text(json.dumps({"dims": 1, "cells": [["x", "y"], ["x"]], "src": [[0]], "tgt": [[1]]}))
     assert run(capsys, "verify", "--suite", "globularity", "--input", str(globset))[0] == 0
+
+
+@pytest.mark.parametrize("suite", ["contraction-laws", "all"])
+def test_verify_rejects_a_fixture_that_is_json_null(tmp_path, capsys, suite):
+    """A parsed ``null`` is no fixture: the suites used to build their own
+    structures instead and pass."""
+    fixture = tmp_path / "null.json"
+    fixture.write_text("null\n")
+    code, out, err = run(capsys, "verify", "--suite", suite, "--input", str(fixture))
+    assert code == 2
+    assert err.startswith("malformed fixture") and err.count("\n") == 1 and out == ""
 
 
 def test_verify_rejects_a_fixture_nested_deeper_than_the_parser_goes(tmp_path, capsys):

@@ -12,7 +12,7 @@ src/tgt/arity tables, the stabilization depth and the overflow records
 
 import pytest
 
-from globop import interleave
+from globop import interleave, operad
 from globop.collection import (
     Bounds,
     Collection,
@@ -23,7 +23,7 @@ from globop.collection import (
     one_cell_collection,
     unit_collection,
 )
-from globop.interleave import free_owc
+from globop.interleave import free_owc, initial_owc
 from globop.operad import (
     FreeOperadResult,
     NodeTerm,
@@ -249,3 +249,27 @@ def test_free_step_matches_the_reference(monkeypatch, case):
     if case in ("empty-252", "empty-391"):
         # rejections past the three samples kept are compared too
         assert any(o.count > 3 for step in overflows for o in step)
+
+
+def test_free_step_builds_no_composite_it_rejects(monkeypatch):
+    """A candidate is rejected by arity from the inner sizes of its labels'
+    arities, so every substitution made in the build is of a size within the
+    bound, while the rejections it counts stay pinned."""
+    bounds = Bounds(3, 9, 1)
+    built = []
+
+    def subst_arities(shape, arities):
+        out = real(shape, arities)
+        built.append(size(out))
+        return out
+
+    real = operad.subst_arities
+    monkeypatch.setattr(operad, "subst_arities", subst_arities)
+    state = initial_owc(bounds)
+    assert built and max(built) <= bounds.max_arity_size
+    assert [(o.step, o.reason, o.count) for o in state.overflows] == [
+        ("operad-2", "arity", 1339),
+        ("operad-2", "boundary", 346),
+        ("operad-3", "arity", 16346),
+        ("operad-3", "boundary", 7028),
+    ]

@@ -1,8 +1,9 @@
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from globop.collection import labelling_order
 from globop.pasting import (
     DOT,
     CellAddr,
@@ -19,6 +20,7 @@ from globop.pasting import (
     emb_map,
     enumerate_trees,
     flatten,
+    inner_size,
     labelled,
     size,
     substitute,
@@ -340,3 +342,83 @@ def test_subst_arity_unit_identity_threedim(t):
     labels = tuple(unit_tree(a.dim) for a in all_cells(t))
     assert subst_arities(t, tuple(labels[i] if a.dim < t.dim else unit_tree(t.dim)
                                   for i, a in enumerate(all_cells(t)))) == t
+
+
+# --- inner size ------------------------------------------------------------------
+
+
+def test_inner_size_examples():
+    assert [inner_size(unit_tree(k)) for k in range(5)] == [1] * 5
+    # the arrows and the inner points; a degenerate chain glues its ends
+    assert [inner_size(chain(m)) for m in range(4)] == [-1, 1, 3, 5]
+    assert inner_size(PD201) == size(PD201) - 2 * size(boundary(PD201)) + 2
+    assert inner_size(PastingDiagram(2, (chain(0),))) == -1
+
+
+def _flipped_inner_size(depth):
+    """``inner_size`` with the sign of its ``depth``-th boundary term flipped."""
+
+    def flipped(pi):
+        n, sign, k = size(pi), -2, 0
+        while pi.dim:
+            pi, k = boundary(pi), k + 1
+            n += (-sign if k == depth else sign) * size(pi)
+            sign = -sign
+        return n
+
+    return flipped
+
+
+def _identity_fails(shape, labels, inner=inner_size):
+    return size(subst_arities(shape, labels)) != sum(inner(a) for a in labels)
+
+
+def test_inner_size_sums_to_the_size_of_the_substitution():
+    """The identity the free operad step rejects by, on every labelling of a
+    shape of dimension at most 3, degenerate labels included."""
+    count = degenerate = 0
+    for shape in trees_up_to(3, 9):
+        for ld in tree_labellings(shape, 9):
+            count += 1
+            degenerate += any(a.dim and not a.children for a in ld.labels)
+            assert not _identity_fails(shape, ld.labels), ld
+    assert (count, degenerate) == (8316, 2780)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_a_flipped_sign_breaks_the_identity(depth):
+    flipped = _flipped_inner_size(depth)
+    assert any(
+        _identity_fails(shape, ld.labels, flipped)
+        for shape in trees_up_to(3, 9)
+        for ld in tree_labellings(shape, 9)
+    )
+
+
+@st.composite
+def globular_labelling(draw, max_dim=4, budget=11, max_label=9):
+    """A shape and a labelling of it by diagrams of at most ``max_label``
+    cells whose cells' src and tgt carry the boundary of their label, drawn
+    top dimension first as ``enumerate_labellings`` assigns them."""
+    shape = draw(tree_strategy(dim=draw(st.integers(0, max_dim)), budget=budget))
+    addrs = all_cells(shape)
+    ends = {p: (s, t) for p, s, t in cell_ends(shape)}
+    labels = [None] * len(addrs)
+    for p in labelling_order(shape):
+        if labels[p] is None:
+            forced = {labels[q] for q in ends.get(p, ())} - {None}
+            assume(len(forced) <= 1)
+            options = trees_with_boundary(forced.pop(), max_label) if forced else enumerate_trees(addrs[p].dim, max_label)
+            labels[p] = draw(st.sampled_from(options))
+        for q in ends.get(p, ()):
+            b = boundary(labels[p])
+            assume(labels[q] in (None, b))
+            labels[q] = b
+    return shape, tuple(labels)
+
+
+@settings(max_examples=200, deadline=None)
+@given(globular_labelling())
+def test_inner_size_identity_on_random_labellings(drawn):
+    shape, labels = drawn
+    assert not _identity_fails(shape, labels)
