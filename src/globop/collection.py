@@ -9,6 +9,7 @@ every multiplication and operad law.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cache
 
@@ -195,12 +196,25 @@ def labelling_order(shape: PastingDiagram) -> list[int]:
     return sorted(range(len(addrs)), key=lambda p: (-addrs[p].dim, addrs[p].path))
 
 
+@dataclass
+class Budget:
+    """A weight limit for ``enumerate_labellings``.  ``weights[j]`` maps
+    every label that can sit on a cell of dimension j to its weight, which
+    may be negative; a labelling weighs the sum over its cells.  ``cut``
+    gathers the number of labellings over ``limit`` left out."""
+
+    weights: Sequence[Mapping]
+    limit: int
+    cut: int = 0
+
+
 def enumerate_labellings(
     shape: PastingDiagram,
     candidates_by_dim,
     src_of,
     tgt_of,
     overrides: dict[CellAddr, list] | None = None,
+    budget: Budget | None = None,
 ) -> list[LabelledDiagram]:
     """All labellings of ``shape`` with labels drawn per dimension from
     ``candidates_by_dim`` such that the label of every cell's source/target is
@@ -209,6 +223,16 @@ def enumerate_labellings(
     Cells are assigned top dimension first, so boundary labels are forced by
     the time their turn comes.  ``overrides`` narrows the candidate list of
     individual cells.  Deterministic output order.
+
+    With a ``budget``, only the labellings of weight within its limit are
+    returned, in the same order, and the number of the others is added to
+    ``budget.cut``.  A branch is cut once a lower bound on the weight of its
+    completions passes the limit: the weights of the placed labels and of
+    the forced ones, plus, for each other cell, the least weight of its
+    dimension.  The completions of a cut branch are counted exactly by the
+    same recursion in count-only mode, memoized on the step and the forced
+    labels of the cells not yet placed, which are all a completion depends
+    on.
     """
     addrs = all_cells(shape)
     order = labelling_order(shape)
@@ -222,47 +246,91 @@ def enumerate_labellings(
     assign = [None] * len(addrs)
     last = len(order)
     out: list[LabelledDiagram] = []
+    # with a budget, the bound is kept as the excess over the least weights:
+    # ``excess[j]`` holds each label's weight less the least of dimension j,
+    # and ``spare`` the limit less the sum of the least weights of the cells
+    excess, spare = None, 0
+    if budget is not None:
+        least = {j: min(budget.weights[j].values(), default=0) for j in set(dims)}
+        excess = {j: {lab: w - m for lab, w in budget.weights[j].items()} for j, m in least.items()}
+        spare = budget.limit - sum([least[j] for j in dims])
+    memo: dict = {}
+    cut = 0
 
-    def place(i: int) -> None:
+    def place(i: int, bound: int | None) -> None:
+        # assigns the cells from step i on; ``bound`` is a lower bound on the
+        # excess of every completion, or None to only count them in ``cut``
+        nonlocal cut
         if i == last:
-            out.append(LabelledDiagram(shape, tuple(assign)))
+            if bound is None:
+                cut += 1
+            else:
+                out.append(LabelledDiagram(shape, tuple(assign)))
             return
+        if bound is None:
+            key = (i, *[forced[q] for q in order[i:]])
+            if key in memo:
+                cut += memo[key]
+                return
+            before = cut
         p = order[i]
         dim = dims[p]
-        if forced[p] is not free:
-            options = (forced[p],)
+        fp = forced[p]
+        if fp is not free:
+            options = (fp,)
         elif narrowed[p] is not None:
             options = narrowed[p]
         else:
             options = candidates_by_dim(dim)
+        weigh = excess is not None and bound is not None
+        if weigh:
+            # a forced label's excess is in the bound already
+            here = excess[dim] if fp is free else None
+            below = excess.get(dim - 1)
         if ends[p] is None:
             for lab in options:
                 assign[p] = lab
-                place(i + 1)
-            return
-        s, t = ends[p]
-        for lab in options:
-            # both neighbours agree before either is pushed
-            fs = forced[s]
-            vs = src_of(dim, lab)
-            if fs is not free and fs != vs:
-                continue
-            ft = forced[t]
-            vt = tgt_of(dim, lab)
-            if ft is not free and ft != vt:
-                continue
-            if fs is free:
-                forced[s] = vs
-            if ft is free:
-                forced[t] = vt
-            assign[p] = lab
-            place(i + 1)
-            if fs is free:
-                forced[s] = free
-            if ft is free:
-                forced[t] = free
+                if weigh:
+                    nb = bound if here is None else bound + here[lab]
+                    place(i + 1, nb if nb <= spare else None)
+                else:
+                    place(i + 1, bound)
+        else:
+            s, t = ends[p]
+            for lab in options:
+                # both neighbours agree before either is pushed
+                fs = forced[s]
+                vs = src_of(dim, lab)
+                if fs is not free and fs != vs:
+                    continue
+                ft = forced[t]
+                vt = tgt_of(dim, lab)
+                if ft is not free and ft != vt:
+                    continue
+                if fs is free:
+                    forced[s] = vs
+                if ft is free:
+                    forced[t] = vt
+                assign[p] = lab
+                if weigh:
+                    nb = bound if here is None else bound + here[lab]
+                    if fs is free:
+                        nb += below[vs]
+                    if ft is free:
+                        nb += below[vt]
+                    place(i + 1, nb if nb <= spare else None)
+                else:
+                    place(i + 1, bound)
+                if fs is free:
+                    forced[s] = free
+                if ft is free:
+                    forced[t] = free
+        if bound is None:
+            memo[key] = cut - before
 
-    place(0)
+    place(0, 0 if spare >= 0 else None)
+    if budget is not None:
+        budget.cut += cut
     return out
 
 

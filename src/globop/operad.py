@@ -23,7 +23,7 @@ from operator import itemgetter
 from typing import Callable
 from weakref import KeyedRef
 
-from .collection import Bounds, Collection, Overflow, configurations
+from .collection import Bounds, Budget, Collection, Overflow, configurations
 from .collection import add_cells, enumerate_labellings, labelling_fits, labelling_order
 from .pasting import (
     LabelledDiagram,
@@ -357,6 +357,17 @@ def _free_at(coll: Collection, lower: OperadStructure | None, d: int, bounds: Bo
     samples of its reason.  The shape check ``term_mult`` makes on
     every call is made once per generator, before the loop: the arity of
     each of ``g``'s src and tgt must be the boundary of ``g``'s arity.
+
+    A generator whose arity has no top cell is enumerated once, and each of
+    its candidates has term size 1, so every one of them that fails check 2
+    or 3 is rejected for one reason: "term" if ``max_term_size`` is 0, else
+    "arity".  Once that reason holds its three samples, the enumeration
+    gets a ``Budget`` of ``max_arity_size`` over the inner sizes, so it
+    returns only the labellings that pass check 3, and the number it cuts
+    is added to the reason's count; the samples are the same first three.
+    The unit labelling is skipped, not rejected.  Its weight is the size of
+    ``g``'s arity: when that is over the bound, the unit labelling was cut,
+    and is taken off the count.
     """
     if d > coll.max_dim:
         raise ValueError("collection has no layer at the requested dimension")
@@ -441,7 +452,13 @@ def _free_at(coll: Collection, lower: OperadStructure | None, d: int, bounds: Bo
             labellings: list[LabelledDiagram] = []
             if not tops:
                 if n == 1:
-                    labellings = enumerate_labellings(shape, candidates, src_of, tgt_of)
+                    # each candidate has term size 1, so check 2 or 3 rejects it for one reason
+                    reason = "term" if max_term < 1 else "arity"
+                    budget = Budget(inner_tables, max_arity) if len(samples[reason]) == 3 else None
+                    labellings = enumerate_labellings(shape, candidates, src_of, tgt_of, budget=budget)
+                    if budget is not None:
+                        unit_cut = sum([inner[lab] for inner, lab in zip(inners, units)]) > max_arity
+                        rejected[reason] += budget.cut - unit_cut
             else:
                 for pos in range(len(tops)):
                     overrides = {tops[i]: top_old for i in range(pos)}

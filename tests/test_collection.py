@@ -1,9 +1,12 @@
 import itertools
+from functools import cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from globop.collection import (
     Bounds,
+    Budget,
     PairCell,
     add_cells,
     check_collection,
@@ -28,6 +31,7 @@ from globop.pasting import (
     cell_ends,
     cells,
     chain,
+    degenerate,
     enumerate_trees,
     size,
     subst_arities,
@@ -261,3 +265,56 @@ def test_enumerate_labellings_matches_product_and_filter(make, max_size):
                 assert out == reference_labellings(shape, *args, overrides)
                 found += len(out)
     assert found > 100
+
+
+# --- the weight budget against filtering the unbudgeted labellings -----------
+
+
+@cache
+def _budget_collections() -> tuple:
+    # the third has two 0-cells, so that a chain's arrows force different
+    # points, and so leave different numbers of completions
+    ends = [{}, {"f": "a", "g": "b", "e": "a"}, {"s": "f", "t": "e"}]
+    two_points = make_collection(
+        [["a", "b"], ["f", "g", "e"], ["s", "t"]],
+        ends,
+        [{}, {"f": "b", "g": "a", "e": "a"}, {"s": "f", "t": "e"}],
+        [
+            {"a": DOT, "b": DOT},
+            {"f": chain(1), "g": chain(1), "e": chain(2)},
+            {"s": unit_tree(2), "t": degenerate(chain(2), 1)},
+        ],
+    )
+    return (
+        terminal_collection(Bounds(2, 5, 1)),
+        free_owc(empty_collection(), Bounds(2, 5, 1)).collection,
+        two_points,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_budget_cuts_exactly_the_labellings_over_the_limit(data):
+    """With a budget, ``enumerate_labellings`` returns the labellings of
+    weight within the limit in the unbudgeted order, and counts the others.
+    Weights can be negative, as the inner sizes of degenerate arities are,
+    so the lower bound of a branch can fall as its labels are placed.  Every
+    limit from below the lightest labelling to the heaviest is tried, and
+    one far below, which cuts at the first step."""
+    coll = data.draw(st.sampled_from(_budget_collections()))
+    shape = data.draw(st.sampled_from(enumerate_trees(data.draw(st.integers(0, 2)), 5)))
+    overrides = data.draw(st.sampled_from((None, _narrowed(shape, coll))))
+    weights = []
+    for j in range(coll.max_dim + 1):
+        layer = coll.cells_at(j)
+        drawn = data.draw(st.lists(st.integers(-3, 4), min_size=len(layer), max_size=len(layer)))
+        weights.append(dict(zip(layer, drawn)))
+    args = (shape, coll.cells_at, coll.src_of, coll.tgt_of, overrides)
+    addrs = all_cells(shape)
+    everything = enumerate_labellings(*args)
+    weighed = [(phi, sum(weights[a.dim][lab] for a, lab in zip(addrs, phi.labels))) for phi in everything]
+    sums = [w for _, w in weighed] or [0]
+    for limit in (-100, *range(min(sums) - 1, max(sums) + 1)):
+        budget = Budget(weights, limit)
+        assert enumerate_labellings(*args, budget=budget) == [phi for phi, w in weighed if w <= limit]
+        assert budget.cut == sum(w > limit for _, w in weighed)

@@ -35,7 +35,7 @@ from globop.operad import (
     free_operad_step,
     term_size,
 )
-from globop.pasting import LabelledDiagram, cells, size, unit_tree
+from globop.pasting import DOT, LabelledDiagram, cells, chain, degenerate, size, unit_tree
 from globop.util import canonical_key
 
 from test_operad import make_node, self_loop_operad, term_src, term_tgt
@@ -223,6 +223,22 @@ def _checked_ladder(monkeypatch, coll: Collection, bounds: Bounds) -> list:
     return seen
 
 
+def degenerate_over_bound() -> Collection:
+    """Two top-less 2-cells: ``y``, over ``g`` of arity ``chain(2)``, then
+    ``z``, over ``h`` of arity ``chain(3)``.  At ``Bounds(2, 5, 1)`` the
+    labellings of ``y`` fill the arity samples, so those of ``z`` are cut
+    by a budget; ``z``'s arity, of size 7, is over the bound, so its unit
+    labelling lies in a cut branch, and must not be counted."""
+    cells = [["x"], ["f", "g", "h"], ["y", "z"]]
+    ends = [{}, {"f": "x", "g": "x", "h": "x"}, {"y": "g", "z": "h"}]
+    arity = [
+        {"x": DOT},
+        {"f": chain(1), "g": chain(2), "h": chain(3)},
+        {"y": degenerate(chain(2), 1), "z": degenerate(chain(3), 1)},
+    ]
+    return make_collection(cells, ends, ends, arity)
+
+
 CASES = {
     "empty-152": (empty_collection, Bounds(1, 5, 2)),
     "empty-252": (empty_collection, Bounds(2, 5, 2)),
@@ -230,6 +246,9 @@ CASES = {
     "empty-391": (empty_collection, Bounds(3, 9, 1)),
     "one-cell-251": (lambda: one_cell_collection(2), Bounds(2, 5, 1)),
     "unit-251": (lambda: unit_collection(2), Bounds(2, 5, 1)),
+    # no term fits, so what the budget cuts is rejected as "term"
+    "one-cell-250": (lambda: one_cell_collection(2), Bounds(2, 5, 0)),
+    "degenerate-over-bound-251": (degenerate_over_bound, Bounds(2, 5, 1)),
     # the lower multiplication is not grafting, so the boundary is
     # evaluated through a labelling
     "self-loop-174": (None, Bounds(1, 7, 4)),
@@ -246,7 +265,7 @@ def test_free_step_matches_the_reference(monkeypatch, case):
         overflows = [new.overflows]
     else:
         overflows = _checked_ladder(monkeypatch, make(), bounds)
-    if case in ("empty-252", "empty-391"):
+    if case in ("empty-252", "empty-391", "one-cell-250", "degenerate-over-bound-251"):
         # rejections past the three samples kept are compared too
         assert any(o.count > 3 for step in overflows for o in step)
 
@@ -254,19 +273,31 @@ def test_free_step_matches_the_reference(monkeypatch, case):
 def test_free_step_builds_no_composite_it_rejects(monkeypatch):
     """A candidate is rejected by arity from the inner sizes of its labels'
     arities, so every substitution made in the build is of a size within the
-    bound, while the rejections it counts stay pinned."""
+    bound, while the rejections it counts stay pinned.  Most of them are
+    cut inside the enumeration of the generators without top cells and
+    only counted, so it returns at most 8,000 labellings (25,205 without
+    the cut)."""
     bounds = Bounds(3, 9, 1)
     built = []
+    enumerated = []
 
     def subst_arities(shape, arities):
         out = real(shape, arities)
         built.append(size(out))
         return out
 
+    def enumerate_labellings(*args, **kwargs):
+        out = real_labellings(*args, **kwargs)
+        enumerated.append(len(out))
+        return out
+
     real = operad.subst_arities
+    real_labellings = operad.enumerate_labellings
     monkeypatch.setattr(operad, "subst_arities", subst_arities)
+    monkeypatch.setattr(operad, "enumerate_labellings", enumerate_labellings)
     state = initial_owc(bounds)
     assert built and max(built) <= bounds.max_arity_size
+    assert sum(enumerated) <= 8000
     assert [(o.step, o.reason, o.count) for o in state.overflows] == [
         ("operad-2", "arity", 1339),
         ("operad-2", "boundary", 346),
