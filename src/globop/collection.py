@@ -215,10 +215,11 @@ def enumerate_labellings(
     tgt_of,
     overrides: dict[CellAddr, list] | None = None,
     budget: Budget | None = None,
-) -> list[LabelledDiagram]:
+) -> list[tuple]:
     """All labellings of ``shape`` with labels drawn per dimension from
     ``candidates_by_dim`` such that the label of every cell's source/target is
-    the source/target of that cell's label.
+    the source/target of that cell's label, each as its label tuple, aligned
+    with ``all_cells(shape)``.
 
     Cells are assigned top dimension first, so boundary labels are forced by
     the time their turn comes.  ``overrides`` narrows the candidate list of
@@ -245,7 +246,7 @@ def enumerate_labellings(
     forced = [free] * len(addrs)
     assign = [None] * len(addrs)
     last = len(order)
-    out: list[LabelledDiagram] = []
+    out: list[tuple] = []
     # with a budget, the bound is kept as the excess over the least weights:
     # ``excess[j]`` holds each label's weight less the least of dimension j,
     # and ``spare`` the limit less the sum of the least weights of the cells
@@ -265,7 +266,7 @@ def enumerate_labellings(
             if bound is None:
                 cut += 1
             else:
-                out.append(LabelledDiagram(shape, tuple(assign)))
+                out.append(tuple(assign))
             return
         if bound is None:
             key = (i, *[forced[q] for q in order[i:]])
@@ -335,13 +336,14 @@ def enumerate_labellings(
 
 
 def collection_labellings(shape: PastingDiagram, b: Collection, overrides=None) -> list[LabelledDiagram]:
-    return enumerate_labellings(
+    found = enumerate_labellings(
         shape,
         lambda j: b.cells_at(j),
         lambda j, c: b.src_of(j, c),
         lambda j, c: b.tgt_of(j, c),
         overrides,
     )
+    return [LabelledDiagram(shape, labels) for labels in found]
 
 
 def labelling_fits(b: Collection, max_arity_size: int):
@@ -405,12 +407,14 @@ def tensor(a: Collection, b: Collection, bounds: Bounds) -> TensorResult:
     """
     top = min(a.max_dim, bounds.max_dim)
     cells, src, tgt, arity = [], [], [], []
-    skipped: list[tuple[int, PairCell]] = []
+    # the number of pairs over the bound, and the first three of them
+    skipped, samples = 0, []
     for k in range(top + 1):
         layer, layer_src, layer_tgt, layer_arity = [], {}, {}, {}
         operations = ((left, a.arity_of(k, left)) for left in a.cells_at(k))
         for left, fits, over in configurations(operations, b, bounds.max_arity_size):
-            skipped.extend((k, PairCell(left, phi)) for phi, _ in over)
+            skipped += len(over)
+            samples.extend((k, PairCell(left, phi)) for phi, _ in over[: 3 - len(samples)])
             for phi, composed in fits:
                 pair = PairCell(left, phi)
                 layer.append(pair)
@@ -424,6 +428,6 @@ def tensor(a: Collection, b: Collection, bounds: Bounds) -> TensorResult:
         arity.append(layer_arity)
     overflows = ()
     if skipped:
-        sample = tuple(repr(s) for s in skipped[:3])
-        overflows = (Overflow(step="tensor", dim=-1, reason="arity", count=len(skipped), sample=sample),)
+        sample = tuple(repr(s) for s in samples)
+        overflows = (Overflow(step="tensor", dim=-1, reason="arity", count=skipped, sample=sample),)
     return TensorResult(Collection(glob_set(cells, src, tgt), tuple(arity)), overflows)

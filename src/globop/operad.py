@@ -118,7 +118,7 @@ class OperadStructure:
     units: dict[int, object]
     mults: tuple[Callable[[OperadStructure, int, object, LabelledDiagram], object], ...]
     products: dict = field(default_factory=dict)
-    # per shape, the labels of ``unit_labelling`` for the unit collapse of
+    # per shape, the unit labels of its cells, for the unit collapse of
     # nodes; ``units`` is not changed once nodes are built
     _unit_labels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -174,15 +174,11 @@ def term_size(op: OperadStructure, j: int, c) -> int:
 
 
 def _unit_labels(op: OperadStructure, shape: PastingDiagram) -> tuple:
-    """The labels of ``unit_labelling`` over ``shape``, memoized on ``op``."""
+    """The unit of each cell's dimension, per cell of ``shape``, memoized on ``op``."""
     units = op._unit_labels.get(shape)
     if units is None:
         units = op._unit_labels[shape] = tuple(op.units[x.dim] for x in all_cells(shape))
     return units
-
-
-def unit_labelling(op: OperadStructure, d: int, shape: PastingDiagram) -> LabelledDiagram:
-    return labelled(shape, {a: op.units[a.dim] for a in all_cells(shape)})
 
 
 def term_mult(op: OperadStructure, d: int, a, phi: LabelledDiagram):
@@ -449,7 +445,7 @@ def _free_at(coll: Collection, lower: OperadStructure | None, d: int, bounds: Bo
         additions = []
         top_old, top_frontier, top_current = fits(old), fits(frontier), fits(current)
         for g, shape, tops, units, first_top, tables, inners, sides in plan:
-            labellings: list[LabelledDiagram] = []
+            labellings: list[tuple] = []
             if not tops:
                 if n == 1:
                     # each candidate has term size 1, so check 2 or 3 rejects it for one reason
@@ -466,8 +462,7 @@ def _free_at(coll: Collection, lower: OperadStructure | None, d: int, bounds: Bo
                     labellings.extend(
                         enumerate_labellings(shape, candidates, src_of, tgt_of, overrides)
                     )
-            for phi in labellings:
-                labels = phi.labels
+            for labels in labellings:
                 if labels == units:
                     continue
                 ts = 1 + sum([tsize[lab] for lab in labels[first_top:]])
@@ -741,7 +736,7 @@ def check_operad_laws(op: OperadStructure, bounds: Bounds, dims=None) -> Report:
         for a in layer:
             shape = op.over.arity_of(d, a)
             run_a = plan(d, a)
-            if product(d, a, unit_labelling(view, d, shape).labels, run_a) != a:
+            if product(d, a, _unit_labels(view, shape), run_a) != a:
                 rep.add("right unit law fails", witness=(d, a))
             for phi, mid_shape in split(shape)[0]:
                 r = table[(d, a, phi.labels)]

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .util import Keyed, canonical_json, new_cell
 
@@ -179,12 +179,8 @@ def cell_ends(pi: PastingDiagram) -> tuple[tuple[int, int, int], ...]:
     )
 
 
-def is_valid_addr(pi: PastingDiagram, c: CellAddr) -> bool:
-    return c in _addr_index(pi)
-
-
 def _check_addr(pi: PastingDiagram, c: CellAddr) -> None:
-    if not is_valid_addr(pi, c):
+    if c not in _addr_index(pi):
         raise ValueError(f"address {c} is not a cell of {pi!r}")
 
 
@@ -266,9 +262,6 @@ class LabelledDiagram(Keyed):
 
     def label_of(self, addr: CellAddr):
         return self.labels[_addr_index(self.shape)[addr]]
-
-    def as_dict(self) -> dict[CellAddr, object]:
-        return dict(zip(all_cells(self.shape), self.labels))
 
     def _sort_key_(self):
         return (self.shape, self.labels)
@@ -380,26 +373,18 @@ def _compose(e: PastingDiagram, labels: tuple, s: int):
     return composite, lands
 
 
-def check_label_dims(ld: LabelledDiagram) -> None:
-    for addr, lab in zip(all_cells(ld.shape), ld.labels):
+def _checked_compose(shape: PastingDiagram, arities: tuple):
+    addrs = all_cells(shape)
+    if len(arities) != len(addrs):
+        raise ValueError("labelling must cover every cell of the shape")
+    for addr, lab in zip(addrs, arities):
         if not isinstance(lab, PastingDiagram) or lab.dim != addr.dim:
             raise ValueError(f"cell {addr} must carry a {addr.dim}-diagram label")
-
-
-def check_label_boundaries(ld: LabelledDiagram) -> None:
-    labels = ld.labels
-    for p, s, t in cell_ends(ld.shape):
-        b = boundary(labels[p])
-        if labels[s] is not b or labels[t] is not b:
-            side = "src" if labels[s] is not b else "tgt"
-            addr = all_cells(ld.shape)[p]
-            raise ValueError(f"label of {side} of {addr} differs from label boundary")
-
-
-def _checked_compose(shape: PastingDiagram, arities: tuple):
-    ld = LabelledDiagram(shape, arities)
-    check_label_dims(ld)
-    check_label_boundaries(ld)
+    for p, s, t in cell_ends(shape):
+        b = boundary(arities[p])
+        if arities[s] is not b or arities[t] is not b:
+            side = "src" if arities[s] is not b else "tgt"
+            raise ValueError(f"label of {side} of {addrs[p]} differs from label boundary")
     return _compose(shape, arities, 0)
 
 
@@ -466,25 +451,15 @@ def _tree_key(t: PastingDiagram):
 @lru_cache(maxsize=None)
 def enumerate_trees(k: int, max_size: int) -> tuple[PastingDiagram, ...]:
     """All diagrams of dimension exactly k with at most ``max_size`` cells,
-    canonically ordered."""
+    canonically ordered.  A diagram is no smaller than its boundary, so each
+    dimension's diagrams are the lifts of the one below; a loop, not a
+    recursion, so that k is not bounded by the stack."""
     if max_size < 1:
         return ()
-    if k == 0:
-        return (DOT,)
-    found = []
-    for m in range(0, (max_size - 1) // 2 + 1):
-        for combo in _child_combos(k - 1, m, max_size - m - 1):
-            found.append(PastingDiagram(k, combo))
-    return tuple(sorted(found, key=_tree_key))
-
-
-def _child_combos(k: int, n: int, budget: int) -> Iterable[tuple[PastingDiagram, ...]]:
-    if n == 0:
-        yield ()
-        return
-    for first in enumerate_trees(k, budget - (n - 1)):
-        for rest in _child_combos(k, n - 1, budget - size(first)):
-            yield (first,) + rest
+    layer = (DOT,)
+    for _ in range(k):
+        layer = tuple(t for beta in layer for t in trees_with_boundary(beta, max_size))
+    return tuple(sorted(layer, key=_tree_key))
 
 
 @lru_cache(maxsize=None)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import time
+from functools import cache
 from pathlib import Path
 
 from .collection import (
@@ -64,6 +65,7 @@ from .pasting import (
     enumerate_trees,
     flatten,
     labelled,
+    subst_arities,
     substitute,
     tree_from_json,
     unit_tree,
@@ -100,17 +102,14 @@ SUITE_NAMES = (
     "initiality-probe",
 )
 
-_trace_cache: dict[Bounds, list] = {}
-
 
 def cached_initial(bounds: Bounds) -> OwcState:
     return cached_trace(bounds)[-1][1]
 
 
+@cache
 def cached_trace(bounds: Bounds) -> list:
-    if bounds not in _trace_cache:
-        _trace_cache[bounds] = free_owc_trace(empty_collection(), bounds)
-    return _trace_cache[bounds]
+    return free_owc_trace(empty_collection(), bounds)
 
 
 def input_collection_of(state: OwcState) -> Collection:
@@ -140,19 +139,15 @@ def input_collection_of(state: OwcState) -> Collection:
 # ---------------------------------------------------------------------------
 # substitution laws (the monoid-laws engine)
 
-_tree_labelling_cache: dict = {}
-
-
-def tree_labellings(shape: PastingDiagram, max_label_size: int):
-    key = (shape, max_label_size)
-    if key not in _tree_labelling_cache:
-        _tree_labelling_cache[key] = enumerate_labellings(
-            shape,
-            lambda j: enumerate_trees(j, max_label_size),
-            lambda j, t: boundary(t),
-            lambda j, t: boundary(t),
-        )
-    return _tree_labelling_cache[key]
+@cache
+def tree_labellings(shape: PastingDiagram, max_label_size: int) -> list[LabelledDiagram]:
+    found = enumerate_labellings(
+        shape,
+        lambda j: enumerate_trees(j, max_label_size),
+        lambda j, t: boundary(t),
+        lambda j, t: boundary(t),
+    )
+    return [LabelledDiagram(shape, labels) for labels in found]
 
 
 def check_substitution_laws(max_shape_size: int, max_label_size: int, max_dim: int = 2) -> Report:
@@ -201,14 +196,8 @@ def check_substitution_laws(max_shape_size: int, max_label_size: int, max_dim: i
                 )
                 for nested in second:
                     counts["nested_labellings"] += 1
-                    inner = nested.as_dict()
-                    one = substitute(
-                        labelled(
-                            shape,
-                            {c: substitute(inner[c]) for c in all_cells(shape)},
-                        )
-                    )
-                    two = substitute(flatten(shape, inner))
+                    one = subst_arities(shape, tuple(map(substitute, nested)))
+                    two = substitute(flatten(shape, dict(zip(all_cells(shape), nested))))
                     if one != two:
                         rep.add(
                             "associativity of substitution fails",

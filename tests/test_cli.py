@@ -31,6 +31,13 @@ def test_trees_dim0(capsys):
     assert "count 1" in err
 
 
+def test_trees_in_a_high_dimension(capsys):
+    code, out, err = run(capsys, "trees", "--dim", "3000", "--max-size", "3")
+    assert code == 0
+    assert len(out.splitlines()) == 2
+    assert "count 2" in err
+
+
 def test_trees_dim2_count_matches_oracle(tmp_path, capsys):
     from globop.oracle import oracle_trees
 

@@ -50,7 +50,6 @@ from globop.operad import (
     mult_table,
     term_size,
     terminal_operad,
-    unit_labelling,
 )
 from globop.pasting import (
     LabelledDiagram,
@@ -66,7 +65,7 @@ from globop.report import Report
 from globop.serialize import state_from_json
 from globop.verify import cached_initial
 
-from test_operad import CELL_PRODUCT_CASES
+from test_operad import CELL_PRODUCT_CASES, unit_labelling
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -4,21 +4,22 @@
 and then reject it by ``term_size``, ``cell_arity`` and the boundary
 evaluated by ``term_src``/``term_tgt``.  ``reference_free_at`` below is a
 verbatim copy of that loop, with the ``is_term`` it called (only the name
-is prefixed and the imports hoisted).  The test runs both at every operad
-step of a ladder and checks that the new layer, its order, the strata, the
-src/tgt/arity tables, the stabilization depth and the overflow records
-(reason, count and samples) are the same.
+is prefixed and the imports hoisted); the ``enumerate_labellings`` it calls
+wraps each label tuple the enumerator now returns in a ``LabelledDiagram``,
+as the loop read them.  The test runs both at every operad step of a ladder
+and checks that the new layer, its order, the strata, the src/tgt/arity
+tables, the stabilization depth and the overflow records (reason, count and
+samples) are the same.
 """
 
 import pytest
 
-from globop import interleave, operad
+from globop import collection, interleave, operad
 from globop.collection import (
     Bounds,
     Collection,
     Overflow,
     empty_collection,
-    enumerate_labellings,
     make_collection,
     one_cell_collection,
     unit_collection,
@@ -42,6 +43,13 @@ from test_operad import make_node, self_loop_operad, term_src, term_tgt
 
 
 # --- reference: the candidate loop before the rewrite, verbatim ---------------
+
+
+def enumerate_labellings(shape, *args, **kwargs) -> list[LabelledDiagram]:
+    """``collection.enumerate_labellings`` as the reference loop read it:
+    each label tuple wrapped in a ``LabelledDiagram``."""
+    found = collection.enumerate_labellings(shape, *args, **kwargs)
+    return [LabelledDiagram(shape, labels) for labels in found]
 
 
 def is_term(c) -> bool:

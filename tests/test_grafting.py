@@ -40,7 +40,6 @@ from globop.operad import (
     free_operad_step,
     term_mult,
     terminal_operad,
-    unit_labelling,
 )
 from globop.pasting import (
     LabelledDiagram,
@@ -57,7 +56,7 @@ from globop.serialize import state_from_json
 from globop.verify import cached_initial
 
 from test_configurations import _broken_terminal, compose_labellings, reference_cell_products
-from test_operad import make_node, self_loop_operad
+from test_operad import make_node, self_loop_operad, unit_labelling
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

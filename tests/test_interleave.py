@@ -8,6 +8,7 @@ from globop import interleave
 from globop.collection import (
     Bounds,
     Collection,
+    add_cells,
     empty_collection,
     make_collection,
     one_cell_collection,
@@ -26,7 +27,7 @@ from globop.interleave import (
     step_contraction,
     step_operad,
 )
-from globop.operad import NodeTerm, UnitTerm, mult_table, terminal_operad
+from globop.operad import NodeTerm, UnitTerm, free_operad_step, mult_table, terminal_operad
 from globop.pasting import DOT, PastingDiagram, chain, unit_tree
 from globop.serialize import slice_json, state_text
 from globop.util import canonical_json
@@ -109,13 +110,54 @@ def _reorder_one_cell(coll):
     return Collection(GlobularSet(tuple(cells), coll.carrier.src, coll.carrier.tgt), coll.arity)
 
 
-@pytest.mark.parametrize("tamper", [_change_one_arity, _reorder_one_cell])
+def _stray_point(coll, d=None):
+    return add_cells(coll, 0, ["stray"], {}, {}, {"stray": DOT})
+
+
+@pytest.mark.parametrize("tamper", [_change_one_arity, _reorder_one_cell, _stray_point])
 def test_contraction_step_asserts_lower_layers_unchanged(monkeypatch, tamper):
     m1 = dict(free_owc_trace(empty_collection(), Bounds(2, 5, 1)))["M1"]
     assert step_contraction(m1).stage == (2, 1)
     monkeypatch.setattr(interleave, "free_contraction_step", _tampered_contraction_step(tamper))
-    with pytest.raises(AssertionError):
+    with pytest.raises(AssertionError, match="contraction step disturbed the operad multiplication"):
         step_contraction(m1)
+
+
+def _tampered_operad_step(tamper):
+    """A free operad step that hands back a tampered collection; ``tamper``
+    also reads the dimension the step built."""
+
+    def step(x, bounds):
+        res = free_operad_step(x, bounds)
+        coll = tamper(res.operad.over, res.new_dim)
+        return dataclasses.replace(res, operad=dataclasses.replace(res.operad, over=coll))
+
+    return step
+
+
+def _drop_one_lift(coll, d):
+    lift = next(c for c in coll.cells_at(d) if isinstance(c, CtrCell))
+    cells = list(coll.carrier.cells)
+    cells[d] = tuple(c for c in cells[d] if c is not lift)
+    arity = list(coll.arity)
+    arity[d] = {c: a for c, a in arity[d].items() if c is not lift}
+    return Collection(GlobularSet(tuple(cells), coll.carrier.src, coll.carrier.tgt), tuple(arity))
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (_stray_point, "operad step changed the admissible triples below it"),
+        (_drop_one_lift, "operad step removed a contraction cell"),
+    ],
+    ids=["stray-point", "dropped-lift"],
+)
+def test_operad_step_asserts_what_it_must_keep(monkeypatch, tamper, message):
+    h2 = dict(free_owc_trace(empty_collection(), Bounds(2, 5, 2)))["H2"]
+    assert step_operad(h2).stage == (2, 2)
+    monkeypatch.setattr(interleave, "free_operad_step", _tampered_operad_step(tamper))
+    with pytest.raises(AssertionError, match=message):
+        step_operad(h2)
 
 
 def _snapshot(state: OwcState) -> list:

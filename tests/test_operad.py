@@ -18,7 +18,6 @@ from globop.operad import (
     term_mult,
     term_size,
     terminal_operad,
-    unit_labelling,
 )
 from globop.pasting import (
     DOT,
@@ -66,6 +65,10 @@ def make_node(op: OperadStructure, d: int, gen, phi: LabelledDiagram):
     if phi.shape != shape:
         raise ValueError("labelling shape differs from the generator arity")
     return gen if phi.labels == _unit_labels(op, shape) else NodeTerm(d, gen, phi.labels)
+
+
+def unit_labelling(op: OperadStructure, d: int, shape: PastingDiagram) -> LabelledDiagram:
+    return labelled(shape, {a: op.units[a.dim] for a in all_cells(shape)})
 
 
 def self_loop_operad(max_dim=1):

@@ -1,4 +1,6 @@
 import re
+from functools import lru_cache
+from typing import Iterable
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -8,6 +10,7 @@ from globop.pasting import (
     DOT,
     CellAddr,
     PastingDiagram,
+    _tree_key,
     all_cells,
     boundary,
     boundary_inclusion,
@@ -255,6 +258,51 @@ def test_enumerate_trees_no_duplicates_and_bounded():
         ts = enumerate_trees(k, 9)
         assert len(set(ts)) == len(ts)
         assert all(t.dim == k and size(t) <= 9 for t in ts)
+
+
+# --- reference: the tree enumeration by column counts, verbatim ---------------
+# ``enumerate_trees`` now lifts each dimension's diagrams from the one below
+# with ``trees_with_boundary``; the two functions below are the recursion it
+# replaced, with only their names prefixed.
+
+
+@lru_cache(maxsize=None)
+def reference_enumerate_trees(k: int, max_size: int) -> tuple[PastingDiagram, ...]:
+    """All diagrams of dimension exactly k with at most ``max_size`` cells,
+    canonically ordered."""
+    if max_size < 1:
+        return ()
+    if k == 0:
+        return (DOT,)
+    found = []
+    for m in range(0, (max_size - 1) // 2 + 1):
+        for combo in reference_child_combos(k - 1, m, max_size - m - 1):
+            found.append(PastingDiagram(k, combo))
+    return tuple(sorted(found, key=_tree_key))
+
+
+def reference_child_combos(k: int, n: int, budget: int) -> Iterable[tuple[PastingDiagram, ...]]:
+    if n == 0:
+        yield ()
+        return
+    for first in reference_enumerate_trees(k, budget - (n - 1)):
+        for rest in reference_child_combos(k, n - 1, budget - size(first)):
+            yield (first,) + rest
+
+
+def test_enumerate_trees_matches_the_reference():
+    """The same diagrams in the same order, degenerate ones included."""
+    for k in range(6):
+        for n in range(-1, 14):
+            assert enumerate_trees(k, n) == reference_enumerate_trees(k, n), (k, n)
+    assert len(enumerate_trees(3, 13)) == 145
+
+
+def test_enumerate_trees_in_a_high_dimension():
+    # the lifts run in a loop, so the dimension is not bounded by the stack:
+    # of size at most 3 there are the degenerate diagram and the one over it
+    trees = enumerate_trees(3000, 3)
+    assert trees == (PastingDiagram(3000, ()), PastingDiagram(3000, (PastingDiagram(2999, ()),)))
 
 
 def is_bounded_tree(t, k, max_size):
