@@ -47,6 +47,7 @@ from .util import Keyed, canonical_key, new_cell
 
 _units: dict = {}
 _nodes: dict = {}
+_TRANSIENT = object()  # tags a transient (see ``_plan``): cells can be tuples
 
 
 @dataclass(frozen=True, slots=True, eq=False, init=False)
@@ -187,7 +188,7 @@ def term_mult(op: OperadStructure, d: int, a, phi: LabelledDiagram):
     ``phi`` lies over the arity of ``a``; its labels at dimension d are terms
     and its lower labels are cells.  Top labels of a node are composed with
     their slice of ``phi``, lower labels are composed in the lower operad.
-    The shape is checked here, once; the plan of ``a`` runs on the labels.
+    The shape is checked here; the product of ``a``'s plan is interned.
     """
     if isinstance(a, NodeTerm):
         shape = op.over.arity_of(d, a.gen)
@@ -196,14 +197,21 @@ def term_mult(op: OperadStructure, d: int, a, phi: LabelledDiagram):
         arity = cell_arity(op, d, a)
     if phi.shape != arity:
         raise ValueError("labelling shape differs from the arity of the operation")
-    return _plan(op, d, a)(phi.labels)
+    return _intern(_plan(op, d, a)(phi.labels))
 
 
 def _plan(op: OperadStructure, d: int, a) -> Callable[[tuple], object]:
     """``term_mult`` on ``a`` without the shape check, as a function of the
     label tuple.  The arity, label arities and slicers of ``a`` are read
     once, here; each label of a node gets a plan, a top label its grafting
-    and a lower label its ``_mult_plan`` behind ``op.products``."""
+    and a lower label its ``_mult_plan`` behind ``op.products``.
+
+    A plan interns nothing: a grafted node is the live ``NodeTerm`` of its
+    key, else a transient ``(_TRANSIENT, d, gen, labels)``, which
+    ``_intern`` makes a node where the term is kept.  A sub-term with a live
+    node is that node, so two products are one term exactly when they are
+    ``==``, and a transient equals no cell.  Hence the invariant: never
+    compare a transient with a node interned after the transient was made."""
     if isinstance(a, UnitTerm):
         return itemgetter(-1)  # the top cell comes last in all_cells
     gen = a.gen if isinstance(a, NodeTerm) else a
@@ -212,7 +220,7 @@ def _plan(op: OperadStructure, d: int, a) -> Callable[[tuple], object]:
     if gen is a:
         # bare generator: behaves as the unit-labelled node, so the slices
         # are exactly the labels
-        return lambda labels: gen if labels == units else NodeTerm(d, gen, labels)
+        return lambda labels: gen if labels == units else _live_node(d, gen, labels)
     arities = _label_arities(op, shape, a.labels)
     parts = [
         (_plan(op, d, lab) if x.dim == d else _mult_plan(op, x.dim, lab, op.products), take)
@@ -221,15 +229,33 @@ def _plan(op: OperadStructure, d: int, a) -> Callable[[tuple], object]:
 
     def graft(labels):
         new = tuple([run(take(labels)) for run, take in parts])
-        return gen if new == units else NodeTerm(d, gen, new)
+        return gen if new == units else _live_node(d, gen, new)
 
     return graft
 
 
+def _live_node(d: int, gen, labels: tuple):
+    """The live ``NodeTerm`` of ``(d, gen, labels)``, else a transient."""
+    ref = _nodes.get((d, gen, labels))
+    node = ref() if ref is not None else None
+    return (_TRANSIENT, d, gen, labels) if node is None else node
+
+
+def _intern(t):
+    """The cell of a grafting product: a transient becomes its ``NodeTerm``,
+    labels first; any other value is returned as it is."""
+    if type(t) is tuple and t and t[0] is _TRANSIENT:
+        _, d, gen, labels = t
+        return NodeTerm(d, gen, tuple([_intern(lab) for lab in labels]))
+    return t
+
+
 def _mult_plan(op: OperadStructure, j: int, a, products=None) -> Callable[[tuple], object]:
     """``op.mults[j]`` on ``a`` as a function of a label tuple: the plan of
-    ``a`` if dimension j grafts, else a call through a ``LabelledDiagram``.
-    A non-empty ``products`` is looked up first, as ``op.mult`` does."""
+    ``a`` if dimension j grafts, else a call through a ``LabelledDiagram``;
+    no transient reaches it, as every structure built here (``extend_operad``
+    appends grafting) grafts only above the dimensions that do not.  A
+    non-empty ``products`` is looked up first, as ``op.mult`` does."""
     mult = op.mults[j]
     if mult is term_mult:
         run = _plan(op, j, a)
@@ -339,8 +365,9 @@ def _free_at(coll: Collection, lower: OperadStructure | None, d: int, bounds: Bo
        ``g``'s arity (see ``inner_size``), which is built only for a
        survivor, as its arity;
     4. for ``d >= 1``, the boundary: ``g``'s src and tgt grafted in the lower
-       operad with the labels on the src and tgt boundary of ``g``'s arity
-       must be cells of the lower layer, else rejected as "boundary";
+       operad with the labels on the src and tgt boundary of ``g``'s arity,
+       as ``_plan`` returns them, must be cells of the lower layer (which
+       stay live), else rejected as "boundary";
     5. the node is built, and skipped if an earlier stratum holds it.
 
     These are the checks made by building every candidate as a node and
@@ -695,6 +722,9 @@ def check_operad_laws(op: OperadStructure, bounds: Bounds, dims=None) -> Report:
     levels read one ``labelling_fits`` memo per dimension.  A product not in
     the table runs a plan (``_plan``) built once per cell and per ``a∘phi``.
 
+    Only the first-level products are interned, all before anything is
+    compared: both sides of the laws are compared as ``_plan`` returns them.
+
     ``counts`` gives the configurations at both levels, those left out over
     the arity bound, and how many of the products the check asked for were
     multiplied or read from the table.
@@ -729,7 +759,7 @@ def check_operad_laws(op: OperadStructure, bounds: Bounds, dims=None) -> Report:
             first += len(fits)
             over_bound += len(over)
             for phi, _ in fits:
-                table[(d, a, phi.labels)] = product(d, a, phi.labels, plan(d, a))
+                table[(d, a, phi.labels)] = _intern(product(d, a, phi.labels, plan(d, a)))
         for t in layer:
             if product(d, unit, _unit_argument(view, d, t).labels, plan(d, unit)) != t:
                 rep.add("left unit law fails", witness=(d, t))

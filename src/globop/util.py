@@ -20,11 +20,11 @@ class Keyed:
     on a hit, so two live equal cells are the same object.  Their ``__eq__``
     and ``__hash__`` are ``object``'s identity slots (``eq=False``), and
     checks on the fields run once, on a miss.  ``NodeTerm``'s table holds
-    weak references (hence the ``__weakref__`` slot): most terms are
-    transient products of a law check, and a strong table would keep every
-    one of them alive.  The other four tables are plain dicts: their cells
-    are few, and shapes, addresses and layers hold them anyway.  Identity
-    never decides an order: sorting goes through ``canonical_key``.
+    weak references (hence the ``__weakref__`` slot): grafting interns only
+    the terms it keeps, but a strong table would keep every one alive.  The
+    other four tables are plain dicts: their cells are few, and shapes,
+    addresses and layers hold them anyway.  Identity never decides an
+    order: sorting goes through ``canonical_key``.
 
     ``LabelledDiagram`` and ``PairCell`` stay structural: they compare field
     by field, and their hash is the dataclass's, computed only when asked

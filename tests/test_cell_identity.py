@@ -20,9 +20,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from globop.collection import Bounds, PairCell, one_cell_collection, tensor, terminal_collection
+from globop import interleave
+from globop.collection import (
+    Bounds,
+    PairCell,
+    check_collection,
+    make_collection,
+    one_cell_collection,
+    tensor,
+    terminal_collection,
+)
 from globop.contraction import CtrCell
-from globop.interleave import free_owc
+from globop.interleave import free_owc, initial_owc
 from globop import operad
 from globop.operad import NodeTerm, UnitTerm, check_operad_laws
 from globop.pasting import (
@@ -39,6 +48,9 @@ from globop.pasting import (
 from globop.serialize import state_from_json, state_text
 from globop.util import canonical_key
 from globop.verify import cached_initial
+
+from test_configurations import reference_check_operad_laws
+from test_free_step import _checked_ladder
 
 
 # --- reference: the nested formulas, verbatim ------------------------------
@@ -281,3 +293,101 @@ def test_transient_nodes_leave_the_table():
     gc.collect()
     assert len(operad._nodes) <= live
     assert all(ref() is not None for ref in operad._nodes.values())
+
+
+# --- only a term that is kept is interned ------------------------------------
+
+
+def count_new_nodes(monkeypatch) -> list:
+    """Count every ``NodeTerm`` made from now on, in the one entry of the
+    list returned: a miss of ``NodeTerm``'s table, not a lookup that
+    finds a live node."""
+    made = [0]
+    real = operad.new_cell
+
+    def new_cell(cls, values):
+        made[0] += cls is NodeTerm
+        return real(cls, values)
+
+    monkeypatch.setattr(operad, "new_cell", new_cell)
+    return made
+
+
+def test_the_law_check_interns_only_its_first_level_products(monkeypatch):
+    """Grafting returns the live node of a term or a transient, and only the
+    first-level products, which the check keeps in its table, become
+    nodes: the products of both sides of associativity and of the unit
+    laws are compared as they come.  Interning every product made 826,855
+    54,312 nodes here."""
+    state = free_owc(one_cell_collection(2), Bounds(2, 5, 1))
+    gc.collect()
+    made = count_new_nodes(monkeypatch)
+    rep = check_operad_laws(state.operad, state.bounds)
+    assert rep.passed
+    assert rep.counts["first_level_configurations"] == 1424
+    # 125 first-level products are cells of the state, and a state built by
+    # an earlier test (cached_initial) can hold some of the others
+    assert made[0] <= 1299
+
+
+def test_the_free_step_interns_only_what_it_keeps_or_samples(monkeypatch):
+    """The boundary check of the free step tests the products it grafts
+    against the lower layer without interning them, so each operad step
+    makes at most a node per cell it keeps and per sample it records.
+    Interning every boundary product made 357 nodes at dimension 2 and
+    7,664 at dimension 3."""
+    made = count_new_nodes(monkeypatch)
+    steps = []
+
+    def counted(step):
+        def run(*args):
+            before = made[0]
+            res = step(*args)
+            kept = len(res.strata) - 1  # the unit is no node
+            samples = sum(len(o.sample) for o in res.overflows)
+            steps.append((made[0] - before, kept, samples))
+            return res
+
+        return run
+
+    monkeypatch.setattr(interleave, "free_operad_dim0", counted(interleave.free_operad_dim0))
+    monkeypatch.setattr(interleave, "free_operad_step", counted(interleave.free_operad_step))
+    initial_owc(Bounds(3, 9, 1))
+    # a node built by an earlier test may still be live, so ``made`` can be
+    # smaller than what is kept and sampled, never larger
+    assert all(n <= kept + samples for n, kept, samples in steps)
+    assert [(kept, samples) for _, kept, samples in steps] == [(0, 0), (0, 0), (5, 6), (38, 6)]
+
+
+# cells that are tuples: ``X2`` is the tuple a grafted 0-node ``x(x)`` would
+# be without a tag, and ``X4`` a 4-tuple, the length of a transient
+X2 = (0, "x", ("x",))
+X4 = ("x", 0, "x", ("x",))
+G = (1, "x", ())
+
+
+def tuple_atoms():
+    """0-cells ``x``, ``X2`` and ``X4``; 1-cells ``G``, a top-less 1-cell
+    from ``x`` to ``x``, and ``f``, an arrow from ``x`` to ``X2``.  At term
+    size 1, ``x(x)`` is no 0-cell, so ``G`` labelled by ``x`` has the
+    boundary ``x(x)``, which is no cell either: the free step rejects it,
+    and in the law check ``x∘(x)`` differs from ``X2``."""
+    cells = [["x", X2, X4], [G, "f"]]
+    src = [{}, {G: "x", "f": "x"}]
+    tgt = [{}, {G: "x", "f": X2}]
+    arity = [{"x": DOT, X2: DOT, X4: DOT}, {G: PastingDiagram(1, ()), "f": chain(1)}]
+    coll = make_collection(cells, src, tgt, arity)
+    assert check_collection(coll).passed
+    return coll
+
+
+def test_a_transient_is_never_taken_for_a_cell(monkeypatch):
+    bounds = Bounds(1, 3, 1)
+    rejected = _checked_ladder(monkeypatch, tuple_atoms(), bounds)
+    assert ("boundary", f"NodeTerm(dim=1, gen={G!r}, labels=('x',))") in [
+        (o.reason, o.sample[0]) for step in rejected for o in step
+    ]
+    state = free_owc(tuple_atoms(), bounds)
+    rep = check_operad_laws(state.operad, bounds)
+    assert rep.counts["associativity_configurations"] > 0
+    assert rep.violations == reference_check_operad_laws(state.operad, bounds).violations

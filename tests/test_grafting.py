@@ -15,6 +15,10 @@ the label tuple.  The recursion it replaced, ``_graft``, ``_graft_node``,
 ``_mult_labels`` and ``_node``, is copied below verbatim as well, and one
 plan run on many label tuples must give the term it gives.
 
+Plans no longer intern: a product with no live node comes back as a
+transient, and only ``_intern`` makes it a node, so the plan test interns
+each run before it compares it with the reference.
+
 Also here: the invariant the rewrite relies on, that the arity a layer's
 table holds for a cell is its structural arity.
 """
@@ -31,7 +35,9 @@ from globop.operad import (
     NodeTerm,
     OperadStructure,
     UnitTerm,
+    _intern,
     _label_arities,
+    _nodes,
     _plan,
     _unit_argument,
     _unit_labels,
@@ -55,6 +61,7 @@ from globop.pasting import (
 from globop.serialize import state_from_json
 from globop.verify import cached_initial
 
+from test_cell_identity import count_new_nodes
 from test_configurations import _broken_terminal, compose_labellings, reference_cell_products
 from test_operad import make_node, self_loop_operad, unit_labelling
 
@@ -286,12 +293,27 @@ def test_grafting_matches_the_reference(case):
 
 
 @pytest.mark.parametrize("case", ["one-atom-251", "initial-371", "self-loop-174"])
-def test_plans_graft_as_the_reference(case):
+def test_plans_graft_as_the_reference(case, monkeypatch):
     """The plan of each cell runs on every first-level labelling of its
-    arity within the bound, and the plan of each product ``r = a∘phi`` on
-    every labelling ``chi`` of ``r``'s arity within the bound: the lhs of
-    the law check.  Each run gives the reference's term, by identity."""
+    arity within the bound, and the plan of the interned product ``r =
+    a∘phi`` on every labelling ``chi`` of ``r``'s arity within the bound:
+    the lhs of the law check.  Each run, interned, gives the reference's
+    term, by identity.
+
+    A plan interns nothing: it makes no ``NodeTerm``, so a node it returns
+    is one that the table held before the call; any other product is a
+    transient, which ``_intern`` makes a node."""
     op, bounds = CASES[case][0]()
+    made = count_new_nodes(monkeypatch)
+
+    def run(plan, labels):
+        before = made[0]
+        r = plan(labels)
+        assert made[0] == before
+        if isinstance(r, NodeTerm):
+            assert _nodes[(r.dim, r.gen, r.labels)]() is r
+        return _intern(r)
+
     split = labelling_fits(op.over, bounds.max_arity_size)
     firsts = lhs = 0
     for d in range(op.up_to_dim + 1):
@@ -300,12 +322,12 @@ def test_plans_graft_as_the_reference(case):
         for a in op.over.cells_at(d):
             plan = _plan(op, d, a)
             for phi, mid in split(op.over.arity_of(d, a))[0]:
-                r = plan(phi.labels)
+                r = run(plan, phi.labels)
                 assert r is reference_graft(op, d, a, phi.labels)
                 firsts += 1
                 plan_r = _plan(op, d, r)
                 for chi, _ in split(mid)[0]:
-                    assert plan_r(chi.labels) is reference_graft(op, d, r, chi.labels)
+                    assert run(plan_r, chi.labels) is reference_graft(op, d, r, chi.labels)
                     lhs += 1
     assert firsts > 0 and lhs > firsts
 
