@@ -415,23 +415,6 @@ def emb_map(shape: PastingDiagram, arities: tuple) -> tuple[tuple[int, ...], ...
     return out
 
 
-def flatten(shape: PastingDiagram, inner: Mapping[CellAddr, LabelledDiagram]) -> LabelledDiagram:
-    """Collapse a diagram whose cells carry labelled diagrams into a single
-    labelled diagram over the composed shape.
-
-    Labels pushed onto a glued cell from different sources must agree; this is
-    asserted, since it is exactly the boundary-compatibility condition.
-    """
-    arities = tuple(inner[a].shape for a in all_cells(shape))
-    composite = subst_arities(shape, arities)
-    out: dict[int, object] = {}
-    for c, positions in zip(all_cells(shape), emb_map(shape, arities)):
-        for p, lab in zip(positions, inner[c].labels):
-            if out.setdefault(p, lab) != lab:
-                raise ValueError(f"incompatible labels glued at {all_cells(composite)[p]}")
-    return LabelledDiagram(composite, tuple(out[p] for p in range(len(out))))
-
-
 @lru_cache(maxsize=None)
 def slicers(shape: PastingDiagram, arities: tuple) -> tuple:
     """For each cell c of ``shape``, in ``all_cells`` order, a function that

@@ -1,6 +1,6 @@
 import re
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Mapping
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -9,6 +9,7 @@ from globop.collection import labelling_order
 from globop.pasting import (
     DOT,
     CellAddr,
+    LabelledDiagram,
     PastingDiagram,
     _tree_key,
     all_cells,
@@ -22,7 +23,6 @@ from globop.pasting import (
     chain,
     emb_map,
     enumerate_trees,
-    flatten,
     inner_size,
     labelled,
     size,
@@ -194,6 +194,32 @@ def test_substitute_names_the_side_whose_label_differs(side):
     message = f"label of {('src', 'tgt')[side]} of {top} differs from label boundary"
     with pytest.raises(ValueError, match=re.escape(message)):
         substitute(labelled(sh, lab))
+
+
+# --- reference: the gluing the monoid-laws check used, verbatim -------------
+#
+# ``flatten`` is the inverse of slicing a labelling of a composite along
+# ``emb_map``, which the check now does instead (``tests/test_verify.py``
+# shows the two agree).  It reads ``subst_arities`` from this module, as it
+# read it from ``pasting``, so a substitution patched into the reference law
+# check in ``tests/test_verify.py`` does not reach it.
+
+
+def flatten(shape: PastingDiagram, inner: Mapping[CellAddr, LabelledDiagram]) -> LabelledDiagram:
+    """Collapse a diagram whose cells carry labelled diagrams into a single
+    labelled diagram over the composed shape.
+
+    Labels pushed onto a glued cell from different sources must agree; this is
+    asserted, since it is exactly the boundary-compatibility condition.
+    """
+    arities = tuple(inner[a].shape for a in all_cells(shape))
+    composite = subst_arities(shape, arities)
+    out: dict[int, object] = {}
+    for c, positions in zip(all_cells(shape), emb_map(shape, arities)):
+        for p, lab in zip(positions, inner[c].labels):
+            if out.setdefault(p, lab) != lab:
+                raise ValueError(f"incompatible labels glued at {all_cells(composite)[p]}")
+    return LabelledDiagram(composite, tuple(out[p] for p in range(len(out))))
 
 
 def test_flatten_agrees_with_two_step_substitution():

@@ -1,17 +1,37 @@
+import dataclasses
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import make_fixtures
-from globop.collection import Bounds, check_collection
+from globop import pasting, verify
+from globop.collection import Bounds, add_cells, check_collection, enumerate_labellings
+from globop.pasting import (
+    LabelledDiagram,
+    PastingDiagram,
+    all_cells,
+    boundary,
+    boundary_restrict,
+    enumerate_trees,
+    labelled,
+    slicers,
+    subst_arities,
+    substitute,
+    unit_tree,
+)
+from globop.report import Report
 from globop.serialize import state_from_json
 from globop.verify import (
     PROBE_BOUNDS,
     SUITE_NAMES,
     check_substitution_laws,
     run_suite,
+    tree_labellings,
 )
+
+from test_pasting import flatten
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -93,6 +113,146 @@ def test_globularity_negative_names_witness():
 def test_substitution_laws_small_scale():
     rep = check_substitution_laws(5, 3)
     assert rep.passed
+
+
+# --- reference: the monoid-laws check before it read both levels off
+# ``tree_labellings``, verbatim but for the left-unit argument and the
+# second-level enumeration, which are lifted into functions so that the
+# tests below can compare them level by level.
+
+
+def reference_unit_argument(d, t):
+    arg = {}
+    for a in all_cells(unit_tree(d)):
+        v = t
+        for _ in range(d - a.dim):
+            v = boundary(v)
+        arg[a] = v
+    return labelled(unit_tree(d), arg)
+
+
+def reference_second_level(shape, outer, max_label_size):
+    # second-level labellings: the inner labelling of a boundary
+    # cell is the boundary restriction of its neighbour's
+    return enumerate_labellings(
+        shape,
+        lambda j: (),
+        lambda j, phi: boundary_restrict(phi, 0),
+        lambda j, phi: boundary_restrict(phi, 1),
+        overrides={
+            c: tree_labellings(outer.label_of(c), max_label_size)
+            for c in all_cells(shape)
+        },
+    )
+
+
+def reference_check_substitution_laws(max_shape_size: int, max_label_size: int, max_dim: int = 2) -> Report:
+    """Unit laws, associativity and boundary naturality of substitution,
+    exhaustively over the stated ranges."""
+    rep = Report("monoid-laws")
+    counts = dict.fromkeys(("unit_law_trees", "shapes", "labellings", "nested_labellings"), 0)
+    for d in range(max_dim + 1):
+        for t in enumerate_trees(d, max_label_size):
+            counts["unit_law_trees"] += 1
+            if substitute(reference_unit_argument(d, t)) != t:
+                rep.add("left unit law fails", witness=repr(t))
+        for shape in enumerate_trees(d, max_shape_size):
+            counts["shapes"] += 1
+            ru = labelled(shape, {a: unit_tree(a.dim) for a in all_cells(shape)})
+            if substitute(ru) != shape:
+                rep.add("right unit law fails", witness=repr(shape))
+            for outer in tree_labellings(shape, max_label_size):
+                counts["labellings"] += 1
+                composed = substitute(outer)
+                if d >= 1:
+                    b = boundary(composed)
+                    for side in (0, 1):
+                        if substitute(boundary_restrict(outer, side)) != b:
+                            rep.add(
+                                "boundary of composite differs from composite of boundary",
+                                witness=(repr(shape), side),
+                            )
+                second = reference_second_level(shape, outer, max_label_size)
+                for nested in second:
+                    counts["nested_labellings"] += 1
+                    one = subst_arities(shape, tuple(map(substitute, nested)))
+                    two = substitute(flatten(shape, dict(zip(all_cells(shape), nested))))
+                    if one != two:
+                        rep.add(
+                            "associativity of substitution fails",
+                            witness=(repr(shape), repr(outer.labels)),
+                        )
+    rep.counts = counts
+    return rep
+
+
+def _sliced(shape, outer, chi):
+    """The labelling of each of ``outer``'s labels that ``chi``, a labelling
+    of their composite, restricts to."""
+    takes = slicers(shape, outer.labels)
+    return tuple(LabelledDiagram(lab, take(chi.labels)) for lab, take in zip(outer.labels, takes))
+
+
+def test_both_levels_of_the_monoid_laws_are_read_off_tree_labellings():
+    """A labelling of the unit tree is the reference's unit argument, tree
+    for tree and in order; slicing the labellings of a composite gives the
+    reference's second-level labellings, each once, and gluing the slices
+    back gives the labelling sliced."""
+    families = 0
+    for d in range(3):
+        units = tree_labellings(unit_tree(d), 5)
+        assert units == [reference_unit_argument(d, t) for t in enumerate_trees(d, 5)]
+        for shape in enumerate_trees(d, 7):
+            for outer in tree_labellings(shape, 5):
+                sliced = []
+                for chi in tree_labellings(substitute(outer), 5):
+                    slices = _sliced(shape, outer, chi)
+                    assert flatten(shape, dict(zip(all_cells(shape), slices))) == chi
+                    sliced.append(slices)
+                assert Counter(sliced) == Counter(reference_second_level(shape, outer, 5))
+                families += len(sliced)
+    assert families == 5247
+
+
+def _columns_reversed(shape, arities):
+    """A non-associative substitution: the columns of the composite of a
+    2-dimensional shape with at least two columns come out reversed."""
+    out = pasting.subst_arities(shape, arities)
+    if shape.dim == 2 and len(shape.children) >= 2:
+        return PastingDiagram(2, out.children[::-1])
+    return out
+
+
+def test_a_non_associative_substitution_fails_as_the_reference(monkeypatch):
+    monkeypatch.setattr(verify, "subst_arities", _columns_reversed)
+    rep = check_substitution_laws(7, 5)
+    monkeypatch.setitem(globals(), "subst_arities", _columns_reversed)
+    want = reference_check_substitution_laws(7, 5)
+    assert [v.message for v in rep.violations] == ["associativity of substitution fails"] * 20
+    assert rep.violations == want.violations
+    assert rep.counts == want.counts
+
+
+def test_oracle_suite_fails_on_a_perturbed_layer_of_free_2_terms(monkeypatch):
+    """``oracle-equivalence`` compares the M2 layer over one 0-cell at
+    (2,5,1) with ``oracle_terms``: one cell too many there makes it fail."""
+    ladder = verify.free_owc_trace
+
+    def perturbed(a, bounds):
+        trace = ladder(a, bounds)
+        if a.cells_at(0) != ("v",):
+            return trace
+        label, m2 = trace[-1]
+        coll = m2.collection
+        c = coll.cells_at(2)[0]
+        more = add_cells(
+            coll, 2, ["extra"], {"extra": coll.src_of(2, c)}, {"extra": coll.tgt_of(2, c)}, {"extra": coll.arity_of(2, c)}
+        )
+        return trace[:-1] + [(label, dataclasses.replace(m2, collection=more))]
+
+    monkeypatch.setattr(verify, "free_owc_trace", perturbed)
+    rep = run_suite("oracle-equivalence", SMALL)
+    assert [v.message for v in rep.violations] == ["free 2-terms differ from the oracle"]
 
 
 def test_reports_are_deterministic():
