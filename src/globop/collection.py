@@ -201,11 +201,15 @@ class Budget:
     """A weight limit for ``enumerate_labellings``.  ``weights[j]`` maps
     every label that can sit on a cell of dimension j to its weight, which
     may be negative; a labelling weighs the sum over its cells.  ``cut``
-    gathers the number of labellings over ``limit`` left out."""
+    gathers the number of labellings over ``limit`` left out; with
+    ``count_only``, ``kept`` gathers the number of the others, and none is
+    returned."""
 
     weights: Sequence[Mapping]
     limit: int
     cut: int = 0
+    count_only: bool = False
+    kept: int = 0
 
 
 def enumerate_labellings(
@@ -233,7 +237,9 @@ def enumerate_labellings(
     dimension.  The completions of a cut branch are counted exactly by the
     same recursion in count-only mode, memoized on the step and the forced
     labels of the cells not yet placed, which are all a completion depends
-    on.
+    on.  With ``budget.count_only`` every branch is counted so, and none is
+    returned: the labellings within the limit are added to ``budget.kept``,
+    and the memo key holds the branch's lower bound too.
     """
     addrs = all_cells(shape)
     order = labelling_order(shape)
@@ -255,25 +261,32 @@ def enumerate_labellings(
         least = {j: min(budget.weights[j].values(), default=0) for j in set(dims)}
         excess = {j: {lab: w - m for lab, w in budget.weights[j].items()} for j, m in least.items()}
         spare = budget.limit - sum([least[j] for j in dims])
+    tally = budget is not None and budget.count_only
     memo: dict = {}
-    cut = 0
+    cut = kept = 0
 
     def place(i: int, bound: int | None) -> None:
         # assigns the cells from step i on; ``bound`` is a lower bound on the
-        # excess of every completion, or None to only count them in ``cut``
-        nonlocal cut
+        # excess of every completion, or None to only count them in ``cut``;
+        # with ``tally``, a completion within the limit is counted in ``kept``
+        nonlocal cut, kept
         if i == last:
             if bound is None:
                 cut += 1
+            elif tally:
+                kept += 1
             else:
                 out.append(tuple(assign))
             return
-        if bound is None:
-            key = (i, *[forced[q] for q in order[i:]])
+        counting = bound is None or tally
+        if counting:
+            key = (i, bound, *[forced[q] for q in order[i:]])
             if key in memo:
-                cut += memo[key]
+                more_cut, more_kept = memo[key]
+                cut += more_cut
+                kept += more_kept
                 return
-            before = cut
+            before = cut, kept
         p = order[i]
         dim = dims[p]
         fp = forced[p]
@@ -326,12 +339,13 @@ def enumerate_labellings(
                     forced[s] = free
                 if ft is free:
                     forced[t] = free
-        if bound is None:
-            memo[key] = cut - before
+        if counting:
+            memo[key] = (cut - before[0], kept - before[1])
 
     place(0, 0 if spare >= 0 else None)
     if budget is not None:
         budget.cut += cut
+        budget.kept += kept
     return out
 
 

@@ -391,6 +391,21 @@ def _free_at(coll: Collection, lower: OperadStructure | None, d: int, bounds: Bo
     The unit labelling is skipped, not rejected.  Its weight is the size of
     ``g``'s arity: when that is over the bound, the unit labelling was cut,
     and is taken off the count.
+
+    Once "boundary" holds its three samples too, and every dimension below
+    ``d`` multiplies by ``term_mult``, none of ``g``'s labellings is
+    returned; the enumeration only counts those within the bound and those
+    over it.  ``g``'s arity has the cells of its boundary, in the same
+    order, so a labelling is its src side, which grafts to a lower cell c
+    exactly when it is the quotient of c by ``g``'s src, as grafting is free
+    (``_cuts``, made once per step over the lower layer).  The quotients
+    that are labellings by cells, within the bound and not the unit one,
+    are the candidates whose src passes check 4, in enumeration order; the
+    loop checks them as any other candidate, and the rest of those within
+    the bound, less the unit labelling, are added to "boundary".  Every
+    candidate that is neither returned nor counted would have been rejected
+    as it is counted, with the samples full, so the cells, tables, counts
+    and samples do not move.
     """
     if d > coll.max_dim:
         raise ValueError("collection has no layer at the requested dimension")
@@ -462,6 +477,50 @@ def _free_at(coll: Collection, lower: OperadStructure | None, d: int, bounds: Bo
         if len(samples[reason]) < 3:
             samples[reason].append(NodeTerm(d, g, labels))
 
+    # the quotients of the cells of the lower layer by their top pieces, per
+    # piece, and each lower layer's positions; made once, when first read
+    quotients: dict = {}
+    positions: list = []
+    invertible = d >= 1 and _not_free_below(ctx, d) is None
+
+    @cache
+    def count(shape):
+        # the labellings of an arity without top cells within the arity bound
+        # and over it, each counted once per step
+        budget = Budget(inner_tables, max_arity, count_only=True)
+        enumerate_labellings(shape, candidates, src_of, tgt_of, budget=budget)
+        return budget.kept, budget.cut
+
+    def src_side(g, shape, units, inners):
+        # the labellings of ``shape``, which has no top cell, within the arity
+        # bound and not the unit one, whose src side grafts to a cell c of the
+        # lower layer, in enumeration order.  ``shape`` has the cells of its
+        # boundary, in the same order, so each is a quotient of such a c by
+        # ``g``'s src
+        if not positions:
+            positions.extend({c: i for i, c in enumerate(coll.cells_at(j))} for j in range(d))
+            cuts = _cuts(ctx, [(d - 1, c) for c in positions[d - 1]])
+            for c in positions[d - 1]:
+                for a, q in cuts(d - 1, c).items():
+                    quotients.setdefault(a, []).append(q)
+        addrs = all_cells(shape)
+        order = labelling_order(shape)
+        found = []
+        for q in quotients.get(coll.src_of(d, g), ()):
+            if (
+                q == units
+                or any(lab not in positions[x.dim] for x, lab in zip(addrs, q))
+                or any(
+                    src_tables[addrs[p].dim][q[p]] != q[s] or tgt_tables[addrs[p].dim][q[p]] != q[t]
+                    for p, s, t in cell_ends(shape)
+                )
+                or sum([inner[lab] for inner, lab in zip(inners, q)]) > max_arity
+            ):
+                continue
+            found.append((tuple([positions[addrs[p].dim][q[p]] for p in order]), q))
+        found.sort(key=itemgetter(0))
+        return [q for _, q in found]
+
     old: list = []
     current: list = [unit]
     frontier: list = [unit]
@@ -477,11 +536,20 @@ def _free_at(coll: Collection, lower: OperadStructure | None, d: int, bounds: Bo
                 if n == 1:
                     # each candidate has term size 1, so check 2 or 3 rejects it for one reason
                     reason = "term" if max_term < 1 else "arity"
-                    budget = Budget(inner_tables, max_arity) if len(samples[reason]) == 3 else None
-                    labellings = enumerate_labellings(shape, candidates, src_of, tgt_of, budget=budget)
-                    if budget is not None:
+                    if len(samples[reason]) < 3:
+                        labellings = enumerate_labellings(shape, candidates, src_of, tgt_of)
+                    else:
                         unit_cut = sum([inner[lab] for inner, lab in zip(inners, units)]) > max_arity
-                        rejected[reason] += budget.cut - unit_cut
+                        # with "term", no candidate reaches the boundary check
+                        if invertible and len(samples["boundary"]) == 3:
+                            within, over = count(shape)
+                            labellings = src_side(g, shape, units, inners)
+                            rejected["boundary"] += within - (not unit_cut) - len(labellings)
+                        else:
+                            budget = Budget(inner_tables, max_arity)
+                            labellings = enumerate_labellings(shape, candidates, src_of, tgt_of, budget=budget)
+                            over = budget.cut
+                        rejected[reason] += over - unit_cut
             else:
                 for pos in range(len(tops)):
                     overrides = {tops[i]: top_old for i in range(pos)}
@@ -588,9 +656,9 @@ def cell_products(op: OperadStructure, bounds: Bounds, dims=None) -> dict:
     if op.products:
         raise ValueError("cell_products cuts cells by grafting; op.products would override it")
     dims = list(dims if dims is not None else range(op.up_to_dim + 1))
-    for d in range(max(dims, default=-1) + 1):
-        if op.mults[d] is not term_mult:
-            raise ValueError(f"dimension {d} is not free: its multiplication is not grafting")
+    j = _not_free_below(op, max(dims, default=-1) + 1)
+    if j is not None:
+        raise ValueError(f"dimension {j} is not free: its multiplication is not grafting")
     over = op.over
     src, tgt = over.carrier.src, over.carrier.tgt
     index = [{c: i for i, c in enumerate(over.cells_at(j))} for j in range(over.max_dim + 1)]
@@ -622,6 +690,12 @@ def cell_products(op: OperadStructure, bounds: Bounds, dims=None) -> dict:
         for _, entry, c in found:
             table[entry] = c
     return table
+
+
+def _not_free_below(op: OperadStructure, d: int) -> int | None:
+    """The first dimension below ``d`` that multiplies otherwise than by
+    ``term_mult``, or None: ``_cuts`` inverts grafting only if none does."""
+    return next((j for j in range(d) if op.mults[j] is not term_mult), None)
 
 
 def _cuts(op: OperadStructure, cells):

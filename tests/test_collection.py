@@ -300,7 +300,8 @@ def test_budget_cuts_exactly_the_labellings_over_the_limit(data):
     Weights can be negative, as the inner sizes of degenerate arities are,
     so the lower bound of a branch can fall as its labels are placed.  Every
     limit from below the lightest labelling to the heaviest is tried, and
-    one far below, which cuts at the first step."""
+    one far below, which cuts at the first step.  With ``count_only`` the
+    same recursion returns nothing and counts both sides of the limit."""
     coll = data.draw(st.sampled_from(_budget_collections()))
     shape = data.draw(st.sampled_from(enumerate_trees(data.draw(st.integers(0, 2)), 5)))
     overrides = data.draw(st.sampled_from((None, _narrowed(shape, coll))))
@@ -318,3 +319,6 @@ def test_budget_cuts_exactly_the_labellings_over_the_limit(data):
         budget = Budget(weights, limit)
         assert enumerate_labellings(*args, budget=budget) == [labels for labels, w in weighed if w <= limit]
         assert budget.cut == sum(w > limit for _, w in weighed)
+        counted = Budget(weights, limit, count_only=True)
+        assert enumerate_labellings(*args, budget=counted) == []
+        assert (counted.kept, counted.cut) == (len(weighed) - budget.cut, budget.cut)

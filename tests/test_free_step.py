@@ -6,11 +6,13 @@ evaluated by ``term_src``/``term_tgt``.  ``reference_free_at`` below is a
 verbatim copy of that loop, with the ``is_term`` it called (only the name
 is prefixed and the imports hoisted); the ``enumerate_labellings`` it calls
 wraps each label tuple the enumerator now returns in a ``LabelledDiagram``,
-as the loop read them.  The test runs both at every operad step of a ladder
-and checks that the new layer, its order, the strata, the src/tgt/arity
-tables, the stabilization depth and the overflow records (reason, count and
-samples) are the same.
+as the loop read them.  The tests run both at every operad step of a ladder,
+or of the free operad steps alone, and check that the new layer, its order,
+the strata, the src/tgt/arity tables, the stabilization depth and the
+overflow records (reason, count and samples) are the same.
 """
+
+from dataclasses import replace
 
 import pytest
 
@@ -19,6 +21,7 @@ from globop.collection import (
     Bounds,
     Collection,
     Overflow,
+    add_cells,
     empty_collection,
     make_collection,
     one_cell_collection,
@@ -263,6 +266,94 @@ CASES = {
 }
 
 
+def top_less_over_inputs() -> Collection:
+    """Top-less 2-cells over input 1-cells: ``p`` on ``h`` of arity
+    ``chain(3)``, then ``y`` and ``z`` on ``f`` of arity ``chain(1)``.  At
+    ``Bounds(2, 7, 2)`` the labellings of ``p`` and ``y`` fill the arity and
+    boundary samples, so ``z``'s cells are found by inverting grafting on
+    the lower layer: ``z`` with the labels ``f`` and ``h``, whose grafting
+    with ``f`` has term size 2.  ``h`` is listed first, so the enumeration
+    finds them in the other order than the nodes ``f(f)`` and ``f(h)`` that
+    they are the quotients of."""
+    cells = [["x"], ["h", "f"], ["p", "y", "z"]]
+    ends = [{}, {"f": "x", "h": "x"}, {"p": "h", "y": "f", "z": "f"}]
+    arity = [
+        {"x": DOT},
+        {"f": chain(1), "h": chain(3)},
+        {"p": degenerate(chain(3), 1), "y": degenerate(chain(1), 1), "z": degenerate(chain(1), 1)},
+    ]
+    return make_collection(cells, ends, ends, arity)
+
+
+def _read_first_label(op, d, a, phi):
+    # ``self_loop_operad``'s multiplication: the label of the first point
+    return phi.label_of(cells(phi.shape, 0)[0])
+
+
+def _checked_steps(monkeypatch, coll: Collection, lower: OperadStructure | None, bounds: Bounds) -> tuple[list, list]:
+    """The free operad steps alone, from ``coll`` and ``lower`` (None to
+    start at dimension 0) up to ``bounds.max_dim``, each against the
+    reference: a ladder on these collections would add more contraction
+    cells than the reference can try in a test.  Returns the results and,
+    per step, whether an enumeration only counted, as it does once cells
+    are found by inversion."""
+    counted = []
+    real = operad.enumerate_labellings
+
+    def spy(*args, budget=None, **kwargs):
+        counted[-1] |= budget is not None and budget.count_only
+        return real(*args, budget=budget, **kwargs)
+
+    monkeypatch.setattr(operad, "enumerate_labellings", spy)
+    steps = []
+    for d in range(0 if lower is None else lower.up_to_dim + 1, bounds.max_dim + 1):
+        counted.append(False)
+        new, old = _free_at(coll, lower, d, bounds), reference_free_at(coll, lower, d, bounds)
+        _assert_same_step(new, old)
+        steps.append(new)
+        coll, lower = new.operad.over, new.operad
+    return steps, counted
+
+
+def test_free_step_inverts_grafting_over_input_generators(monkeypatch):
+    """The step at dimension 2 finds ``z``'s cells by inversion, after more
+    than three boundary rejections, and matches the reference."""
+    steps, counted = _checked_steps(monkeypatch, top_less_over_inputs(), None, Bounds(2, 7, 2))
+    assert counted == [False, False, True]
+    top = steps[-1]
+    assert [(o.reason, o.count) for o in top.overflows] == [("arity", 14), ("boundary", 6)]
+    layer = top.operad.over.cells_at(2)
+    assert [c.labels for c in layer if isinstance(c, NodeTerm) and c.gen == "z"] == [("x", "x", "f"), ("x", "x", "h")]
+
+
+def test_free_step_inverts_only_to_labellings_by_cells(monkeypatch):
+    """A lower layer that grafting did not build can hold a node whose labels
+    are not globular, or hold a term that is no cell.  Their quotients by
+    ``f`` are no labellings, so the inversion keeps neither: the step
+    matches the reference, which enumerates labellings only."""
+    bounds = Bounds(2, 7, 2)
+    steps, counted = _checked_steps(monkeypatch, top_less_over_inputs(), None, bounds)
+    lower = steps[1].operad
+    no_cell = NodeTerm(1, "h", ("x",) * 4 + ("f",) * 3)  # of term size 4
+    bad = (NodeTerm(1, "f", ("x", UnitTerm(0), "f")), NodeTerm(1, "f", ("x", "x", no_cell)))
+    ends = dict.fromkeys(bad, "x")
+    coll = add_cells(lower.over, 1, bad, ends, ends, dict.fromkeys(bad, chain(1)))
+    lower = replace(lower, over=coll)
+    counted.append(False)
+    _assert_same_step(_free_at(coll, lower, 2, bounds), reference_free_at(coll, lower, 2, bounds))
+    assert counted[-1]
+
+
+def test_free_step_enumerates_over_a_lower_dimension_that_is_not_grafting(monkeypatch):
+    """Where a dimension below multiplies otherwise than by grafting, the
+    cuts do not invert it: the step enumerates, and matches the reference.
+    Dimension 0 multiplies as ``self_loop_operad``'s does."""
+    coll = top_less_over_inputs()
+    steps, counted = _checked_steps(monkeypatch, coll, OperadStructure(coll, {0: "x"}, (_read_first_label,)), Bounds(2, 7, 2))
+    assert counted == [False, False]
+    assert any(o.reason == "boundary" and o.count > 3 for o in steps[-1].overflows)
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_free_step_matches_the_reference(monkeypatch, case):
     make, bounds = CASES[case]
@@ -281,10 +372,12 @@ def test_free_step_matches_the_reference(monkeypatch, case):
 def test_free_step_builds_no_composite_it_rejects(monkeypatch):
     """A candidate is rejected by arity from the inner sizes of its labels'
     arities, so every substitution made in the build is of a size within the
-    bound, while the rejections it counts stay pinned.  Most of them are
-    cut inside the enumeration of the generators without top cells and
-    only counted, so it returns at most 8,000 labellings (25,205 without
-    the cut)."""
+    bound, while the rejections it counts stay pinned.  The labellings of
+    the generators without top cells are only counted, once the samples are
+    full, and their cells are found by inverting grafting on the lower
+    layer, so the enumerations return at most 600 labellings (589; 7,737
+    when those labellings within the bound were returned, 25,205 without
+    the bound)."""
     bounds = Bounds(3, 9, 1)
     built = []
     enumerated = []
@@ -305,7 +398,7 @@ def test_free_step_builds_no_composite_it_rejects(monkeypatch):
     monkeypatch.setattr(operad, "enumerate_labellings", enumerate_labellings)
     state = initial_owc(bounds)
     assert built and max(built) <= bounds.max_arity_size
-    assert sum(enumerated) <= 8000
+    assert sum(enumerated) <= 600
     assert [(o.step, o.reason, o.count) for o in state.overflows] == [
         ("operad-2", "arity", 1339),
         ("operad-2", "boundary", 346),

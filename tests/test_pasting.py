@@ -247,6 +247,25 @@ def test_boundary_restrict_naturality():
         assert substitute(boundary_restrict(ld, side)) == boundary(out)
 
 
+def test_a_diagram_without_top_cells_is_its_boundary_cell_for_cell():
+    """The free operad step reads a labelling of such an arity as the label
+    tuple of its src side: both boundary inclusions keep every cell's
+    position in ``all_cells``, and the cells' ends are those of the
+    boundary."""
+    seen = 0
+    for k in range(1, 5):
+        for t in enumerate_trees(k, 13):
+            if cells(t, k):
+                continue
+            seen += 1
+            n = len(all_cells(t))
+            assert len(all_cells(boundary(t))) == n
+            for side in (0, 1):
+                assert boundary_restrict(LabelledDiagram(t, tuple(range(n))), side).labels == tuple(range(n))
+            assert cell_ends(t) == cell_ends(boundary(t))
+    assert seen > 100
+
+
 
 def test_label_cells_land_where_their_boundaries_do():
     """At dimension 3 the parts are glued at shifts 0, 1 and 2.  Where a
