@@ -9,7 +9,6 @@ every multiplication and operad law.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cache
 
@@ -196,20 +195,14 @@ def labelling_order(shape: PastingDiagram) -> list[int]:
     return sorted(range(len(addrs)), key=lambda p: (-addrs[p].dim, addrs[p].path))
 
 
-@dataclass
-class Budget:
-    """A weight limit for ``enumerate_labellings``.  ``weights[j]`` maps
-    every label that can sit on a cell of dimension j to its weight, which
-    may be negative; a labelling weighs the sum over its cells.  ``cut``
-    gathers the number of labellings over ``limit`` left out; with
-    ``count_only``, ``kept`` gathers the number of the others, and none is
-    returned."""
-
-    weights: Sequence[Mapping]
-    limit: int
-    cut: int = 0
-    count_only: bool = False
-    kept: int = 0
+def _labelling_frame(shape: PastingDiagram):
+    # the cells of ``shape``, the order they are placed in, their dimensions
+    # and, per cell with a boundary, the positions of its src and tgt
+    addrs = all_cells(shape)
+    ends = [None] * len(addrs)
+    for p, s, t in cell_ends(shape):
+        ends[p] = (s, t)
+    return addrs, labelling_order(shape), [a.dim for a in addrs], ends
 
 
 def enumerate_labellings(
@@ -218,7 +211,6 @@ def enumerate_labellings(
     src_of,
     tgt_of,
     overrides: dict[CellAddr, list] | None = None,
-    budget: Budget | None = None,
 ) -> list[tuple]:
     """All labellings of ``shape`` with labels drawn per dimension from
     ``candidates_by_dim`` such that the label of every cell's source/target is
@@ -228,91 +220,111 @@ def enumerate_labellings(
     Cells are assigned top dimension first, so boundary labels are forced by
     the time their turn comes.  ``overrides`` narrows the candidate list of
     individual cells.  Deterministic output order.
-
-    With a ``budget``, only the labellings of weight within its limit are
-    returned, in the same order, and the number of the others is added to
-    ``budget.cut``.  A branch is cut once a lower bound on the weight of its
-    completions passes the limit: the weights of the placed labels and of
-    the forced ones, plus, for each other cell, the least weight of its
-    dimension.  The completions of a cut branch are counted exactly by the
-    same recursion in count-only mode, memoized on the step and the forced
-    labels of the cells not yet placed, which are all a completion depends
-    on.  With ``budget.count_only`` every branch is counted so, and none is
-    returned: the labellings within the limit are added to ``budget.kept``,
-    and the memo key holds the branch's lower bound too.
     """
-    addrs = all_cells(shape)
-    order = labelling_order(shape)
-    dims = [a.dim for a in addrs]
-    ends = [None] * len(addrs)
-    for p, s, t in cell_ends(shape):
-        ends[p] = (s, t)
+    addrs, order, dims, ends = _labelling_frame(shape)
     narrowed = [overrides.get(a) for a in addrs] if overrides else [None] * len(addrs)
     free = object()
     forced = [free] * len(addrs)
     assign = [None] * len(addrs)
     last = len(order)
     out: list[tuple] = []
-    # with a budget, the bound is kept as the excess over the least weights:
-    # ``excess[j]`` holds each label's weight less the least of dimension j,
-    # and ``spare`` the limit less the sum of the least weights of the cells
-    excess, spare = None, 0
-    if budget is not None:
-        least = {j: min(budget.weights[j].values(), default=0) for j in set(dims)}
-        excess = {j: {lab: w - m for lab, w in budget.weights[j].items()} for j, m in least.items()}
-        spare = budget.limit - sum([least[j] for j in dims])
-    tally = budget is not None and budget.count_only
-    memo: dict = {}
-    cut = kept = 0
 
-    def place(i: int, bound: int | None) -> None:
-        # assigns the cells from step i on; ``bound`` is a lower bound on the
-        # excess of every completion, or None to only count them in ``cut``;
-        # with ``tally``, a completion within the limit is counted in ``kept``
-        nonlocal cut, kept
+    def place(i: int) -> None:
         if i == last:
-            if bound is None:
-                cut += 1
-            elif tally:
-                kept += 1
-            else:
-                out.append(tuple(assign))
+            out.append(tuple(assign))
             return
-        counting = bound is None or tally
-        if counting:
-            key = (i, bound, *[forced[q] for q in order[i:]])
-            if key in memo:
-                more_cut, more_kept = memo[key]
-                cut += more_cut
-                kept += more_kept
-                return
-            before = cut, kept
         p = order[i]
         dim = dims[p]
-        fp = forced[p]
-        if fp is not free:
-            options = (fp,)
+        if forced[p] is not free:
+            options = (forced[p],)
         elif narrowed[p] is not None:
             options = narrowed[p]
         else:
             options = candidates_by_dim(dim)
-        weigh = excess is not None and bound is not None
-        if weigh:
-            # a forced label's excess is in the bound already
-            here = excess[dim] if fp is free else None
-            below = excess.get(dim - 1)
         if ends[p] is None:
             for lab in options:
                 assign[p] = lab
-                if weigh:
-                    nb = bound if here is None else bound + here[lab]
-                    place(i + 1, nb if nb <= spare else None)
-                else:
-                    place(i + 1, bound)
+                place(i + 1)
+            return
+        s, t = ends[p]
+        for lab in options:
+            # both neighbours agree before either is pushed
+            fs = forced[s]
+            vs = src_of(dim, lab)
+            if fs is not free and fs != vs:
+                continue
+            ft = forced[t]
+            vt = tgt_of(dim, lab)
+            if ft is not free and ft != vt:
+                continue
+            if fs is free:
+                forced[s] = vs
+            if ft is free:
+                forced[t] = vt
+            assign[p] = lab
+            place(i + 1)
+            if fs is free:
+                forced[s] = free
+            if ft is free:
+                forced[t] = free
+
+    place(0)
+    return out
+
+
+def count_labellings(shape: PastingDiagram, candidates_by_dim, src_of, tgt_of, weights, limit) -> tuple[int, int]:
+    """The numbers of the labellings ``enumerate_labellings`` finds, without
+    overrides, of weight within ``limit`` and over it.  ``weights[j]`` maps
+    every label that can sit on a cell of dimension j to its weight, which
+    may be negative; a labelling weighs the sum over its cells.
+
+    Cells are placed in the enumerator's order, with its forcing.  A branch
+    returns its completions tallied by the excess of their labels over the
+    least weight of each dimension, capped past the limit, so the tally
+    depends only on the step and the forced labels of the cells not yet
+    placed, and is memoized on them.
+    """
+    addrs, order, dims, ends = _labelling_frame(shape)
+    least = {j: min(weights[j].values(), default=0) for j in set(dims)}
+    excess = {j: {lab: w - m for lab, w in weights[j].items()} for j, m in least.items()}
+    # a tally maps each excess below ``cap`` to its number of completions,
+    # and ``cap`` to those past the limit less the least weights of the cells
+    cap = max(limit - sum([least[j] for j in dims]) + 1, 0)
+    free = object()
+    forced = [free] * len(addrs)
+    last = len(order)
+    memo: dict = {}
+    # a tally is read, never changed, once returned
+    leaf = {0: 1}
+
+    def place(i: int) -> dict[int, int]:
+        if i == last:
+            return leaf
+        key = (i, *[forced[q] for q in order[i:]])
+        if key in memo:
+            return memo[key]
+        tally: dict[int, int] = {}
+
+        def add(more: dict[int, int], shift: int) -> None:
+            for e, n in more.items():
+                e += shift
+                if e > cap:
+                    e = cap
+                tally[e] = tally.get(e, 0) + n
+
+        p = order[i]
+        dim = dims[p]
+        fp = forced[p]
+        # a forced label's excess was added when it was forced
+        here = excess[dim] if fp is free else None
+        options = candidates_by_dim(dim) if fp is free else (fp,)
+        if ends[p] is None:
+            for lab in options:
+                add(place(i + 1), 0 if here is None else here[lab])
         else:
             s, t = ends[p]
+            below = excess[dim - 1]
             for lab in options:
-                # both neighbours agree before either is pushed
                 fs = forced[s]
                 vs = src_of(dim, lab)
                 if fs is not free and fs != vs:
@@ -321,32 +333,24 @@ def enumerate_labellings(
                 vt = tgt_of(dim, lab)
                 if ft is not free and ft != vt:
                     continue
+                shift = 0 if here is None else here[lab]
                 if fs is free:
                     forced[s] = vs
+                    shift += below[vs]
                 if ft is free:
                     forced[t] = vt
-                assign[p] = lab
-                if weigh:
-                    nb = bound if here is None else bound + here[lab]
-                    if fs is free:
-                        nb += below[vs]
-                    if ft is free:
-                        nb += below[vt]
-                    place(i + 1, nb if nb <= spare else None)
-                else:
-                    place(i + 1, bound)
+                    shift += below[vt]
+                add(place(i + 1), shift)
                 if fs is free:
                     forced[s] = free
                 if ft is free:
                     forced[t] = free
-        if counting:
-            memo[key] = (cut - before[0], kept - before[1])
+        memo[key] = tally
+        return tally
 
-    place(0, 0 if spare >= 0 else None)
-    if budget is not None:
-        budget.cut += cut
-        budget.kept += kept
-    return out
+    tally = place(0)
+    over = tally.get(cap, 0)
+    return sum(tally.values()) - over, over
 
 
 def collection_labellings(shape: PastingDiagram, b: Collection, overrides=None) -> list[LabelledDiagram]:

@@ -23,8 +23,8 @@ from operator import itemgetter
 from typing import Callable
 from weakref import KeyedRef
 
-from .collection import Bounds, Budget, Collection, Overflow, configurations
-from .collection import add_cells, enumerate_labellings, labelling_fits, labelling_order
+from .collection import Bounds, Collection, Overflow, add_cells, configurations, count_labellings
+from .collection import enumerate_labellings, labelling_fits, labelling_order
 from .pasting import (
     LabelledDiagram,
     PastingDiagram,
@@ -384,28 +384,23 @@ def _free_at(coll: Collection, lower: OperadStructure | None, d: int, bounds: Bo
     A generator whose arity has no top cell is enumerated once, and each of
     its candidates has term size 1, so every one of them that fails check 2
     or 3 is rejected for one reason: "term" if ``max_term_size`` is 0, else
-    "arity".  Once that reason holds its three samples, the enumeration
-    gets a ``Budget`` of ``max_arity_size`` over the inner sizes, so it
-    returns only the labellings that pass check 3, and the number it cuts
-    is added to the reason's count; the samples are the same first three.
-    The unit labelling is skipped, not rejected.  Its weight is the size of
-    ``g``'s arity: when that is over the bound, the unit labelling was cut,
-    and is taken off the count.
+    "arity".  The unit labelling is skipped, not rejected.
 
-    Once "boundary" holds its three samples too, and every dimension below
-    ``d`` multiplies by ``term_mult``, none of ``g``'s labellings is
-    returned; the enumeration only counts those within the bound and those
-    over it.  ``g``'s arity has the cells of its boundary, in the same
-    order, so a labelling is its src side, which grafts to a lower cell c
-    exactly when it is the quotient of c by ``g``'s src, as grafting is free
-    (``_cuts``, made once per step over the lower layer).  The quotients
-    that are labellings by cells, within the bound and not the unit one,
-    are the candidates whose src passes check 4, in enumeration order; the
-    loop checks them as any other candidate, and the rest of those within
-    the bound, less the unit labelling, are added to "boundary".  Every
-    candidate that is neither returned nor counted would have been rejected
-    as it is counted, with the samples full, so the cells, tables, counts
-    and samples do not move.
+    Once that reason and "boundary" hold their three samples, and every
+    dimension below ``d`` multiplies by ``term_mult``, ``g``'s labellings
+    within the bound and over it are only counted (``count_labellings``,
+    once per arity shape and step).  ``g``'s arity has the cells of its
+    boundary, in the same order, so a labelling is its src side, which
+    grafts to a lower cell c exactly when it is the quotient of c by
+    ``g``'s src, as grafting is free (``_cuts``, made once per step over
+    the lower layer).  The quotients that are labellings by cells, within
+    the bound and not the unit one, are the candidates whose src passes
+    check 4, in enumeration order; the loop checks them as any other
+    candidate.  The labellings over the bound are added to the reason, and
+    the rest of those within it to "boundary", each less the unit
+    labelling if it is on that side.  Every candidate that is neither
+    returned nor counted would have been rejected as it is counted, with
+    the samples full, so the cells, tables, counts and samples do not move.
     """
     if d > coll.max_dim:
         raise ValueError("collection has no layer at the requested dimension")
@@ -487,9 +482,7 @@ def _free_at(coll: Collection, lower: OperadStructure | None, d: int, bounds: Bo
     def count(shape):
         # the labellings of an arity without top cells within the arity bound
         # and over it, each counted once per step
-        budget = Budget(inner_tables, max_arity, count_only=True)
-        enumerate_labellings(shape, candidates, src_of, tgt_of, budget=budget)
-        return budget.kept, budget.cut
+        return count_labellings(shape, candidates, src_of, tgt_of, inner_tables, max_arity)
 
     def src_side(g, shape, units, inners):
         # the labellings of ``shape``, which has no top cell, within the arity
@@ -536,20 +529,15 @@ def _free_at(coll: Collection, lower: OperadStructure | None, d: int, bounds: Bo
                 if n == 1:
                     # each candidate has term size 1, so check 2 or 3 rejects it for one reason
                     reason = "term" if max_term < 1 else "arity"
-                    if len(samples[reason]) < 3:
-                        labellings = enumerate_labellings(shape, candidates, src_of, tgt_of)
+                    # with "term", no candidate reaches the boundary check
+                    if invertible and len(samples[reason]) == len(samples["boundary"]) == 3:
+                        unit_over = sum([inner[lab] for inner, lab in zip(inners, units)]) > max_arity
+                        within, over = count(shape)
+                        labellings = src_side(g, shape, units, inners)
+                        rejected[reason] += over - unit_over
+                        rejected["boundary"] += within - (not unit_over) - len(labellings)
                     else:
-                        unit_cut = sum([inner[lab] for inner, lab in zip(inners, units)]) > max_arity
-                        # with "term", no candidate reaches the boundary check
-                        if invertible and len(samples["boundary"]) == 3:
-                            within, over = count(shape)
-                            labellings = src_side(g, shape, units, inners)
-                            rejected["boundary"] += within - (not unit_cut) - len(labellings)
-                        else:
-                            budget = Budget(inner_tables, max_arity)
-                            labellings = enumerate_labellings(shape, candidates, src_of, tgt_of, budget=budget)
-                            over = budget.cut
-                        rejected[reason] += over - unit_cut
+                        labellings = enumerate_labellings(shape, candidates, src_of, tgt_of)
             else:
                 for pos in range(len(tops)):
                     overrides = {tops[i]: top_old for i in range(pos)}

@@ -6,11 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from globop.collection import (
     Bounds,
-    Budget,
     PairCell,
     add_cells,
     check_collection,
     collection_labellings,
+    count_labellings,
     empty_collection,
     enumerate_labellings,
     labelling_order,
@@ -267,11 +267,11 @@ def test_enumerate_labellings_matches_product_and_filter(make, max_size):
     assert found > 100
 
 
-# --- the weight budget against filtering the unbudgeted labellings -----------
+# --- the weighed count against filtering the enumerated labellings -----------
 
 
 @cache
-def _budget_collections() -> tuple:
+def _weighed_collections() -> tuple:
     # the third has two 0-cells, so that a chain's arrows force different
     # points, and so leave different numbers of completions
     ends = [{}, {"f": "a", "g": "b", "e": "a"}, {"s": "f", "t": "e"}]
@@ -294,31 +294,23 @@ def _budget_collections() -> tuple:
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_budget_cuts_exactly_the_labellings_over_the_limit(data):
-    """With a budget, ``enumerate_labellings`` returns the labellings of
-    weight within the limit in the unbudgeted order, and counts the others.
-    Weights can be negative, as the inner sizes of degenerate arities are,
-    so the lower bound of a branch can fall as its labels are placed.  Every
-    limit from below the lightest labelling to the heaviest is tried, and
-    one far below, which cuts at the first step.  With ``count_only`` the
-    same recursion returns nothing and counts both sides of the limit."""
-    coll = data.draw(st.sampled_from(_budget_collections()))
+def test_count_labellings_splits_the_labellings_at_the_limit(data):
+    """``count_labellings`` counts the labellings ``enumerate_labellings``
+    finds whose weight is within the limit and those over it.  Weights can
+    be negative, as the inner sizes of degenerate arities are, so a label's
+    excess over the least weight of its dimension is what a branch adds.
+    Every limit from below the lightest labelling to the heaviest is tried,
+    and one far below, which leaves every labelling over it."""
+    coll = data.draw(st.sampled_from(_weighed_collections()))
     shape = data.draw(st.sampled_from(enumerate_trees(data.draw(st.integers(0, 2)), 5)))
-    overrides = data.draw(st.sampled_from((None, _narrowed(shape, coll))))
     weights = []
     for j in range(coll.max_dim + 1):
         layer = coll.cells_at(j)
         drawn = data.draw(st.lists(st.integers(-3, 4), min_size=len(layer), max_size=len(layer)))
         weights.append(dict(zip(layer, drawn)))
-    args = (shape, coll.cells_at, coll.src_of, coll.tgt_of, overrides)
+    args = (shape, coll.cells_at, coll.src_of, coll.tgt_of)
     addrs = all_cells(shape)
-    everything = enumerate_labellings(*args)
-    weighed = [(labels, sum(weights[a.dim][lab] for a, lab in zip(addrs, labels))) for labels in everything]
-    sums = [w for _, w in weighed] or [0]
-    for limit in (-100, *range(min(sums) - 1, max(sums) + 1)):
-        budget = Budget(weights, limit)
-        assert enumerate_labellings(*args, budget=budget) == [labels for labels, w in weighed if w <= limit]
-        assert budget.cut == sum(w > limit for _, w in weighed)
-        counted = Budget(weights, limit, count_only=True)
-        assert enumerate_labellings(*args, budget=counted) == []
-        assert (counted.kept, counted.cut) == (len(weighed) - budget.cut, budget.cut)
+    sums = [sum(weights[a.dim][lab] for a, lab in zip(addrs, labels)) for labels in enumerate_labellings(*args)]
+    for limit in (-100, *range(min(sums, default=0) - 1, max(sums, default=0) + 1)):
+        over = sum(w > limit for w in sums)
+        assert count_labellings(*args, weights, limit) == (len(sums) - over, over)

@@ -237,9 +237,10 @@ def _checked_ladder(monkeypatch, coll: Collection, bounds: Bounds) -> list:
 def degenerate_over_bound() -> Collection:
     """Two top-less 2-cells: ``y``, over ``g`` of arity ``chain(2)``, then
     ``z``, over ``h`` of arity ``chain(3)``.  At ``Bounds(2, 5, 1)`` the
-    labellings of ``y`` fill the arity samples, so those of ``z`` are cut
-    by a budget; ``z``'s arity, of size 7, is over the bound, so its unit
-    labelling lies in a cut branch, and must not be counted."""
+    labellings of ``y`` fill the arity and boundary samples, so those of
+    ``z`` are only counted; ``z``'s arity, of size 7, is over the bound, so
+    its unit labelling is counted over the bound, not within it, and must
+    be taken off that side."""
     cells = [["x"], ["f", "g", "h"], ["y", "z"]]
     ends = [{}, {"f": "x", "g": "x", "h": "x"}, {"y": "g", "z": "h"}]
     arity = [
@@ -257,7 +258,8 @@ CASES = {
     "empty-391": (empty_collection, Bounds(3, 9, 1)),
     "one-cell-251": (lambda: one_cell_collection(2), Bounds(2, 5, 1)),
     "unit-251": (lambda: unit_collection(2), Bounds(2, 5, 1)),
-    # no term fits, so what the budget cuts is rejected as "term"
+    # no term fits, so every candidate of a top-less generator is rejected
+    # as "term", and none is only counted
     "one-cell-250": (lambda: one_cell_collection(2), Bounds(2, 5, 0)),
     "degenerate-over-bound-251": (degenerate_over_bound, Bounds(2, 5, 1)),
     # the lower multiplication is not grafting, so the boundary is
@@ -295,16 +297,16 @@ def _checked_steps(monkeypatch, coll: Collection, lower: OperadStructure | None,
     start at dimension 0) up to ``bounds.max_dim``, each against the
     reference: a ladder on these collections would add more contraction
     cells than the reference can try in a test.  Returns the results and,
-    per step, whether an enumeration only counted, as it does once cells
+    per step, whether labellings were only counted, as they are once cells
     are found by inversion."""
     counted = []
-    real = operad.enumerate_labellings
+    real = operad.count_labellings
 
-    def spy(*args, budget=None, **kwargs):
-        counted[-1] |= budget is not None and budget.count_only
-        return real(*args, budget=budget, **kwargs)
+    def spy(*args):
+        counted[-1] = True
+        return real(*args)
 
-    monkeypatch.setattr(operad, "enumerate_labellings", spy)
+    monkeypatch.setattr(operad, "count_labellings", spy)
     steps = []
     for d in range(0 if lower is None else lower.up_to_dim + 1, bounds.max_dim + 1):
         counted.append(False)
@@ -373,11 +375,11 @@ def test_free_step_builds_no_composite_it_rejects(monkeypatch):
     """A candidate is rejected by arity from the inner sizes of its labels'
     arities, so every substitution made in the build is of a size within the
     bound, while the rejections it counts stay pinned.  The labellings of
-    the generators without top cells are only counted, once the samples are
-    full, and their cells are found by inverting grafting on the lower
-    layer, so the enumerations return at most 600 labellings (589; 7,737
-    when those labellings within the bound were returned, 25,205 without
-    the bound)."""
+    the generators without top cells are only counted, by
+    ``count_labellings``, once the samples are full, and their cells are
+    found by inverting grafting on the lower layer, so the enumerations
+    return at most 600 labellings (589; 7,737 when those within the bound
+    were enumerated, 25,205 when all of them were)."""
     bounds = Bounds(3, 9, 1)
     built = []
     enumerated = []
