@@ -390,17 +390,19 @@ def _free_at(coll: Collection, lower: OperadStructure | None, d: int, bounds: Bo
     dimension below ``d`` multiplies by ``term_mult``, ``g``'s labellings
     within the bound and over it are only counted (``count_labellings``,
     once per arity shape and step).  ``g``'s arity has the cells of its
-    boundary, in the same order, so a labelling is its src side, which
-    grafts to a lower cell c exactly when it is the quotient of c by
-    ``g``'s src, as grafting is free (``_cuts``, made once per step over
-    the lower layer).  The quotients that are labellings by cells, within
-    the bound and not the unit one, are the candidates whose src passes
-    check 4, in enumeration order; the loop checks them as any other
-    candidate.  The labellings over the bound are added to the reason, and
-    the rest of those within it to "boundary", each less the unit
-    labelling if it is on that side.  Every candidate that is neither
-    returned nor counted would have been rejected as it is counted, with
-    the samples full, so the cells, tables, counts and samples do not move.
+    boundary, in the same order and with the same ``labelling_order``, so a
+    labelling is its src side, which grafts to a lower cell c exactly when
+    it is the quotient of c by ``g``'s src, as grafting is free.  Those
+    quotients within the bound are the entries of ``cell_products`` on the
+    lower layer whose operation is ``g``'s src (made once per step, when
+    first read), as the size of the composite is the inner-size sum; less
+    the unit labelling, they are the candidates whose src passes check 4,
+    in enumeration order, and the loop checks them as any other candidate.
+    The labellings over the bound are added to the reason, and the rest of
+    those within it to "boundary", each less the unit labelling if it is on
+    that side.  Every candidate that is neither returned nor counted would
+    have been rejected as it is counted, with the samples full, so the
+    cells, tables, counts and samples do not move.
     """
     if d > coll.max_dim:
         raise ValueError("collection has no layer at the requested dimension")
@@ -472,10 +474,9 @@ def _free_at(coll: Collection, lower: OperadStructure | None, d: int, bounds: Bo
         if len(samples[reason]) < 3:
             samples[reason].append(NodeTerm(d, g, labels))
 
-    # the quotients of the cells of the lower layer by their top pieces, per
-    # piece, and each lower layer's positions; made once, when first read
-    quotients: dict = {}
-    positions: list = []
+    # the entries of ``cell_products`` on the lower layer, grouped by their
+    # operation; made once, when first read
+    products_by_op = None
     invertible = d >= 1 and _not_free_below(ctx, d) is None
 
     @cache
@@ -483,36 +484,6 @@ def _free_at(coll: Collection, lower: OperadStructure | None, d: int, bounds: Bo
         # the labellings of an arity without top cells within the arity bound
         # and over it, each counted once per step
         return count_labellings(shape, candidates, src_of, tgt_of, inner_tables, max_arity)
-
-    def src_side(g, shape, units, inners):
-        # the labellings of ``shape``, which has no top cell, within the arity
-        # bound and not the unit one, whose src side grafts to a cell c of the
-        # lower layer, in enumeration order.  ``shape`` has the cells of its
-        # boundary, in the same order, so each is a quotient of such a c by
-        # ``g``'s src
-        if not positions:
-            positions.extend({c: i for i, c in enumerate(coll.cells_at(j))} for j in range(d))
-            cuts = _cuts(ctx, [(d - 1, c) for c in positions[d - 1]])
-            for c in positions[d - 1]:
-                for a, q in cuts(d - 1, c).items():
-                    quotients.setdefault(a, []).append(q)
-        addrs = all_cells(shape)
-        order = labelling_order(shape)
-        found = []
-        for q in quotients.get(coll.src_of(d, g), ()):
-            if (
-                q == units
-                or any(lab not in positions[x.dim] for x, lab in zip(addrs, q))
-                or any(
-                    src_tables[addrs[p].dim][q[p]] != q[s] or tgt_tables[addrs[p].dim][q[p]] != q[t]
-                    for p, s, t in cell_ends(shape)
-                )
-                or sum([inner[lab] for inner, lab in zip(inners, q)]) > max_arity
-            ):
-                continue
-            found.append((tuple([positions[addrs[p].dim][q[p]] for p in order]), q))
-        found.sort(key=itemgetter(0))
-        return [q for _, q in found]
 
     old: list = []
     current: list = [unit]
@@ -533,7 +504,11 @@ def _free_at(coll: Collection, lower: OperadStructure | None, d: int, bounds: Bo
                     if invertible and len(samples[reason]) == len(samples["boundary"]) == 3:
                         unit_over = sum([inner[lab] for inner, lab in zip(inners, units)]) > max_arity
                         within, over = count(shape)
-                        labellings = src_side(g, shape, units, inners)
+                        if products_by_op is None:
+                            products_by_op = {}
+                            for _, a, q in cell_products(ctx, bounds, [d - 1]):
+                                products_by_op.setdefault(a, []).append(q)
+                        labellings = [q for q in products_by_op.get(coll.src_of(d, g), ()) if q != units]
                         rejected[reason] += over - unit_over
                         rejected["boundary"] += within - (not unit_over) - len(labellings)
                     else:

@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from globop.cli import main
 from globop.verify import SUITE_NAMES
@@ -354,3 +355,74 @@ def test_verify_all_on_a_fixture_runs_the_suites_that_read_it(capsys, name, verd
     got, out, err = run(capsys, "verify", "--suite", "all", "--input", str(FIXTURES / f"{name}.json"))
     assert got == code and err == ""
     assert [line.split(" (")[0] for line in out.splitlines()] == [f"{s}: {v}" for s, v in verdicts.items()]
+
+
+# values a hostile or careless writer could put anywhere in a fixture
+POOL = [None, True, 0, 1, -1, 2, 1.5, "", "v", [], [0], [[]], [0, 0], {}, {"unit": 0}, {"atom": "v"}, {"node": {}}]
+
+# per fixture, the suite that decodes it and the number of examples:
+# contraction-laws decodes a whole state and checks little more, and 300
+# examples reach a non-object provenance, which the decoder must reject
+FUZZED = {
+    "valid_state": ("contraction-laws", 300),
+    "valid_subst_vectors": ("monoid-laws", 60),
+    "corrupt_globset": ("globularity", 60),
+}
+
+
+def _paths_by_field(doc) -> list[list[tuple]]:
+    """Every path into ``doc``, grouped by the key of the field it is in and
+    the number of list indices after that key, so that each field gets an
+    even share of the mutations however long its lists are."""
+    fields: dict = {}
+
+    def walk(node, path, field, depth):
+        if path:
+            fields.setdefault((field, depth), []).append(path)
+        if isinstance(node, dict):
+            for key, child in node.items():
+                walk(child, (*path, key), key, 0)
+        elif isinstance(node, list):
+            for i, child in enumerate(node):
+                walk(child, (*path, i), field, depth + 1)
+
+    walk(doc, (), None, 0)
+    return list(fields.values())
+
+
+def _replaced(doc, path, value):
+    # a copy of ``doc`` with ``value`` at ``path``; only the containers on
+    # the path are copied
+    if not path:
+        return value
+    node = doc.copy()
+    node[path[0]] = _replaced(doc[path[0]], path[1:], value)
+    return node
+
+
+@st.composite
+def _mutated(draw, doc, fields):
+    # every path resolves in ``doc``; replaced deepest first, none is cut off
+    paths = draw(st.lists(st.sampled_from(fields).flatmap(st.sampled_from), min_size=1, max_size=2, unique=True))
+    for path in sorted(paths, key=len, reverse=True):
+        doc = _replaced(doc, path, draw(st.sampled_from(POOL)))
+    return doc
+
+
+@pytest.mark.parametrize("name", FUZZED)
+def test_verify_decodes_a_mutated_fixture_without_a_traceback(tmp_path_factory, name):
+    """One or two values anywhere in a fixture replaced from a fixed pool:
+    the suite that decodes it passes, fails or rejects the file (exit 2),
+    and raises nothing."""
+    suite, examples = FUZZED[name]
+    doc = json.loads((FIXTURES / f"{name}.json").read_text())
+    fixture = tmp_path_factory.mktemp("fuzz") / f"{name}.json"
+    argv = ["verify", "--suite", suite, "--input", str(fixture)]
+
+    @settings(max_examples=examples, derandomize=True, deadline=None, database=None)
+    @given(_mutated(doc, _paths_by_field(doc)))
+    def check(mutated):
+        fixture.write_text(json.dumps(mutated))
+        assert main(argv) in (0, 1, 2)
+
+    check()

@@ -407,3 +407,29 @@ def test_free_step_builds_no_composite_it_rejects(monkeypatch):
         ("operad-3", "arity", 16346),
         ("operad-3", "boundary", 7028),
     ]
+
+
+@pytest.mark.parametrize(
+    "bounds, calls",
+    [
+        (Bounds(3, 9, 1), [([1], 11), ([2], 72)]),
+        (Bounds(4, 11, 1), [([1], 13), ([2], 113), ([3], 452)]),
+    ],
+    ids=["391", "4111"],
+)
+def test_free_step_reads_the_lower_products_once_per_step(monkeypatch, bounds, calls):
+    """The candidates of the generators without top cells are the entries of
+    ``cell_products`` on the layer below, made once per step, the first time
+    one is inverted: one call per step from dimension 2 up, with the
+    dimension below and the number of its entries."""
+    seen = []
+    real = operad.cell_products
+
+    def spy(op, bounds, dims):
+        out = real(op, bounds, dims)
+        seen.append((list(dims), len(out)))
+        return out
+
+    monkeypatch.setattr(operad, "cell_products", spy)
+    initial_owc(bounds)
+    assert seen == calls

@@ -250,8 +250,9 @@ def test_boundary_restrict_naturality():
 def test_a_diagram_without_top_cells_is_its_boundary_cell_for_cell():
     """The free operad step reads a labelling of such an arity as the label
     tuple of its src side: both boundary inclusions keep every cell's
-    position in ``all_cells``, and the cells' ends are those of the
-    boundary."""
+    position in ``all_cells``, and the cells' ends, dimensions and
+    ``labelling_order`` are those of the boundary, so that ``cell_products``
+    lists such labellings in enumeration order."""
     seen = 0
     for k in range(1, 5):
         for t in enumerate_trees(k, 13):
@@ -263,6 +264,8 @@ def test_a_diagram_without_top_cells_is_its_boundary_cell_for_cell():
             for side in (0, 1):
                 assert boundary_restrict(LabelledDiagram(t, tuple(range(n))), side).labels == tuple(range(n))
             assert cell_ends(t) == cell_ends(boundary(t))
+            assert [x.dim for x in all_cells(t)] == [x.dim for x in all_cells(boundary(t))]
+            assert labelling_order(t) == labelling_order(boundary(t))
     assert seen > 100
 
 
