@@ -1,10 +1,10 @@
 """Collections: globular sets equipped with a pasting-diagram arity map.
 
-Also home to the labelling enumerator (a labelling of a shape valued in a
-graded cell family is a globular map, so labels of higher cells force the
-labels of their boundary cells) and to ``configurations``: an operation with
-a labelling of its arity, a cell of a tensor product and the argument of
-every multiplication and operad law.
+Also home to the labelling enumerator (a labelling of a shape by a globular
+set is a globular map, so labels of higher cells force the labels of their
+boundary cells) and to ``configurations``: an operation with a labelling of
+its arity, a cell of a tensor product and the argument of every
+multiplication and operad law.
 """
 
 from __future__ import annotations
@@ -183,7 +183,7 @@ def truncate(a: Collection, k: int) -> Collection:
 
 
 # ---------------------------------------------------------------------------
-# labellings of a shape valued in a graded cell family
+# labellings of a shape by a globular set
 
 
 def labelling_order(shape: PastingDiagram) -> list[int]:
@@ -206,16 +206,12 @@ def _labelling_frame(shape: PastingDiagram):
 
 
 def enumerate_labellings(
-    shape: PastingDiagram,
-    candidates_by_dim,
-    src_of,
-    tgt_of,
-    overrides: dict[CellAddr, list] | None = None,
+    shape: PastingDiagram, family: GlobularSet, overrides: dict[CellAddr, list] | None = None
 ) -> list[tuple]:
-    """All labellings of ``shape`` with labels drawn per dimension from
-    ``candidates_by_dim`` such that the label of every cell's source/target is
-    the source/target of that cell's label, each as its label tuple, aligned
-    with ``all_cells(shape)``.
+    """All labellings of ``shape`` by ``family``: maps of globular sets, a
+    j-cell labelled by a j-cell of ``family``, so that the label of every
+    cell's source/target is the source/target of that cell's label.  Each
+    is its label tuple, aligned with ``all_cells(shape)``.
 
     Cells are assigned top dimension first, so boundary labels are forced by
     the time their turn comes.  ``overrides`` narrows the candidate list of
@@ -240,21 +236,22 @@ def enumerate_labellings(
         elif narrowed[p] is not None:
             options = narrowed[p]
         else:
-            options = candidates_by_dim(dim)
+            options = family.cells[dim]
         if ends[p] is None:
             for lab in options:
                 assign[p] = lab
                 place(i + 1)
             return
         s, t = ends[p]
+        src, tgt = family.src[dim], family.tgt[dim]
         for lab in options:
             # both neighbours agree before either is pushed
             fs = forced[s]
-            vs = src_of(dim, lab)
+            vs = src[lab]
             if fs is not free and fs != vs:
                 continue
             ft = forced[t]
-            vt = tgt_of(dim, lab)
+            vt = tgt[lab]
             if ft is not free and ft != vt:
                 continue
             if fs is free:
@@ -272,7 +269,7 @@ def enumerate_labellings(
     return out
 
 
-def count_labellings(shape: PastingDiagram, candidates_by_dim, src_of, tgt_of, weights, limit) -> tuple[int, int]:
+def count_labellings(shape: PastingDiagram, family: GlobularSet, weights, limit) -> tuple[int, int]:
     """The numbers of the labellings ``enumerate_labellings`` finds, without
     overrides, of weight within ``limit`` and over it.  ``weights[j]`` maps
     every label that can sit on a cell of dimension j to its weight, which
@@ -317,20 +314,21 @@ def count_labellings(shape: PastingDiagram, candidates_by_dim, src_of, tgt_of, w
         fp = forced[p]
         # a forced label's excess was added when it was forced
         here = excess[dim] if fp is free else None
-        options = candidates_by_dim(dim) if fp is free else (fp,)
+        options = family.cells[dim] if fp is free else (fp,)
         if ends[p] is None:
             for lab in options:
                 add(place(i + 1), 0 if here is None else here[lab])
         else:
             s, t = ends[p]
             below = excess[dim - 1]
+            src, tgt = family.src[dim], family.tgt[dim]
             for lab in options:
                 fs = forced[s]
-                vs = src_of(dim, lab)
+                vs = src[lab]
                 if fs is not free and fs != vs:
                     continue
                 ft = forced[t]
-                vt = tgt_of(dim, lab)
+                vt = tgt[lab]
                 if ft is not free and ft != vt:
                     continue
                 shift = 0 if here is None else here[lab]
@@ -354,14 +352,7 @@ def count_labellings(shape: PastingDiagram, candidates_by_dim, src_of, tgt_of, w
 
 
 def collection_labellings(shape: PastingDiagram, b: Collection, overrides=None) -> list[LabelledDiagram]:
-    found = enumerate_labellings(
-        shape,
-        lambda j: b.cells_at(j),
-        lambda j, c: b.src_of(j, c),
-        lambda j, c: b.tgt_of(j, c),
-        overrides,
-    )
-    return [LabelledDiagram(shape, labels) for labels in found]
+    return [LabelledDiagram(shape, labels) for labels in enumerate_labellings(shape, b.carrier, overrides)]
 
 
 def labelling_fits(b: Collection, max_arity_size: int):

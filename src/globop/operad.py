@@ -25,6 +25,7 @@ from weakref import KeyedRef
 
 from .collection import Bounds, Collection, Overflow, add_cells, configurations, count_labellings
 from .collection import enumerate_labellings, labelling_fits, labelling_order
+from .globset import GlobularSet
 from .pasting import (
     LabelledDiagram,
     PastingDiagram,
@@ -454,15 +455,6 @@ def _free_at(coll: Collection, lower: OperadStructure | None, d: int, bounds: Bo
         # a node is at least one bigger than any of its top labels
         return [t for t in terms if tsize[t] <= max_term - 1]
 
-    def candidates(j):
-        return top_current if j == d else coll.cells_at(j)
-
-    def src_of(j, lab):
-        return src_tables[j][lab]
-
-    def tgt_of(j, lab):
-        return tgt_tables[j][lab]
-
     strata: dict = {}
     # per reason, the number of rejected candidates and the first three,
     # which are all the state records of them
@@ -483,7 +475,7 @@ def _free_at(coll: Collection, lower: OperadStructure | None, d: int, bounds: Bo
     def count(shape):
         # the labellings of an arity without top cells within the arity bound
         # and over it, each counted once per step
-        return count_labellings(shape, candidates, src_of, tgt_of, inner_tables, max_arity)
+        return count_labellings(shape, family, inner_tables, max_arity)
 
     old: list = []
     current: list = [unit]
@@ -493,7 +485,8 @@ def _free_at(coll: Collection, lower: OperadStructure | None, d: int, bounds: Bo
     while frontier:
         n += 1
         additions = []
-        top_old, top_frontier, top_current = fits(old), fits(frontier), fits(current)
+        top_old, top_frontier = fits(old), fits(frontier)
+        family = GlobularSet((*coll.carrier.cells[:d], fits(current)), src_tables, tgt_tables)
         for g, shape, tops, units, first_top, tables, inners, sides in plan:
             labellings: list[tuple] = []
             if not tops:
@@ -512,14 +505,12 @@ def _free_at(coll: Collection, lower: OperadStructure | None, d: int, bounds: Bo
                         rejected[reason] += over - unit_over
                         rejected["boundary"] += within - (not unit_over) - len(labellings)
                     else:
-                        labellings = enumerate_labellings(shape, candidates, src_of, tgt_of)
+                        labellings = enumerate_labellings(shape, family)
             else:
                 for pos in range(len(tops)):
                     overrides = {tops[i]: top_old for i in range(pos)}
                     overrides[tops[pos]] = top_frontier
-                    labellings.extend(
-                        enumerate_labellings(shape, candidates, src_of, tgt_of, overrides)
-                    )
+                    labellings.extend(enumerate_labellings(shape, family, overrides))
             for labels in labellings:
                 if labels == units:
                     continue

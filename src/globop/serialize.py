@@ -28,9 +28,12 @@ def _atom_to_json(v):
 
 
 def _atom_from_json(v):
+    """An atom as ``_atom_to_json`` writes it: a string, an int or a list of them."""
     if isinstance(v, list):
         return tuple(_atom_from_json(x) for x in v)
-    return v
+    if isinstance(v, (str, int)):
+        return v
+    raise ValueError(f"atom {v!r} is not a string, an int or a list of them")
 
 
 def cell_to_json(c) -> dict:
@@ -292,7 +295,10 @@ def state_from_json(data: dict) -> DecodedState:
             p = entry.get("provenance", {})
             if not isinstance(p, dict):
                 raise ValueError(f"provenance {p!r} is not an object")
-            provenance[(k, c)] = Provenance(p.get("step", "input"), p.get("stratum"))
+            step, stratum = p.get("step", "input"), p.get("stratum")
+            if not isinstance(step, str) or not (stratum is None or type(stratum) is int):
+                raise ValueError(f"provenance {p!r} is not a step name with an int or null stratum")
+            provenance[(k, c)] = Provenance(step, stratum)
         cells_by_dim.append(_distinct(decoded, k))
     src, tgt = _ends(data, cells_by_dim)
     arity = [
@@ -332,10 +338,17 @@ def state_from_json(data: dict) -> DecodedState:
                 raise ValueError(f"mult label dim {j!r} differs from its cell's {x.dim}")
             labels.append(_at(cells_by_dim[j], i, "mult label"))
         mult_entries[(d, a, tuple(labels))] = _at(layer, entry["result"], "mult result")
-    overflows = tuple(
-        Overflow(o["step"], o["dim"], o["reason"], o["count"], tuple(o["sample"]))
-        for o in data.get("overflows", [])
-    )
+    overflows = []
+    for o in data.get("overflows", []):
+        step, dim, reason, count, sample = (o[key] for key in ("step", "dim", "reason", "count", "sample"))
+        if not (
+            isinstance(sample, list)
+            and all(isinstance(v, str) for v in (step, reason, *sample))
+            and type(dim) is int
+            and type(count) is int
+        ):
+            raise ValueError(f"overflow {o!r} is not two strings, two ints and a list of strings")
+        overflows.append(Overflow(step, dim, reason, count, tuple(sample)))
     state = OwcState(
         collection=coll,
         operad=operad,
@@ -343,7 +356,7 @@ def state_from_json(data: dict) -> DecodedState:
         stage=stage,
         bounds=bounds,
         provenance=provenance,
-        overflows=overflows,
+        overflows=tuple(overflows),
     )
     return DecodedState(state, mult_entries)
 

@@ -17,8 +17,8 @@ from .collection import (
     Bounds,
     Collection,
     check_collection,
+    collection_labellings,
     empty_collection,
-    enumerate_labellings,
     make_collection,
     one_cell_collection,
     tensor,
@@ -141,13 +141,7 @@ def input_collection_of(state: OwcState) -> Collection:
 
 @cache
 def tree_labellings(shape: PastingDiagram, max_label_size: int) -> list[LabelledDiagram]:
-    found = enumerate_labellings(
-        shape,
-        lambda j: enumerate_trees(j, max_label_size),
-        lambda j, t: boundary(t),
-        lambda j, t: boundary(t),
-    )
-    return [LabelledDiagram(shape, labels) for labels in found]
+    return collection_labellings(shape, terminal_collection(Bounds(shape.dim, max_label_size, 0)))
 
 
 def check_substitution_laws(max_shape_size: int, max_label_size: int, max_dim: int = 2) -> Report:

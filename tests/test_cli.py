@@ -251,6 +251,20 @@ HOSTILE = {
         gen={"unit": 1}, labels=[{"atom": "v"}, {"atom": "v"}, data["cells"][1][1]["cell"]]
     ),
     "node-label-unit-labels": lambda data: _top_label_unit_labelled(data["cells"][1][21]["cell"]["node"], data),
+    # an atom is a string, an int or a list of them, as the encoder writes
+    # it: each of these used to decode, and the state then failed to encode
+    "atom-null": lambda data: data["cells"][0][0]["cell"]["gen"].update(atom=None),
+    "atom-float": lambda data: data["cells"][0][0]["cell"]["gen"].update(atom=1.5),
+    # an overflow is two strings, two ints and a list of strings, and a
+    # provenance a step name with an int or null stratum: each of these used
+    # to decode
+    "overflow-count-null": lambda data: data["overflows"][0].update(count=None),
+    "overflow-count-list": lambda data: data["overflows"][0].update(count=[]),
+    "overflow-count-object": lambda data: data["overflows"][0].update(count={}),
+    "overflow-reason-list": lambda data: data["overflows"][0].update(reason=[]),
+    "overflow-step-list": lambda data: data["overflows"][0].update(step=[0]),
+    "provenance-step-list": lambda data: data["cells"][0][0]["provenance"].update(step=[0]),
+    "provenance-stratum-string": lambda data: data["cells"][0][0]["provenance"].update(stratum="x"),
 }
 
 

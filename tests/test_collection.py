@@ -260,7 +260,7 @@ def test_enumerate_labellings_matches_product_and_filter(make, max_size):
     for k in range(4):
         for shape in enumerate_trees(k, max_size):
             for overrides in (None, _narrowed(shape, coll)):
-                out = enumerate_labellings(shape, *args, overrides)
+                out = enumerate_labellings(shape, coll.carrier, overrides)
                 assert isinstance(out, list)
                 assert out == [phi.labels for phi in reference_labellings(shape, *args, overrides)]
                 found += len(out)
@@ -308,9 +308,9 @@ def test_count_labellings_splits_the_labellings_at_the_limit(data):
         layer = coll.cells_at(j)
         drawn = data.draw(st.lists(st.integers(-3, 4), min_size=len(layer), max_size=len(layer)))
         weights.append(dict(zip(layer, drawn)))
-    args = (shape, coll.cells_at, coll.src_of, coll.tgt_of)
     addrs = all_cells(shape)
-    sums = [sum(weights[a.dim][lab] for a, lab in zip(addrs, labels)) for labels in enumerate_labellings(*args)]
+    found = enumerate_labellings(shape, coll.carrier)
+    sums = [sum(weights[a.dim][lab] for a, lab in zip(addrs, labels)) for labels in found]
     for limit in (-100, *range(min(sums, default=0) - 1, max(sums, default=0) + 1)):
         over = sum(w > limit for w in sums)
-        assert count_labellings(*args, weights, limit) == (len(sums) - over, over)
+        assert count_labellings(shape, coll.carrier, weights, limit) == (len(sums) - over, over)

@@ -5,11 +5,13 @@ and then reject it by ``term_size``, ``cell_arity`` and the boundary
 evaluated by ``term_src``/``term_tgt``.  ``reference_free_at`` below is a
 verbatim copy of that loop, with the ``is_term`` it called (only the name
 is prefixed and the imports hoisted); the ``enumerate_labellings`` it calls
-wraps each label tuple the enumerator now returns in a ``LabelledDiagram``,
-as the loop read them.  The tests run both at every operad step of a ladder,
-or of the free operad steps alone, and check that the new layer, its order,
-the strata, the src/tgt/arity tables, the stabilization depth and the
-overflow records (reason, count and samples) are the same.
+tabulates the loop's candidates and their src and tgt as the globular set
+the enumerator now reads, and wraps each label tuple it returns in a
+``LabelledDiagram``, as the loop read them.  The tests run both at every
+operad step of a ladder, or of the free operad steps alone, and check that
+the new layer, its order, the strata, the src/tgt/arity tables, the
+stabilization depth and the overflow records (reason, count and samples)
+are the same.
 """
 
 from dataclasses import replace
@@ -27,6 +29,7 @@ from globop.collection import (
     one_cell_collection,
     unit_collection,
 )
+from globop.globset import GlobularSet
 from globop.interleave import free_owc, initial_owc
 from globop.operad import (
     FreeOperadResult,
@@ -48,10 +51,17 @@ from test_operad import make_node, self_loop_operad, term_src, term_tgt
 # --- reference: the candidate loop before the rewrite, verbatim ---------------
 
 
-def enumerate_labellings(shape, *args, **kwargs) -> list[LabelledDiagram]:
+def enumerate_labellings(shape, candidates, src_of, tgt_of, overrides=None) -> list[LabelledDiagram]:
     """``collection.enumerate_labellings`` as the reference loop read it:
-    each label tuple wrapped in a ``LabelledDiagram``."""
-    found = collection.enumerate_labellings(shape, *args, **kwargs)
+    the candidates of each dimension up to the shape's, with their src and
+    tgt tabulated, as the globular set the enumerator reads, and each label
+    tuple wrapped in a ``LabelledDiagram``."""
+    layers = [tuple(candidates(j)) for j in range(shape.dim + 1)]
+    src, tgt = (
+        tuple({lab: end(j, lab) for lab in layer} if j else {} for j, layer in enumerate(layers))
+        for end in (src_of, tgt_of)
+    )
+    found = collection.enumerate_labellings(shape, GlobularSet(tuple(layers), src, tgt), overrides)
     return [LabelledDiagram(shape, labels) for labels in found]
 
 

@@ -1,13 +1,15 @@
 import dataclasses
 import json
 from collections import Counter
+from functools import cache
 from pathlib import Path
 
 import pytest
 
 import make_fixtures
-from globop import pasting, verify
-from globop.collection import Bounds, add_cells, check_collection, enumerate_labellings
+from globop import collection, pasting, verify
+from globop.collection import Bounds, add_cells, check_collection
+from globop.globset import GlobularSet
 from globop.pasting import (
     LabelledDiagram,
     PastingDiagram,
@@ -113,6 +115,61 @@ def test_globularity_negative_names_witness():
 def test_substitution_laws_small_scale():
     rep = check_substitution_laws(5, 3)
     assert rep.passed
+
+
+# --- the references below call ``enumerate_labellings`` with a candidate
+# list per dimension and src and tgt callbacks, as it read its labels
+# before it read a globular set: the adapter reads them as one, each
+# table looking its entries up through its callback.
+
+
+class _Ends:
+    def __init__(self, end, j):
+        self.end, self.j = end, j
+
+    def __getitem__(self, lab):
+        return self.end(self.j, lab)
+
+
+def enumerate_labellings(shape, candidates_by_dim, src_of, tgt_of, overrides=None) -> list[tuple]:
+    dims = range(shape.dim + 1)
+    family = GlobularSet(
+        tuple(tuple(candidates_by_dim(j)) for j in dims),
+        tuple(_Ends(src_of, j) for j in dims),
+        tuple(_Ends(tgt_of, j) for j in dims),
+    )
+    return collection.enumerate_labellings(shape, family, overrides)
+
+
+# --- reference: ``tree_labellings`` before it read the terminal collection,
+# verbatim but for the name.
+
+
+@cache
+def reference_tree_labellings(shape: PastingDiagram, max_label_size: int) -> list[LabelledDiagram]:
+    found = enumerate_labellings(
+        shape,
+        lambda j: enumerate_trees(j, max_label_size),
+        lambda j, t: boundary(t),
+        lambda j, t: boundary(t),
+    )
+    return [LabelledDiagram(shape, labels) for labels in found]
+
+
+@pytest.mark.parametrize(
+    "max_shape_size, max_label_size", [(7, 5), (9, 3)], ids=["monoid-laws", "oracle-equivalence"]
+)
+def test_tree_labellings_are_the_labellings_by_the_terminal_collection(max_shape_size, max_label_size):
+    """Over the ranges the monoid-laws and oracle-equivalence suites read,
+    the labellings by the terminal collection are the labellings by trees
+    and their boundaries, in the same order."""
+    found = 0
+    for d in range(3):
+        for shape in enumerate_trees(d, max_shape_size):
+            got = tree_labellings(shape, max_label_size)
+            assert got == reference_tree_labellings(shape, max_label_size)
+            found += len(got)
+    assert found > 100
 
 
 # --- reference: the monoid-laws check before it read both levels off
