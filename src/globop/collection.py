@@ -195,16 +195,6 @@ def labelling_order(shape: PastingDiagram) -> list[int]:
     return sorted(range(len(addrs)), key=lambda p: (-addrs[p].dim, addrs[p].path))
 
 
-def _labelling_frame(shape: PastingDiagram):
-    # the cells of ``shape``, the order they are placed in, their dimensions
-    # and, per cell with a boundary, the positions of its src and tgt
-    addrs = all_cells(shape)
-    ends = [None] * len(addrs)
-    for p, s, t in cell_ends(shape):
-        ends[p] = (s, t)
-    return addrs, labelling_order(shape), [a.dim for a in addrs], ends
-
-
 def enumerate_labellings(
     shape: PastingDiagram, family: GlobularSet, overrides: dict[CellAddr, list] | None = None
 ) -> list[tuple]:
@@ -217,7 +207,12 @@ def enumerate_labellings(
     the time their turn comes.  ``overrides`` narrows the candidate list of
     individual cells.  Deterministic output order.
     """
-    addrs, order, dims, ends = _labelling_frame(shape)
+    addrs = all_cells(shape)
+    order = labelling_order(shape)
+    dims = [a.dim for a in addrs]
+    ends = [None] * len(addrs)
+    for p, s, t in cell_ends(shape):
+        ends[p] = (s, t)
     narrowed = [overrides.get(a) for a in addrs] if overrides else [None] * len(addrs)
     free = object()
     forced = [free] * len(addrs)
@@ -275,78 +270,57 @@ def count_labellings(shape: PastingDiagram, family: GlobularSet, weights, limit)
     every label that can sit on a cell of dimension j to its weight, which
     may be negative; a labelling weighs the sum over its cells.
 
-    Cells are placed in the enumerator's order, with its forcing.  A branch
-    returns its completions tallied by the excess of their labels over the
-    least weight of each dimension, capped past the limit, so the tally
-    depends only on the step and the forced labels of the cells not yet
-    placed, and is memoized on them.
+    A pasting diagram is a tree: a labelling of a column at depth j between
+    the (j - 1)-cells s and t labels its points by j-cells from s to t (any
+    0-cells for ``shape`` itself, at depth 0), one after another, and each
+    of its columns by the hom between the labels of the points on either
+    side.  A column's labellings are tallied by the
+    excess of their labels over the least weight of each dimension, capped
+    past the limit, and memoized on the column, its depth and its ends.
     """
-    addrs, order, dims, ends = _labelling_frame(shape)
-    least = {j: min(weights[j].values(), default=0) for j in set(dims)}
-    excess = {j: {lab: w - m for lab, w in weights[j].items()} for j, m in least.items()}
-    # a tally maps each excess below ``cap`` to its number of completions,
+    least = [min(weights[j].values(), default=0) for j in range(shape.dim + 1)]
+    # a tally maps each excess below ``cap`` to its number of labellings,
     # and ``cap`` to those past the limit less the least weights of the cells
-    cap = max(limit - sum([least[j] for j in dims]) + 1, 0)
-    free = object()
-    forced = [free] * len(addrs)
-    last = len(order)
+    cap = max(limit - sum([least[a.dim] for a in all_cells(shape)]) + 1, 0)
+    # per dimension j, the j-cells with their excess, by their (src, tgt)
+    homs: list[dict] = []
+    for j, m in enumerate(least):
+        hom: dict = {}
+        src, tgt, weight = family.src[j], family.tgt[j], weights[j]
+        for lab in family.cells[j]:
+            hom.setdefault((src[lab], tgt[lab]) if j else None, []).append((lab, weight[lab] - m))
+        homs.append(hom)
     memo: dict = {}
-    # a tally is read, never changed, once returned
-    leaf = {0: 1}
 
-    def place(i: int) -> dict[int, int]:
-        if i == last:
-            return leaf
-        key = (i, *[forced[q] for q in order[i:]])
+    def add(into: dict, a: dict, b: dict, shift: int) -> None:
+        # the product of the tallies ``a`` and ``b``, shifted, added to ``into``
+        for e, n in a.items():
+            for f, k in b.items():
+                g = min(e + f + shift, cap)
+                into[g] = into.get(g, 0) + n * k
+
+    def column(c: PastingDiagram, j: int, ends) -> dict[int, int]:
+        key = (c, j, ends)
         if key in memo:
             return memo[key]
-        tally: dict[int, int] = {}
+        points = homs[j].get(ends, ())
+        # per label of the last point placed, the tally of the labellings so far
+        row = {x: {min(e, cap): 1} for x, e in points}
+        for child in c.children:
+            nxt: dict = {}
+            for x, before in row.items():
+                for y, e in points:
+                    tally = column(child, j + 1, (x, y))
+                    if tally:
+                        add(nxt.setdefault(y, {}), before, tally, e)
+            row = nxt
+        total: dict = {}
+        for tally in row.values():
+            add(total, tally, {0: 1}, 0)
+        memo[key] = total
+        return total
 
-        def add(more: dict[int, int], shift: int) -> None:
-            for e, n in more.items():
-                e += shift
-                if e > cap:
-                    e = cap
-                tally[e] = tally.get(e, 0) + n
-
-        p = order[i]
-        dim = dims[p]
-        fp = forced[p]
-        # a forced label's excess was added when it was forced
-        here = excess[dim] if fp is free else None
-        options = family.cells[dim] if fp is free else (fp,)
-        if ends[p] is None:
-            for lab in options:
-                add(place(i + 1), 0 if here is None else here[lab])
-        else:
-            s, t = ends[p]
-            below = excess[dim - 1]
-            src, tgt = family.src[dim], family.tgt[dim]
-            for lab in options:
-                fs = forced[s]
-                vs = src[lab]
-                if fs is not free and fs != vs:
-                    continue
-                ft = forced[t]
-                vt = tgt[lab]
-                if ft is not free and ft != vt:
-                    continue
-                shift = 0 if here is None else here[lab]
-                if fs is free:
-                    forced[s] = vs
-                    shift += below[vs]
-                if ft is free:
-                    forced[t] = vt
-                    shift += below[vt]
-                add(place(i + 1), shift)
-                if fs is free:
-                    forced[s] = free
-                if ft is free:
-                    forced[t] = free
-        memo[key] = tally
-        return tally
-
-    tally = place(0)
+    tally = column(shape, 0, None)
     over = tally.get(cap, 0)
     return sum(tally.values()) - over, over
 

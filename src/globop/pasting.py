@@ -16,6 +16,7 @@ cell, the positions in the composite where the cells of its label land.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
@@ -479,6 +480,11 @@ def tree_to_json(pi: PastingDiagram) -> list:
 
 
 def tree_from_json(data, dim: int) -> PastingDiagram:
+    # a diagram with top cells nests ``dim`` lists deep, and JSON is parsed
+    # no deeper than the recursion limit; loops over the dimensions of a
+    # degenerate diagram of a higher one would not end in reasonable time
+    if type(dim) is not int or not 0 <= dim <= sys.getrecursionlimit():
+        raise ValueError(f"dimension {dim!r} is not an int from 0 to the recursion limit")
     if not isinstance(data, list):
         raise ValueError("a pasting diagram is encoded as nested arrays")
     if dim == 0:

@@ -340,6 +340,21 @@ def test_verify_rejects_a_fixture_nested_deeper_than_the_parser_goes(tmp_path, c
     assert "malformed fixture" in err and out == ""
 
 
+@pytest.mark.parametrize("dim", [2**64, 1.0, True], ids=["2**64", "float", "bool"])
+def test_verify_rejects_a_substitution_case_of_a_dimension_it_cannot_have(tmp_path, capsys, dim):
+    """A case's dimension is an int no higher than the recursion limit.  A
+    degenerate diagram of dimension 2**64 would be looped over dimension by
+    dimension, holding a table per dimension until memory runs out; a float
+    or a bool is rejected before it can stand for the int it equals."""
+    data = json.loads((FIXTURES / "valid_subst_vectors.json").read_text())
+    data["cases"][0]["dim"] = dim
+    fixture = tmp_path / "cases.json"
+    fixture.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", "--suite", "monoid-laws", "--input", str(fixture))
+    assert code == 2
+    assert err.startswith("malformed fixture") and out == ""
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("stage", [9, 9]), ("stage", [1, 2]), ("stage", [True, True]), ("max_dim", True)],
@@ -371,8 +386,42 @@ def test_verify_all_on_a_fixture_runs_the_suites_that_read_it(capsys, name, verd
     assert [line.split(" (")[0] for line in out.splitlines()] == [f"{s}: {v}" for s, v in verdicts.items()]
 
 
-# values a hostile or careless writer could put anywhere in a fixture
-POOL = [None, True, 0, 1, -1, 2, 1.5, "", "v", [], [0], [[]], [0, 0], {}, {"unit": 0}, {"atom": "v"}, {"node": {}}]
+# the keys of the formats, so that a built object can pass for a cell, a
+# node, a table entry or its provenance
+KEYS = (
+    "unit", "node", "ctr", "atom", "gen", "dim", "labels", "a", "b", "theta", "cell", "op",
+    "result", "provenance", "step", "stratum", "reason", "count", "sample", "cases",
+)
+
+# any JSON value, with the ints an index or a dimension can be and floats
+# of every kind, NaN and the infinities among them
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.sampled_from([2**31, 2**64, -(2**63)]) | st.floats() | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(KEYS), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _nested(value, depth: int):
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+def _hostile(value):
+    """A value a hostile or careless writer could put where ``value`` is,
+    built from it: a bool, a float, a string or an index out of range for
+    an int; an object for a list, or the list cut short or run long; a list
+    for an object, or the object less a key; ``value`` nested in up to 300
+    lists, as an atom can be; or any JSON value."""
+    built = [JSON_VALUES, st.integers(1, 300).map(lambda depth: _nested(value, depth))]
+    if type(value) is int:
+        built.append(st.sampled_from([True, False, float(value), value + 0.5, str(value), -1 - value, value + 1000, 2**64]))
+    elif isinstance(value, list):
+        built.append(st.sampled_from([{str(i): v for i, v in enumerate(value)}, value[:-1], value + value[-1:]]))
+    elif isinstance(value, dict):
+        built.append(st.sampled_from([list(value.values()), *({k: v for k, v in value.items() if k != key} for key in value)]))
+    return st.one_of(built)
 
 # per fixture, the suite that decodes it and the number of examples:
 # contraction-laws decodes a whole state and checks little more, and 300
@@ -414,20 +463,27 @@ def _replaced(doc, path, value):
     return node
 
 
+def _at_path(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
 @st.composite
 def _mutated(draw, doc, fields):
-    # every path resolves in ``doc``; replaced deepest first, none is cut off
+    # every path resolves in ``doc``; replaced deepest first, none is cut
+    # off, and each value is built from the one it replaces
     paths = draw(st.lists(st.sampled_from(fields).flatmap(st.sampled_from), min_size=1, max_size=2, unique=True))
     for path in sorted(paths, key=len, reverse=True):
-        doc = _replaced(doc, path, draw(st.sampled_from(POOL)))
+        doc = _replaced(doc, path, draw(_hostile(_at_path(doc, path))))
     return doc
 
 
 @pytest.mark.parametrize("name", FUZZED)
 def test_verify_decodes_a_mutated_fixture_without_a_traceback(tmp_path_factory, name):
-    """One or two values anywhere in a fixture replaced from a fixed pool:
-    the suite that decodes it passes, fails or rejects the file (exit 2),
-    and raises nothing."""
+    """One or two values anywhere in a fixture replaced by hostile values
+    built from them: the suite that decodes it passes, fails or rejects the
+    file (exit 2), and raises nothing."""
     suite, examples = FUZZED[name]
     doc = json.loads((FIXTURES / f"{name}.json").read_text())
     fixture = tmp_path_factory.mktemp("fuzz") / f"{name}.json"
