@@ -205,7 +205,9 @@ def enumerate_labellings(
 
     Cells are assigned top dimension first, so boundary labels are forced by
     the time their turn comes.  ``overrides`` narrows the candidate list of
-    individual cells.  Deterministic output order.
+    individual cells that nothing forces, such as top cells: a cell forced by
+    a higher cell's label takes the forced label, and its override is ignored
+    without a sign.  Deterministic output order.
     """
     addrs = all_cells(shape)
     order = labelling_order(shape)

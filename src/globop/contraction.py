@@ -122,11 +122,14 @@ def free_contraction_step(
 
 def check_contraction(s: ContractionStructure, bounds: Bounds) -> Report:
     """gamma must be total on the admissible triples within bounds and every
-    lift must have the stated arity, source and target."""
+    lift must have the stated arity, source and target.  ``counts`` gives
+    the triples checked per dimension and in all, which is 0 if none was."""
     rep = Report("contraction-laws")
     coll = s.over
     for k in range(1, s.up_to_dim + 1):
-        for a, b, theta in admissible_triples(coll, k, bounds):
+        triples = admissible_triples(coll, k, bounds)
+        rep.counts[f"admissible_triples_dim_{k}"] = len(triples)
+        for a, b, theta in triples:
             lift = s.gamma.get((a, b, theta))
             if lift is None:
                 rep.add("gamma undefined on an admissible triple", witness=(k, a, b, theta))
@@ -140,6 +143,7 @@ def check_contraction(s: ContractionStructure, bounds: Bounds) -> Report:
                 rep.add("src of the lift is not a", witness=(k, a, b, theta))
             if coll.tgt_of(k, lift) != b:
                 rep.add("tgt of the lift is not b", witness=(k, a, b, theta))
+    rep.counts["admissible_triples"] = sum(rep.counts.values())
     return rep
 
 

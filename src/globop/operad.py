@@ -212,7 +212,8 @@ def _plan(op: OperadStructure, d: int, a) -> Callable[[tuple], object]:
     ``_intern`` makes a node where the term is kept.  A sub-term with a live
     node is that node, so two products are one term exactly when they are
     ``==``, and a transient equals no cell.  Hence the invariant: never
-    compare a transient with a node interned after the transient was made."""
+    compare a transient with a node interned after the transient was made.
+    Only the law check compares them."""
     if isinstance(a, UnitTerm):
         return itemgetter(-1)  # the top cell comes last in all_cells
     gen = a.gen if isinstance(a, NodeTerm) else a
@@ -365,10 +366,11 @@ def _free_at(coll: Collection, lower: OperadStructure | None, d: int, bounds: Bo
        sum is the size of the substitution of the labels' arities into
        ``g``'s arity (see ``inner_size``), which is built only for a
        survivor, as its arity;
-    4. for ``d >= 1``, the boundary: ``g``'s src and tgt grafted in the lower
-       operad with the labels on the src and tgt boundary of ``g``'s arity,
-       as ``_plan`` returns them, must be cells of the lower layer (which
-       stay live), else rejected as "boundary";
+    4. for ``d >= 1``, the boundary: ``g``'s src and tgt, each with the
+       labels on its side of the boundary of ``g``'s arity, must be keys of
+       ``cell_products`` on the lower layer, made once per step (a candidate
+       within the arity bound has its boundary within it), else rejected as
+       "boundary";
     5. the node is built, and skipped if an earlier stratum holds it.
 
     These are the checks made by building every candidate as a node and
@@ -378,25 +380,23 @@ def _free_at(coll: Collection, lower: OperadStructure | None, d: int, bounds: Bo
     in ``strata`` passed checks 2 to 4 when it was added, and they read only
     its labels, so skipping it after them rejects nothing new; and a
     rejected candidate is made a node only to be one of the first three
-    samples of its reason.  The shape check ``term_mult`` makes on
-    every call is made once per generator, before the loop: the arity of
-    each of ``g``'s src and tgt must be the boundary of ``g``'s arity.
+    samples of its reason.  Where the lower dimension grafts, ``g``'s src
+    and tgt must each have the boundary of ``g``'s arity as arity, else
+    ``ValueError``: checked once per generator, before the loop.
 
     A generator whose arity has no top cell is enumerated once, and each of
     its candidates has term size 1, so every one of them that fails check 2
     or 3 is rejected for one reason: "term" if ``max_term_size`` is 0, else
     "arity".  The unit labelling is skipped, not rejected.
 
-    Once that reason and "boundary" hold their three samples, and every
-    dimension below ``d`` multiplies by ``term_mult``, ``g``'s labellings
-    within the bound and over it are only counted (``count_labellings``,
-    once per arity shape and step).  ``g``'s arity has the cells of its
-    boundary, in the same order and with the same ``labelling_order``, so a
-    labelling is its src side, which grafts to a lower cell c exactly when
-    it is the quotient of c by ``g``'s src, as grafting is free.  Those
-    quotients within the bound are the entries of ``cell_products`` on the
-    lower layer whose operation is ``g``'s src (made once per step, when
-    first read), as the size of the composite is the inner-size sum; less
+    Once that reason and "boundary" hold their three samples, ``g``'s
+    labellings within the bound and over it are only counted
+    (``count_labellings``, once per arity shape and step).  ``g``'s arity
+    has the cells of its boundary, in the same order and with the same
+    ``labelling_order``, so a labelling is its src side, and the labellings
+    within the bound whose src side composes to a lower cell are the
+    entries of ``cell_products`` on the lower layer whose operation is
+    ``g``'s src, as the size of the composite is the inner-size sum.  Less
     the unit labelling, they are the candidates whose src passes check 4,
     in enumeration order, and the loop checks them as any other candidate.
     The labellings over the bound are added to the reason, and the rest of
@@ -423,7 +423,6 @@ def _free_at(coll: Collection, lower: OperadStructure | None, d: int, bounds: Bo
     ntgt: dict = dict(coll.carrier.tgt[d])
     if d >= 1:
         nsrc[unit] = ntgt[unit] = ctx.units[d - 1]
-    lower_cells = set(coll.cells_at(d - 1)) if d >= 1 else set()
     arity_tables = (*coll.arity[:d], narity)
     inner_tables = (*({c: inner_size(a) for c, a in layer.items()} for layer in coll.arity[:d]), ninner)
     src_tables = (*coll.carrier.src[:d], nsrc)
@@ -431,9 +430,8 @@ def _free_at(coll: Collection, lower: OperadStructure | None, d: int, bounds: Bo
 
     # per generator: its arity, top cells, unit labels, the position of the
     # first top label (the top cells come last in all_cells), the tables each
-    # label's arity and inner size are read from and, for d >= 1, the plans
-    # of its src and tgt, each with the slicer of its side of the boundary of
-    # its arity
+    # label's arity and inner size are read from and, for d >= 1, its src and
+    # tgt, each with the slicer of its side of the boundary of its arity
     plan = []
     for g in gens:
         shape = narity[g] = coll.arity_of(d, g)
@@ -446,7 +444,7 @@ def _free_at(coll: Collection, lower: OperadStructure | None, d: int, bounds: Bo
             heads = (coll.src_of(d, g), coll.tgt_of(d, g))
             if ctx.mults[d - 1] is term_mult and any(cell_arity(ctx, d - 1, h) != bshape for h in heads):
                 raise ValueError("labelling shape differs from the arity of the operation")
-            sides = [(_mult_plan(ctx, d - 1, h), boundary_slicer(shape, i)) for i, h in enumerate(heads)]
+            sides = [(h, boundary_slicer(shape, i)) for i, h in enumerate(heads)]
         tables = [arity_tables[x.dim] for x in addrs]
         inners = [inner_tables[x.dim] for x in addrs]
         plan.append((g, shape, tops, _unit_labels(ctx, shape), len(addrs) - len(tops), tables, inners, sides))
@@ -466,10 +464,12 @@ def _free_at(coll: Collection, lower: OperadStructure | None, d: int, bounds: Bo
         if len(samples[reason]) < 3:
             samples[reason].append(NodeTerm(d, g, labels))
 
-    # the entries of ``cell_products`` on the lower layer, grouped by their
-    # operation; made once, when first read
-    products_by_op = None
-    invertible = d >= 1 and _not_free_below(ctx, d) is None
+    # the lower products that are cells, and their label tuples grouped by
+    # operation, made once per step
+    products: dict = cell_products(ctx, bounds, [d - 1]) if d >= 1 else {}
+    products_by_op: dict = {}
+    for _, a, q in products:
+        products_by_op.setdefault(a, []).append(q)
 
     @cache
     def count(shape):
@@ -494,13 +494,9 @@ def _free_at(coll: Collection, lower: OperadStructure | None, d: int, bounds: Bo
                     # each candidate has term size 1, so check 2 or 3 rejects it for one reason
                     reason = "term" if max_term < 1 else "arity"
                     # with "term", no candidate reaches the boundary check
-                    if invertible and len(samples[reason]) == len(samples["boundary"]) == 3:
+                    if len(samples[reason]) == len(samples["boundary"]) == 3:
                         unit_over = sum([inner[lab] for inner, lab in zip(inners, units)]) > max_arity
                         within, over = count(shape)
-                        if products_by_op is None:
-                            products_by_op = {}
-                            for _, a, q in cell_products(ctx, bounds, [d - 1]):
-                                products_by_op.setdefault(a, []).append(q)
                         labellings = [q for q in products_by_op.get(coll.src_of(d, g), ()) if q != units]
                         rejected[reason] += over - unit_over
                         rejected["boundary"] += within - (not unit_over) - len(labellings)
@@ -522,10 +518,10 @@ def _free_at(coll: Collection, lower: OperadStructure | None, d: int, bounds: Bo
                     reject("arity", g, labels)
                     continue
                 if d >= 1:
-                    (src_plan, take_s), (tgt_plan, take_t) = sides
-                    s = src_plan(take_s(labels))
-                    t = tgt_plan(take_t(labels)) if s in lower_cells else None
-                    if s not in lower_cells or t not in lower_cells:
+                    (src_g, take_s), (tgt_g, take_t) = sides
+                    s = products.get((d - 1, src_g, take_s(labels)))
+                    t = products.get((d - 1, tgt_g, take_t(labels))) if s is not None else None
+                    if t is None:
                         reject("boundary", g, labels)
                         continue
                 cell = NodeTerm(d, g, labels)
@@ -592,27 +588,23 @@ def mult_table(op: OperadStructure, bounds: Bounds, dims=None) -> dict:
 
 
 def cell_products(op: OperadStructure, bounds: Bounds, dims=None) -> dict:
-    """The entries of ``mult_table`` whose product is a cell, in the same
-    order, found by inverting grafting instead of multiplying.
+    """The entries of ``mult_table`` whose product is a cell of its layer,
+    in the same order.
 
-    Grafting is free, so ``a∘phi`` is the d-cell ``c`` exactly when ``a`` is
-    a top piece of ``c`` and ``phi`` the quotient of ``c`` by ``a`` (see
-    ``_cuts``).  Each cut whose operation is a cell is an entry, unless its
-    composite arity is over the bound or its labels are not a labelling of
-    the operation's arity by cells (a decoded state can have such cuts).
-    Entries are sorted by operation, then by the layer positions of their
-    labels read in ``labelling_order``, which is ``mult_table``'s order.
-
-    Raises ``ValueError`` for a table in ``op.products``, or if a dimension
-    up to the largest one asked for multiplies otherwise than by
-    ``term_mult``: the cuts invert grafting at every dimension below.
+    Where every dimension up to the largest one asked for multiplies by
+    ``term_mult`` and ``op.products`` is empty, they are found by inverting
+    grafting instead of multiplying.  Grafting is free, so ``a∘phi`` is the
+    d-cell ``c`` exactly when ``a`` is a top piece of ``c`` and ``phi`` the
+    quotient of ``c`` by ``a`` (see ``_cuts``).  Each cut whose operation is
+    a cell is an entry, unless its composite arity is over the bound or its
+    labels are not a labelling of the operation's arity by cells (a decoded
+    state can have such cuts).  Entries are sorted by operation, then by the
+    layer positions of their labels read in ``labelling_order``, which is
+    ``mult_table``'s order.  Elsewhere they are read from ``mult_table``.
     """
-    if op.products:
-        raise ValueError("cell_products cuts cells by grafting; op.products would override it")
     dims = list(dims if dims is not None else range(op.up_to_dim + 1))
-    j = _not_free_below(op, max(dims, default=-1) + 1)
-    if j is not None:
-        raise ValueError(f"dimension {j} is not free: its multiplication is not grafting")
+    if op.products or any(m is not term_mult for m in op.mults[: max(dims, default=-1) + 1]):
+        return {k: r for k, r in mult_table(op, bounds, dims).items() if op.over.has_cell(k[0], r)}
     over = op.over
     src, tgt = over.carrier.src, over.carrier.tgt
     index = [{c: i for i, c in enumerate(over.cells_at(j))} for j in range(over.max_dim + 1)]
@@ -644,12 +636,6 @@ def cell_products(op: OperadStructure, bounds: Bounds, dims=None) -> dict:
         for _, entry, c in found:
             table[entry] = c
     return table
-
-
-def _not_free_below(op: OperadStructure, d: int) -> int | None:
-    """The first dimension below ``d`` that multiplies otherwise than by
-    ``term_mult``, or None: ``_cuts`` inverts grafting only if none does."""
-    return next((j for j in range(d) if op.mults[j] is not term_mult), None)
 
 
 def _cuts(op: OperadStructure, cells):

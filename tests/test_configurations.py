@@ -343,11 +343,9 @@ def _same_calls(new, old, op, *args, **kwargs):
 @pytest.mark.parametrize("case", CASES)
 def test_tables_match_the_reference(case):
     op, bounds = CASES[case]()
-    if case == "terminal-252":
-        # substitution does not add term sizes, so there is nothing to cut by
-        with pytest.raises(ValueError, match="dimension 0"):
-            cell_products(op, bounds)
-    else:
+    if case != "terminal-252":
+        # the reference prunes by term size, which substitution does not add:
+        # see test_cell_products_fall_back_to_the_table in test_grafting.py
         assert list(cell_products(op, bounds).items()) == list(reference_cell_products(op, bounds).items())
     dims = [0, 1] if case == "initial-252" else None
     new, old = _same_calls(mult_table, reference_mult_table, op, bounds, dims=dims)
@@ -440,12 +438,6 @@ def test_cell_products_multiply_about_what_they_keep(monkeypatch):
             table = cell_products(rec, Bounds(*dims))
         assert len(table) == entries
         assert log == []
-
-
-def test_cell_products_refuse_a_table_of_products():
-    op, bounds = _wrong_product()
-    with pytest.raises(ValueError, match="products"):
-        cell_products(op, bounds)
 
 
 def _broken_terminal():

@@ -356,13 +356,15 @@ def test_free_step_inverts_only_to_labellings_by_cells(monkeypatch):
     assert counted[-1]
 
 
-def test_free_step_enumerates_over_a_lower_dimension_that_is_not_grafting(monkeypatch):
+def test_free_step_counts_over_a_lower_dimension_that_is_not_grafting(monkeypatch):
     """Where a dimension below multiplies otherwise than by grafting, the
-    cuts do not invert it: the step enumerates, and matches the reference.
-    Dimension 0 multiplies as ``self_loop_operad``'s does."""
+    cuts do not invert it, and ``cell_products`` reads the lower products
+    that are cells from ``mult_table``: the step still counts, once the
+    samples are full, and matches the reference.  Dimension 0 multiplies as
+    ``self_loop_operad``'s does."""
     coll = top_less_over_inputs()
     steps, counted = _checked_steps(monkeypatch, coll, OperadStructure(coll, {0: "x"}, (_read_first_label,)), Bounds(2, 7, 2))
-    assert counted == [False, False]
+    assert counted == [False, True]
     assert any(o.reason == "boundary" and o.count > 3 for o in steps[-1].overflows)
 
 
@@ -422,15 +424,15 @@ def test_free_step_builds_no_composite_it_rejects(monkeypatch):
 @pytest.mark.parametrize(
     "bounds, calls",
     [
-        (Bounds(3, 9, 1), [([1], 11), ([2], 72)]),
-        (Bounds(4, 11, 1), [([1], 13), ([2], 113), ([3], 452)]),
+        (Bounds(3, 9, 1), [([0], 1), ([1], 11), ([2], 72)]),
+        (Bounds(4, 11, 1), [([0], 1), ([1], 13), ([2], 113), ([3], 452)]),
     ],
     ids=["391", "4111"],
 )
 def test_free_step_reads_the_lower_products_once_per_step(monkeypatch, bounds, calls):
-    """The candidates of the generators without top cells are the entries of
-    ``cell_products`` on the layer below, made once per step, the first time
-    one is inverted: one call per step from dimension 2 up, with the
+    """The boundary check and the candidates of the generators without top
+    cells read the entries of ``cell_products`` on the layer below, made
+    once per step: one call per step from dimension 1 up, with the
     dimension below and the number of its entries."""
     seen = []
     real = operad.cell_products

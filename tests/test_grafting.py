@@ -62,7 +62,13 @@ from globop.serialize import state_from_json
 from globop.verify import cached_initial
 
 from test_cell_identity import count_new_nodes
-from test_configurations import _broken_terminal, compose_labellings, reference_cell_products
+from test_configurations import (
+    _broken_terminal,
+    _wrong_product,
+    compose_labellings,
+    reference_cell_products,
+    reference_mult_table,
+)
 from test_operad import make_node, self_loop_operad, unit_labelling
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -352,22 +358,33 @@ def test_plans_collapse_units_as_the_reference():
 @pytest.mark.parametrize("case", ["initial-252", "initial-371", "valid-state"])
 def test_cell_products_match_the_reference(case):
     op, bounds = CASES[case][0]()
-    # cell_products refuses a table of products.  It cuts by ``term_mult``,
-    # so the reference grafting multiplies for the reference enumeration.
+    # without a table of products cell_products cuts by ``term_mult``, so
+    # the reference grafting multiplies for the reference enumeration
     op = dataclasses.replace(op, products={})
     new = cell_products(op, bounds)
     assert list(new.items()) == list(reference_cell_products(_reference(op), bounds).items())
 
 
-def test_cell_products_refuse_an_operad_that_is_not_free_below():
-    """The self-loop's dimension 0 composes by its own function, so its
-    dimension-1 cells are not cut by grafting all the way down, even when
-    only dimension 1 is asked for."""
-    op, bounds = CASES["self-loop-174"][0]()
-    op = dataclasses.replace(op, products={})
-    assert op.mults[1] is term_mult
-    with pytest.raises(ValueError, match="dimension 0"):
-        cell_products(op, bounds, dims=[1])
+# operads whose cell products cannot be cut by grafting, with the dimensions
+# asked for: substitution, a lower dimension that does not graft, even when
+# only dimension 1 is asked for, and a table of products that overrides it
+@pytest.mark.parametrize(
+    "make, dims",
+    [(_terminal, None), (_self_loop, [1]), (_wrong_product, None)],
+    ids=["terminal-252", "self-loop-174-dim-1", "wrong-product"],
+)
+def test_cell_products_fall_back_to_the_table(make, dims):
+    """Where grafting cannot be inverted, ``cell_products`` is what it
+    stands for: the entries of the reference ``mult_table`` whose product is
+    a cell, in the same order."""
+    op, bounds = make()
+    new = list(cell_products(op, bounds, dims).items())
+    want = [(k, r) for k, r in reference_mult_table(op, bounds, dims).items() if op.over.has_cell(k[0], r)]
+    assert new and new == want
+    if make is not _terminal:
+        # the reference enumeration prunes by term size, which substitution
+        # does not add, so on the term-based operads alone it gives this too
+        assert new == list(reference_cell_products(op, bounds, dims).items())
 
 
 def test_make_node_collapses_as_the_reference():

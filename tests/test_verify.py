@@ -8,7 +8,7 @@ import pytest
 
 import make_fixtures
 from globop import collection, pasting, verify
-from globop.collection import Bounds, add_cells, check_collection
+from globop.collection import Bounds, add_cells, check_collection, empty_collection
 from globop.globset import GlobularSet
 from globop.pasting import (
     LabelledDiagram,
@@ -24,7 +24,8 @@ from globop.pasting import (
     unit_tree,
 )
 from globop.report import Report
-from globop.serialize import state_from_json
+from globop.interleave import start_state
+from globop.serialize import state_from_json, state_to_json
 from globop.verify import (
     PROBE_BOUNDS,
     SUITE_NAMES,
@@ -99,6 +100,19 @@ def test_state_suites_pass_on_valid_fixture(name):
         assert counts["products_read_from_table"] == 727496
     if name == "stability-contraction":
         assert rep.counts == {"rebuilt_products": 316, "fixture_entries": 316}
+
+
+def test_contraction_laws_count_the_triples_they_check():
+    """A contraction-laws pass says how many admissible triples it checked,
+    in all and at each dimension, so a pass that checked none shows: a fresh
+    build checks some at every dimension, a state at stage (0, 0) none."""
+    counts = run_suite("contraction-laws", SMALL).counts
+    per_dim = [counts.pop(f"admissible_triples_dim_{k}") for k in (1, 2, 3)]
+    assert min(per_dim) > 0 and counts == {"admissible_triples": sum(per_dim)}
+    start = start_state(empty_collection(SMALL.max_dim), SMALL)
+    assert start.stage == (0, 0)
+    rep = run_suite("contraction-laws", SMALL, fixture=state_to_json(start))
+    assert rep.passed and rep.counts == {"admissible_triples": 0}
 
 
 def test_monoid_suite_accepts_valid_vectors():
