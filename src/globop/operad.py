@@ -352,10 +352,10 @@ def free_operad_step(x: OperadStructure, bounds: Bounds) -> FreeOperadResult:
 def _free_at(coll: Collection, lower: OperadStructure | None, d: int, bounds: Bounds) -> FreeOperadResult:
     """The free operad step at dimension ``d``, built stratum by stratum.
 
-    Each generator ``g`` is tried with the labellings of its arity whose top
-    labels come from the earlier strata (at least one from the last), in
-    ``enumerate_labellings`` order.  A candidate label tuple is checked in
-    this order, and only a survivor is made a ``NodeTerm`` and substituted:
+    Stratum 1 tries each generator ``g`` with all labellings of its arity,
+    stratum ``n > 1`` with those whose top labels come from earlier strata,
+    one at least from stratum ``n - 1``.  A candidate is checked in this
+    order, and only a survivor is made a ``NodeTerm`` and substituted:
 
     1. unit collapse: the unit labels give ``g`` itself, which is skipped;
     2. term size, ``1 + Σ tsize`` over the top labels, within the bound,
@@ -370,26 +370,30 @@ def _free_at(coll: Collection, lower: OperadStructure | None, d: int, bounds: Bo
        labels on its side of the boundary of ``g``'s arity, must be keys of
        ``cell_products`` on the lower layer, made once per step (a candidate
        within the arity bound has its boundary within it), else rejected as
-       "boundary";
-    5. the node is built, and skipped if an earlier stratum holds it.
+       "boundary".
+
+    No node is built twice: in stratum ``n > 1`` the top labels before the
+    first from stratum ``n - 1`` come from earlier strata, so its position
+    splits the candidates, and a node lands in the stratum after the latest
+    stratum of its top labels (the unit's is 0, a generator's 1).  The loop
+    stops at the first stratum that adds nothing; the one before it is the
+    stabilization depth.
 
     These are the checks made by building every candidate as a node and
     reading its ``term_size``, ``cell_arity`` and boundary, as the reference
     loop in ``tests/test_free_step.py`` does, on the same candidates in the
-    same order, so the cells, tables, counts and samples do not move: a node
-    in ``strata`` passed checks 2 to 4 when it was added, and they read only
-    its labels, so skipping it after them rejects nothing new; and a
+    same order, so the cells, tables, counts and samples do not move: a
     rejected candidate is made a node only to be one of the first three
     samples of its reason.  Where the lower dimension grafts, ``g``'s src
     and tgt must each have the boundary of ``g``'s arity as arity, else
     ``ValueError``: checked once per generator, before the loop.
 
-    A generator whose arity has no top cell is enumerated once, and each of
-    its candidates has term size 1, so every one of them that fails check 2
-    or 3 is rejected for one reason: "term" if ``max_term_size`` is 0, else
-    "arity".  The unit labelling is skipped, not rejected.
+    A generator whose arity has no top cell is tried in stratum 1 only; its
+    candidates have term size 1, so check 2 or 3 rejects them as "arity",
+    or as "term" if ``max_term_size`` is 0, when none reaches check 4.  The
+    unit labelling is skipped, not rejected.
 
-    Once that reason and "boundary" hold their three samples, ``g``'s
+    Once "arity" and "boundary" hold their three samples, ``g``'s
     labellings within the bound and over it are only counted
     (``count_labellings``, once per arity shape and step).  ``g``'s arity
     has the cells of its boundary, in the same order and with the same
@@ -399,7 +403,7 @@ def _free_at(coll: Collection, lower: OperadStructure | None, d: int, bounds: Bo
     ``g``'s src, as the size of the composite is the inner-size sum.  Less
     the unit labelling, they are the candidates whose src passes check 4,
     in enumeration order, and the loop checks them as any other candidate.
-    The labellings over the bound are added to the reason, and the rest of
+    The labellings over the bound are added to "arity", and the rest of
     those within it to "boundary", each less the unit labelling if it is on
     that side.  Every candidate that is neither returned nor counted would
     have been rejected as it is counted, with the samples full, so the
@@ -477,36 +481,30 @@ def _free_at(coll: Collection, lower: OperadStructure | None, d: int, bounds: Bo
         # and over it, each counted once per step
         return count_labellings(shape, family, inner_tables, max_arity)
 
-    old: list = []
-    current: list = [unit]
+    # the top labels of the strata before the last, and the terms of the last
+    top_old: list = []
     frontier: list = [unit]
-    depth = 0
     n = 0
     while frontier:
         n += 1
         additions = []
-        top_old, top_frontier = fits(old), fits(frontier)
-        family = GlobularSet((*coll.carrier.cells[:d], fits(current)), src_tables, tgt_tables)
+        top_frontier = fits(frontier)
+        family = GlobularSet((*coll.carrier.cells[:d], top_old + top_frontier), src_tables, tgt_tables)
         for g, shape, tops, units, first_top, tables, inners, sides in plan:
-            labellings: list[tuple] = []
-            if not tops:
-                if n == 1:
-                    # each candidate has term size 1, so check 2 or 3 rejects it for one reason
-                    reason = "term" if max_term < 1 else "arity"
-                    # with "term", no candidate reaches the boundary check
-                    if len(samples[reason]) == len(samples["boundary"]) == 3:
-                        unit_over = sum([inner[lab] for inner, lab in zip(inners, units)]) > max_arity
-                        within, over = count(shape)
-                        labellings = [q for q in products_by_op.get(coll.src_of(d, g), ()) if q != units]
-                        rejected[reason] += over - unit_over
-                        rejected["boundary"] += within - (not unit_over) - len(labellings)
-                    else:
-                        labellings = enumerate_labellings(shape, family)
-            else:
+            if n > 1:
+                labellings = []
                 for pos in range(len(tops)):
                     overrides = {tops[i]: top_old for i in range(pos)}
                     overrides[tops[pos]] = top_frontier
                     labellings.extend(enumerate_labellings(shape, family, overrides))
+            elif not tops and len(samples["arity"]) == len(samples["boundary"]) == 3:
+                unit_over = sum([inner[lab] for inner, lab in zip(inners, units)]) > max_arity
+                within, over = count(shape)
+                labellings = [q for q in products_by_op.get(coll.src_of(d, g), ()) if q != units]
+                rejected["arity"] += over - unit_over
+                rejected["boundary"] += within - (not unit_over) - len(labellings)
+            else:
+                labellings = enumerate_labellings(shape, family)
             for labels in labellings:
                 if labels == units:
                     continue
@@ -525,8 +523,6 @@ def _free_at(coll: Collection, lower: OperadStructure | None, d: int, bounds: Bo
                         reject("boundary", g, labels)
                         continue
                 cell = NodeTerm(d, g, labels)
-                if cell in strata:
-                    continue
                 if d >= 1:
                     nsrc[cell], ntgt[cell] = s, t
                 ar = narity[cell] = subst_arities(shape, tuple([table[lab] for table, lab in zip(tables, labels)]))
@@ -535,14 +531,8 @@ def _free_at(coll: Collection, lower: OperadStructure | None, d: int, bounds: Bo
                 strata[cell] = n
                 additions.append(cell)
         additions.sort(key=canonical_key)
-        if additions or (n == 1 and gens):
-            depth = n
-        if n == 1:
-            frontier = gens + additions
-        else:
-            frontier = additions
-        old = current
-        current = current + frontier
+        top_old += top_frontier
+        frontier = gens + additions if n == 1 else additions
 
     nodes = sorted(strata, key=canonical_key)
     new_coll = add_cells(coll, d, (unit, *nodes), nsrc, ntgt, narity)
@@ -562,7 +552,7 @@ def _free_at(coll: Collection, lower: OperadStructure | None, d: int, bounds: Bo
     return FreeOperadResult(
         operad=extend_operad(lower, new_coll, d),
         new_dim=d,
-        stabilization_depth=depth,
+        stabilization_depth=n - 1,
         overflows=overflows,
         strata=strata,
     )

@@ -274,6 +274,9 @@ def state_text(s: OwcState) -> str:
 
 def state_from_json(data: dict) -> DecodedState:
     bounds = Bounds(**data["bounds"])
+    if bounds.max_dim >= len(data["cells"]):
+        # a ladder pads its input to max_dim, so every dimension has a layer
+        raise ValueError(f"max_dim {bounds.max_dim} is beyond the {len(data['cells'])} layers of cells")
     stage = tuple(data["stage"])
     if not (
         len(stage) == 2

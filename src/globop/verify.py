@@ -89,19 +89,6 @@ LADDER_PAIRS = {
     1: (Bounds(1, 7, 1), Bounds(3, 7, 1)),
 }
 
-SUITE_NAMES = (
-    "globularity",
-    "monoid-laws",
-    "operad-laws",
-    "contraction-laws",
-    "triangle-identities",
-    "stability-contraction",
-    "stability-operad",
-    "ladder-coherence",
-    "oracle-equivalence",
-    "initiality-probe",
-)
-
 
 def cached_initial(bounds: Bounds) -> OwcState:
     return cached_trace(bounds)[-1][1]
@@ -219,6 +206,7 @@ def _suite_monoid_laws(bounds: Bounds, fixture) -> Report:
         expected = tree_from_json(case["expected"], d)
         if substitute(LabelledDiagram(shape, labels)) != expected:
             rep.add("substitution differs from recorded value", witness=case)
+    rep.counts["cases"] = len(fixture["cases"])
     return rep
 
 
@@ -258,7 +246,8 @@ def _suite_triangle(bounds: Bounds, fixture) -> Report:
     else:
         state = cached_initial(bounds)
         op = state.operad
-    for d in range(state.stage[1] + 1):
+    dims = range(state.stage[1] + 1)
+    for d in dims:
         for t in state.collection.cells_at(d):
             if counit_eval(op, d, t) != t:
                 rep.add("operad counit of the unit embedding is not the identity", witness=(d, repr(t)))
@@ -268,6 +257,10 @@ def _suite_triangle(bounds: Bounds, fixture) -> Report:
                 "contraction counit of the unit embedding is not the identity",
                 witness=repr((a, b, theta)),
             )
+    rep.counts.update(
+        counit_cells=sum(len(state.collection.cells_at(d)) for d in dims),
+        gamma_entries=len(state.contraction.gamma),
+    )
     return rep
 
 
@@ -495,6 +488,7 @@ _SUITES = {
     "oracle-equivalence": _suite_oracle,
     "initiality-probe": _suite_initiality,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str, bounds: Bounds | None = None, fixture=None) -> Report:

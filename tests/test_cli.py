@@ -265,6 +265,10 @@ HOSTILE = {
     "overflow-step-list": lambda data: data["overflows"][0].update(step=[0]),
     "provenance-step-list": lambda data: data["cells"][0][0]["provenance"].update(step=[0]),
     "provenance-stratum-string": lambda data: data["cells"][0][0]["provenance"].update(stratum="x"),
+    # a ladder has a layer of cells at every dimension up to max_dim: padding
+    # the rebuilt input up to these used to raise MemoryError and OverflowError
+    "max-dim-2to40": lambda data: data["bounds"].update(max_dim=2**40),
+    "max-dim-2to64": lambda data: data["bounds"].update(max_dim=2**64),
 }
 
 
@@ -283,6 +287,16 @@ def test_verify_rejects_hostile_state_without_a_traceback(tmp_path, capsys, case
     code, out, err = run(capsys, "verify", "--suite", suite, "--input", str(fixture))
     assert code == 2
     assert "malformed fixture" in err and out == ""
+
+
+@pytest.mark.parametrize("suite", ["stability-contraction", "ladder-coherence", "oracle-equivalence"])
+def test_verify_rejects_a_max_dim_beyond_the_layers_before_rebuilding(tmp_path, capsys, suite):
+    """These suites rebuild the ladder from the state's input cells, padded
+    up to ``max_dim``: the decoder refuses the bound first."""
+    fixture = _edited_state(tmp_path, HOSTILE["max-dim-2to40"])
+    code, out, err = run(capsys, "verify", "--suite", suite, "--input", str(fixture))
+    assert code == 2
+    assert "malformed fixture" in err and "beyond the 2 layers of cells" in err and out == ""
 
 
 @pytest.mark.parametrize("suite", ["operad-laws", "contraction-laws", "stability-operad"])

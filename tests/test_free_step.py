@@ -14,6 +14,7 @@ stabilization depth and the overflow records (reason, count and samples)
 are the same.
 """
 
+import sys
 from dataclasses import replace
 
 import pytest
@@ -42,7 +43,7 @@ from globop.operad import (
     free_operad_step,
     term_size,
 )
-from globop.pasting import DOT, LabelledDiagram, cells, chain, degenerate, size, unit_tree
+from globop.pasting import DOT, LabelledDiagram, all_cells, cells, chain, degenerate, size, unit_tree
 from globop.util import canonical_key
 
 from test_operad import make_node, self_loop_operad, term_src, term_tgt
@@ -445,3 +446,70 @@ def test_free_step_reads_the_lower_products_once_per_step(monkeypatch, bounds, c
     monkeypatch.setattr(operad, "cell_products", spy)
     initial_owc(bounds)
     assert seen == calls
+
+
+def test_free_step_refuses_a_generator_whose_src_arity_is_not_its_boundary():
+    """``y`` runs from ``f`` to ``f``, of arity ``chain(1)``, but its own
+    arity has the boundary ``chain(2)``: no labelling of it has a src side
+    that ``f`` can be grafted with, and the step says so before its loop."""
+    cells = [["x"], ["f"], ["y"]]
+    ends = [{}, {"f": "x"}, {"y": "f"}]
+    arity = [{"x": DOT}, {"f": chain(1)}, {"y": degenerate(chain(2), 1)}]
+    coll = make_collection(cells, ends, ends, arity)
+    bounds = Bounds(2, 7, 1)
+    lower = _free_at(coll, None, 0, bounds).operad
+    lower = free_operad_step(lower, bounds).operad
+    with pytest.raises(ValueError, match="differs from the arity of the operation"):
+        free_operad_step(lower, bounds)
+
+
+def _stratum_steps(monkeypatch, coll: Collection, bounds: Bounds) -> list:
+    """Build the ladder on ``coll``; per operad step, its generators, its
+    result and the number of substitutions ``_free_at`` made itself, one for
+    each node it built."""
+    steps, built = [], []
+    real = operad.subst_arities
+
+    def subst_arities(shape, arities):
+        if sys._getframe(1).f_code is _free_at.__code__:
+            built[-1] += 1
+        return real(shape, arities)
+
+    def step(over, lower, d, b):
+        built.append(0)
+        steps.append((over.cells_at(d), _free_at(over, lower, d, b)))
+        return steps[-1][1]
+
+    monkeypatch.setattr(operad, "subst_arities", subst_arities)
+    monkeypatch.setattr(interleave, "free_operad_dim0", lambda a, b: step(a, None, 0, b))
+    monkeypatch.setattr(interleave, "free_operad_step", lambda x, b: step(x.over, x, x.up_to_dim + 1, b))
+    free_owc(coll, bounds)
+    return [(gens, res, n) for (gens, res), n in zip(steps, built)]
+
+
+@pytest.mark.parametrize(
+    "make, bounds, depth",
+    [(empty_collection, Bounds(1, 7, 3), 3), (lambda: one_cell_collection(1), Bounds(1, 5, 2), 2)],
+    ids=["empty-173", "one-cell-152"],
+)
+def test_free_step_builds_each_node_once_in_the_stratum_after_its_top_labels(monkeypatch, make, bounds, depth):
+    """The stratum rule the loop rests on: a node is built once, in the
+    stratum after the latest stratum of its top labels (the unit's is 0, a
+    generator's 1), no layer lists a cell twice, and the stabilization
+    depth is the last stratum that added a term, or 1 if only generators
+    did.  ``depth`` is the deepest step's, so the rule is seen across
+    strata."""
+    steps = _stratum_steps(monkeypatch, make(), bounds)
+    assert len(steps) == bounds.max_dim + 1
+    for gens, res, built in steps:
+        d, over = res.new_dim, res.operad.over
+        stratum = {**dict.fromkeys(gens, 1), **res.strata}
+        nodes = [c for c in res.strata if isinstance(c, NodeTerm)]
+        assert built == len(nodes)
+        for c in nodes:
+            tops = [lab for x, lab in zip(all_cells(over.arity_of(d, c.gen)), c.labels) if x.dim == d]
+            assert stratum[c] == 1 + max([stratum[lab] for lab in tops], default=0)
+        for k in range(over.max_dim + 1):
+            assert len(set(over.cells_at(k))) == len(over.cells_at(k))
+        assert res.stabilization_depth == max(stratum.values())
+    assert max(res.stabilization_depth for _, res, _ in steps) == depth

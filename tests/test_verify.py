@@ -120,6 +120,26 @@ def test_monoid_suite_accepts_valid_vectors():
     assert rep.passed
 
 
+def test_monoid_laws_count_the_cases_of_a_fixture():
+    """A fixture's pass says how many recorded cases it checked, so an empty
+    list of cases shows."""
+    rep = run_suite("monoid-laws", SMALL, fixture=FIXTURES / "valid_subst_vectors.json")
+    assert rep.passed and rep.counts == {"cases": 2}
+    rep = run_suite("monoid-laws", SMALL, fixture={"cases": []})
+    assert rep.passed and rep.counts == {"cases": 0}
+
+
+def test_triangle_identities_count_what_they_evaluate():
+    """A pass says how many cells it evaluated the operad counit on and how
+    many gamma entries it compared: all of them at the default bounds, and
+    no gamma entry at stage (0, 0)."""
+    rep = run_suite("triangle-identities")
+    assert rep.passed and rep.counts == {"counit_cells": 378, "gamma_entries": 73}
+    start = start_state(empty_collection(SMALL.max_dim), SMALL)
+    rep = run_suite("triangle-identities", SMALL, fixture=state_to_json(start))
+    assert rep.passed and rep.counts == {"counit_cells": len(start.collection.cells_at(0)), "gamma_entries": 0}
+
+
 def test_globularity_negative_names_witness():
     rep = run_suite("globularity", SMALL, fixture=FIXTURES / "corrupt_globset.json")
     assert len(rep.violations) == 1
