@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from . import pasting
-from .globset import GlobularSet, empty_glob_set, glob_set
+from .globset import GlobularSet, glob_set
 from .pasting import (
     CellAddr,
     LabelledDiagram,
@@ -61,22 +61,10 @@ class Overflow:
 
 
 @dataclass(frozen=True, eq=True)
-class Collection:
-    carrier: GlobularSet
+class Collection(GlobularSet):
+    """A globular set whose ``arity[k]`` maps each k-cell to its k-diagram."""
+
     arity: tuple[dict, ...]
-
-    @property
-    def max_dim(self) -> int:
-        return self.carrier.max_dim
-
-    def cells_at(self, k: int) -> tuple:
-        return self.carrier.cells_at(k)
-
-    def src_of(self, k: int, c):
-        return self.carrier.src_of(k, c)
-
-    def tgt_of(self, k: int, c):
-        return self.carrier.tgt_of(k, c)
 
     def arity_of(self, k: int, c) -> PastingDiagram:
         return self.arity[k][c]
@@ -86,8 +74,8 @@ class Collection:
 
 
 def make_collection(cells_by_dim, src, tgt, arity) -> Collection:
-    carrier = glob_set(cells_by_dim, src, tgt)
-    return Collection(carrier, tuple(dict(a) for a in arity))
+    g = glob_set(cells_by_dim, src, tgt)
+    return Collection(g.cells, g.src, g.tgt, tuple(dict(a) for a in arity))
 
 
 def add_cells(coll: Collection, d: int, new, src, tgt, arity) -> Collection:
@@ -100,14 +88,14 @@ def add_cells(coll: Collection, d: int, new, src, tgt, arity) -> Collection:
         layer.update((c, table[c]) for c in new)
         return (*layers[:d], layer, *layers[d + 1 :])
 
-    g = coll.carrier
-    cells = (*g.cells[:d], g.cells[d] + tuple(new), *g.cells[d + 1 :])
-    ends = (extend(g.src, src), extend(g.tgt, tgt)) if d >= 1 else (g.src, g.tgt)
-    return Collection(GlobularSet(cells, *ends), extend(coll.arity, arity))
+    cells = (*coll.cells[:d], coll.cells[d] + tuple(new), *coll.cells[d + 1 :])
+    ends = (extend(coll.src, src), extend(coll.tgt, tgt)) if d >= 1 else (coll.src, coll.tgt)
+    return Collection(cells, *ends, extend(coll.arity, arity))
 
 
 def empty_collection(max_dim: int = 0) -> Collection:
-    return Collection(empty_glob_set(max_dim), ({},) * (max_dim + 1))
+    n = max_dim + 1
+    return Collection(((),) * n, ({},) * n, ({},) * n, ({},) * n)
 
 
 def check_collection(a: Collection) -> Report:
@@ -125,9 +113,9 @@ def check_collection(a: Collection) -> Report:
             if isinstance(c, CtrCell):
                 if a.arity_of(k, c) != c.theta:
                     rep.add("arity of a contraction cell differs from its theta", witness=(k, c))
-                if k >= 1 and a.carrier.src[k].get(c) != c.a:
+                if k >= 1 and a.src[k].get(c) != c.a:
                     rep.add("src of a contraction cell differs from its a", witness=(k, c))
-                if k >= 1 and a.carrier.tgt[k].get(c) != c.b:
+                if k >= 1 and a.tgt[k].get(c) != c.b:
                     rep.add("tgt of a contraction cell differs from its b", witness=(k, c))
             if a.arity_of(k, c).dim != k:
                 rep.add("arity dimension differs from cell dimension", witness=(k, c))
@@ -175,11 +163,8 @@ def terminal_collection(bounds: Bounds) -> Collection:
 
 def truncate(a: Collection, k: int) -> Collection:
     """Discard all cells of dimension greater than k."""
-    top = min(k, a.max_dim)
-    return Collection(
-        GlobularSet(a.carrier.cells[: top + 1], a.carrier.src[: top + 1], a.carrier.tgt[: top + 1]),
-        a.arity[: top + 1],
-    )
+    n = min(k, a.max_dim) + 1
+    return Collection(a.cells[:n], a.src[:n], a.tgt[:n], a.arity[:n])
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +313,7 @@ def count_labellings(shape: PastingDiagram, family: GlobularSet, weights, limit)
 
 
 def collection_labellings(shape: PastingDiagram, b: Collection, overrides=None) -> list[LabelledDiagram]:
-    return [LabelledDiagram(shape, labels) for labels in enumerate_labellings(shape, b.carrier, overrides)]
+    return [LabelledDiagram(shape, labels) for labels in enumerate_labellings(shape, b, overrides)]
 
 
 def labelling_fits(b: Collection, max_arity_size: int):
@@ -415,4 +400,4 @@ def tensor(a: Collection, b: Collection, bounds: Bounds) -> TensorResult:
     if skipped:
         sample = tuple(repr(s) for s in samples)
         overflows = (Overflow(step="tensor", dim=-1, reason="arity", count=skipped, sample=sample),)
-    return TensorResult(Collection(glob_set(cells, src, tgt), tuple(arity)), overflows)
+    return TensorResult(make_collection(cells, src, tgt, arity), overflows)

@@ -66,7 +66,7 @@ def admissible_triples(coll: Collection, k: int, bounds: Bounds) -> list[tuple]:
     lower = coll.cells_at(k - 1)
     for a in lower:
         for b in lower:
-            if k - 1 >= 1 and not parallel(coll.carrier, k - 1, a, b):
+            if k - 1 >= 1 and not parallel(coll, k - 1, a, b):
                 continue
             ar = coll.arity_of(k - 1, a)
             if ar != coll.arity_of(k - 1, b):

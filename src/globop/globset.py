@@ -49,11 +49,6 @@ def glob_set(cells_by_dim, src, tgt) -> GlobularSet:
     )
 
 
-def empty_glob_set(max_dim: int) -> GlobularSet:
-    n = max_dim + 1
-    return GlobularSet(((),) * n, ({},) * n, ({},) * n)
-
-
 def parallel(a_set: GlobularSet, k: int, a, b) -> bool:
     """Whether the k-cells ``a`` and ``b`` are parallel: all 0-cells are,
     higher cells must share source and target.  The dimension is passed in
@@ -65,8 +60,10 @@ def parallel(a_set: GlobularSet, k: int, a, b) -> bool:
 
 def check_globularity(a_set: GlobularSet) -> Report:
     """Every cell of dimension >= 2 must satisfy ss = st and ts = tt; the
-    tables must be total and land in the next dimension down."""
+    tables must be total and land in the next dimension down.  ``counts``
+    gives the cells looked at."""
     rep = Report("globularity")
+    rep.counts["cells"] = sum(map(len, a_set.cells))
     for k in range(1, a_set.max_dim + 1):
         lower = set(a_set.cells_at(k - 1))
         for c in a_set.cells_at(k):

@@ -1,9 +1,9 @@
 """The dimensionwise interleaving of free operad and free contraction steps.
 
-States carry a collection, an operad structure up to dimension j, a
-contraction structure up to dimension i, and the stage (i, j) with i equal to
-j or j + 1: after the initial 0-dimensional operad step the ladder alternates
-a contraction step (i, i) -> (i + 1, i) with an operad step
+A state is an operad structure up to dimension j and a contraction
+structure up to dimension i on one collection, at the stage (i, j) with i
+equal to j or j + 1: after the initial 0-dimensional operad step the ladder
+alternates a contraction step (i, i) -> (i + 1, i) with an operad step
 (i + 1, i) -> (i + 1, i + 1).  A contraction step only adds cells one
 dimension above the operad structure, and an operad step only rebuilds the
 dimension the contraction just filled, so each step leaves the other
@@ -15,7 +15,7 @@ the initial operad-with-contraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .collection import (
     Bounds,
@@ -31,7 +31,7 @@ from .contraction import (
     contraction_morphism_check,
     free_contraction_step,
 )
-from .globset import GlobMorphism, GlobularSet, check_glob_morphism
+from .globset import GlobMorphism, check_glob_morphism
 from .operad import (
     NodeTerm,
     OperadStructure,
@@ -55,13 +55,22 @@ class Provenance:
 
 @dataclass
 class OwcState:
-    collection: Collection
+    """An operad structure up to j and a contraction up to i on one
+    collection; the collection and the stage (i, j) are read off them."""
+
     operad: OperadStructure
     contraction: ContractionStructure
-    stage: tuple[int, int]
     bounds: Bounds
     provenance: dict
     overflows: tuple[Overflow, ...] = ()
+
+    @property
+    def collection(self) -> Collection:
+        return self.operad.over
+
+    @property
+    def stage(self) -> tuple[int, int]:
+        return (self.contraction.up_to_dim, self.operad.up_to_dim)
 
 
 def _pad_collection(a: Collection, max_dim: int) -> Collection:
@@ -69,12 +78,7 @@ def _pad_collection(a: Collection, max_dim: int) -> Collection:
         return a
     extra = max_dim - a.max_dim
     return Collection(
-        GlobularSet(
-            a.carrier.cells + ((),) * extra,
-            a.carrier.src + ({},) * extra,
-            a.carrier.tgt + ({},) * extra,
-        ),
-        a.arity + ({},) * extra,
+        a.cells + ((),) * extra, a.src + ({},) * extra, a.tgt + ({},) * extra, a.arity + ({},) * extra
     )
 
 
@@ -92,15 +96,8 @@ def start_state(a: Collection, bounds: Bounds) -> OwcState:
     res = free_operad_dim0(padded, bounds)
     for cell, stratum in res.strata.items():
         provenance[(0, cell)] = Provenance("operad-0", stratum)
-    return OwcState(
-        collection=res.operad.over,
-        operad=res.operad,
-        contraction=ContractionStructure(res.operad.over, 0, {}),
-        stage=(0, 0),
-        bounds=bounds,
-        provenance=provenance,
-        overflows=res.overflows,
-    )
+    contraction = ContractionStructure(res.operad.over, 0, {})
+    return OwcState(res.operad, contraction, bounds, provenance, res.overflows)
 
 
 def step_contraction(s: OwcState) -> OwcState:
@@ -120,15 +117,7 @@ def step_contraction(s: OwcState) -> OwcState:
     provenance = dict(s.provenance)
     for cell in res.new_cells:
         provenance[(res.new_dim, cell)] = Provenance(f"contraction-{res.new_dim}")
-    return OwcState(
-        collection=res.collection,
-        operad=new_operad,
-        contraction=res.contraction,
-        stage=(i + 1, j),
-        bounds=s.bounds,
-        provenance=provenance,
-        overflows=s.overflows,
-    )
+    return replace(s, operad=new_operad, contraction=res.contraction, provenance=provenance)
 
 
 def step_operad(s: OwcState) -> OwcState:
@@ -152,12 +141,10 @@ def step_operad(s: OwcState) -> OwcState:
     provenance = dict(s.provenance)
     for cell, stratum in res.strata.items():
         provenance.setdefault((res.new_dim, cell), Provenance(f"operad-{res.new_dim}", stratum))
-    return OwcState(
-        collection=new_coll,
+    return replace(
+        s,
         operad=res.operad,
         contraction=new_contraction,
-        stage=(i, j + 1),
-        bounds=s.bounds,
         provenance=provenance,
         overflows=s.overflows + res.overflows,
     )
@@ -278,7 +265,7 @@ def operad_morphism_check(
 
 def arity_morphism_check(f: GlobMorphism, s: Collection, t: Collection, up_to: int) -> Report:
     rep = Report("collection-morphism")
-    rep.extend(check_glob_morphism(f, s.carrier, t.carrier))
+    rep.extend(check_glob_morphism(f, s, t))
     for k in range(up_to + 1):
         for c in s.cells_at(k):
             try:

@@ -423,14 +423,14 @@ def _free_at(coll: Collection, lower: OperadStructure | None, d: int, bounds: Bo
     narity: dict = {unit: unit_tree(d)}
     ninner: dict = {unit: inner_size(unit_tree(d))}
     tsize: dict = {unit: 0}
-    nsrc: dict = dict(coll.carrier.src[d])
-    ntgt: dict = dict(coll.carrier.tgt[d])
+    nsrc: dict = dict(coll.src[d])
+    ntgt: dict = dict(coll.tgt[d])
     if d >= 1:
         nsrc[unit] = ntgt[unit] = ctx.units[d - 1]
     arity_tables = (*coll.arity[:d], narity)
     inner_tables = (*({c: inner_size(a) for c, a in layer.items()} for layer in coll.arity[:d]), ninner)
-    src_tables = (*coll.carrier.src[:d], nsrc)
-    tgt_tables = (*coll.carrier.tgt[:d], ntgt)
+    src_tables = (*coll.src[:d], nsrc)
+    tgt_tables = (*coll.tgt[:d], ntgt)
 
     # per generator: its arity, top cells, unit labels, the position of the
     # first top label (the top cells come last in all_cells), the tables each
@@ -489,7 +489,7 @@ def _free_at(coll: Collection, lower: OperadStructure | None, d: int, bounds: Bo
         n += 1
         additions = []
         top_frontier = fits(frontier)
-        family = GlobularSet((*coll.carrier.cells[:d], top_old + top_frontier), src_tables, tgt_tables)
+        family = GlobularSet((*coll.cells[:d], top_old + top_frontier), src_tables, tgt_tables)
         for g, shape, tops, units, first_top, tables, inners, sides in plan:
             if n > 1:
                 labellings = []
@@ -596,7 +596,7 @@ def cell_products(op: OperadStructure, bounds: Bounds, dims=None) -> dict:
     if op.products or any(m is not term_mult for m in op.mults[: max(dims, default=-1) + 1]):
         return {k: r for k, r in mult_table(op, bounds, dims).items() if op.over.has_cell(k[0], r)}
     over = op.over
-    src, tgt = over.carrier.src, over.carrier.tgt
+    src, tgt = over.src, over.tgt
     index = [{c: i for i, c in enumerate(over.cells_at(j))} for j in range(over.max_dim + 1)]
     cuts = _cuts(op, [(d, c) for d in dims for c in over.cells_at(d)])
     order_of = cache(labelling_order)

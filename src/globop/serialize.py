@@ -352,16 +352,7 @@ def state_from_json(data: dict) -> DecodedState:
         ):
             raise ValueError(f"overflow {o!r} is not two strings, two ints and a list of strings")
         overflows.append(Overflow(step, dim, reason, count, tuple(sample)))
-    state = OwcState(
-        collection=coll,
-        operad=operad,
-        contraction=contraction,
-        stage=stage,
-        bounds=bounds,
-        provenance=provenance,
-        overflows=tuple(overflows),
-    )
-    return DecodedState(state, mult_entries)
+    return DecodedState(OwcState(operad, contraction, bounds, provenance, tuple(overflows)), mult_entries)
 
 
 def slice_of_data(data: dict, k: int) -> dict:

@@ -101,25 +101,16 @@ def cached_trace(bounds: Bounds) -> list:
 
 def input_collection_of(state: OwcState) -> Collection:
     """The sub-collection of cells the ladder started from."""
+    coll = state.collection
     keep = [
-        [
-            c
-            for c in state.collection.cells_at(k)
-            if state.provenance.get((k, c), Provenance("input")).step == "input"
-        ]
-        for k in range(state.collection.max_dim + 1)
+        [c for c in coll.cells_at(k) if state.provenance.get((k, c), Provenance("input")).step == "input"]
+        for k in range(coll.max_dim + 1)
     ]
-    src = [
-        {c: state.collection.src_of(k, c) for c in keep[k]} if k >= 1 else {}
-        for k in range(len(keep))
-    ]
-    tgt = [
-        {c: state.collection.tgt_of(k, c) for c in keep[k]} if k >= 1 else {}
-        for k in range(len(keep))
-    ]
-    arity = [
-        {c: state.collection.arity_of(k, c) for c in keep[k]} for k in range(len(keep))
-    ]
+    # src and tgt start at dimension 1; a cell missing from a table is a KeyError
+    src, tgt, arity = (
+        [{c: table[k][c] for c in keep[k]} if k >= low else {} for k in range(len(keep))]
+        for table, low in ((coll.src, 1), (coll.tgt, 1), (coll.arity, 0))
+    )
     return make_collection(keep, src, tgt, arity)
 
 
@@ -181,13 +172,13 @@ def _suite_globularity(bounds: Bounds, fixture) -> Report:
     if fixture is not None:
         rep.extend(check_globularity(globset_from_json(fixture)))
         return rep
-    rep.extend(check_globularity(unit_collection(3).carrier))
-    rep.extend(check_globularity(terminal_collection(bounds).carrier))
+    rep.extend(check_globularity(unit_collection(3)))
+    rep.extend(check_globularity(terminal_collection(bounds)))
     state = cached_initial(bounds)
-    rep.extend(check_globularity(state.collection.carrier))
+    rep.extend(check_globularity(state.collection))
     rep.extend(check_collection(state.collection))
     square = tensor(unit_collection(2), unit_collection(2), bounds)
-    rep.extend(check_globularity(square.collection.carrier))
+    rep.extend(check_globularity(square.collection))
     rep.extend(check_collection(square.collection))
     return rep
 
@@ -330,7 +321,9 @@ def _suite_ladder(bounds: Bounds, fixture) -> Report:
                 slice_of_data(data, k)
             ):
                 rep.add("fixture slice differs from a fresh build", witness=k)
+        rep.counts["slices"] = decoded.state.stage[1] + 1
         return rep
+    rep.counts["slices"] = len(LADDER_PAIRS)
     for k, (small, large) in LADDER_PAIRS.items():
         a = slice_json(cached_initial(small), k)
         b = slice_json(cached_initial(large), k)

@@ -71,13 +71,13 @@ def test_unit_collection():
     u = unit_collection(2)
     assert u.arity_of(0, ("u", 0)) == DOT
     assert u.arity_of(2, ("u", 2)) == unit_tree(2)
-    assert check_globularity(u.carrier).passed
+    assert check_globularity(u).passed
     assert check_collection(u).passed
 
 
 def test_terminal_collection_valid():
     t = terminal_collection(B)
-    assert check_globularity(t.carrier).passed
+    assert check_globularity(t).passed
     assert check_collection(t).passed
 
 
@@ -96,16 +96,16 @@ def test_add_cells_extends_one_layer_and_shares_the_others():
     new = add_cells(u, 1, ["f"], {"f": a}, {"f": a}, {"f": unit_tree(1)})
     assert new.cells_at(1) == (("u", 1), "f")
     assert (new.src_of(1, "f"), new.tgt_of(1, "f"), new.arity_of(1, "f")) == (a, a, unit_tree(1))
-    assert check_collection(new).passed and check_globularity(new.carrier).passed
+    assert check_collection(new).passed and check_globularity(new).passed
     # the extended layer is a copy, every other one is shared
-    assert u.cells_at(1) == (("u", 1),) and "f" not in u.arity[1] and "f" not in u.carrier.src[1]
+    assert u.cells_at(1) == (("u", 1),) and "f" not in u.arity[1] and "f" not in u.src[1]
     for k in (0, 2):
-        assert new.arity[k] is u.arity[k] and new.carrier.src[k] is u.carrier.src[k]
-        assert new.carrier.tgt[k] is u.carrier.tgt[k]
+        assert new.arity[k] is u.arity[k] and new.src[k] is u.src[k]
+        assert new.tgt[k] is u.tgt[k]
     # dimension 0 has no src or tgt: only the arity is read
     point = add_cells(u, 0, ["w"], {}, {}, {"w": DOT})
     assert point.cells_at(0) == (a, "w") and point.arity_of(0, "w") == DOT
-    assert point.carrier.src == u.carrier.src and point.carrier.tgt == u.carrier.tgt
+    assert point.src == u.src and point.tgt == u.tgt
 
 
 def test_tensor_one_cell_square():
@@ -209,7 +209,7 @@ def test_tensor_cells_satisfy_collection_invariant():
     t = terminal_collection(Bounds(2, 5, 2))
     res = tensor(t, t, Bounds(2, 5, 2))
     assert check_collection(res.collection).passed
-    assert check_globularity(res.collection.carrier).passed
+    assert check_globularity(res.collection).passed
 
 
 # --- the labelling enumerator against product-and-filter ---------------------
@@ -262,7 +262,7 @@ def test_enumerate_labellings_matches_product_and_filter(make, max_size):
     for k in range(4):
         for shape in enumerate_trees(k, max_size):
             for overrides in (None, _narrowed(shape, coll)):
-                out = enumerate_labellings(shape, coll.carrier, overrides)
+                out = enumerate_labellings(shape, coll, overrides)
                 assert isinstance(out, list)
                 assert out == [phi.labels for phi in reference_labellings(shape, *args, overrides)]
                 found += len(out)
@@ -329,11 +329,11 @@ def test_count_labellings_splits_the_labellings_at_the_limit(data):
         drawn = data.draw(st.lists(st.integers(-3, 4), min_size=len(layer), max_size=len(layer)))
         weights.append(dict(zip(layer, drawn)))
     addrs = all_cells(shape)
-    found = enumerate_labellings(shape, coll.carrier)
+    found = enumerate_labellings(shape, coll)
     sums = [sum(weights[a.dim][lab] for a, lab in zip(addrs, labels)) for labels in found]
     for limit in (-100, *range(min(sums, default=0) - 1, max(sums, default=0) + 1)):
         over = sum(w > limit for w in sums)
-        assert count_labellings(shape, coll.carrier, weights, limit) == (len(sums) - over, over)
+        assert count_labellings(shape, coll, weights, limit) == (len(sums) - over, over)
 
 
 # --- the column count against the forcing search it replaced -----------------

@@ -5,15 +5,17 @@ Five loops used to write the enumeration out, each on its own: ``tensor``,
 ``mult_table``, ``cell_products`` and both levels of ``check_operad_laws``.
 The reference functions below are verbatim copies of them, with
 ``_composite_arity`` and the law check's ``compose_labellings`` (only the
-imports are hoisted).  The tests check that the generator visits the same
-configurations, with the same composite arities and the same split at the
-arity bound, in the same order, and that the functions built on it give the
-same tables and reports.  ``mult_table`` asks for the same multiplications
-in the same order; the law check multiplies each first-level configuration
-once and reads it from then on, so it is checked on the products it
-multiplies.  ``cell_products`` now cuts each cell instead of enumerating
-configurations, so it is checked on its result alone: the same keys, values
-and order as ``reference_cell_products``.
+imports are hoisted); ``reference_tensor`` builds its result with the
+two-field ``Collection`` of its day, which an adapter above it supplies.
+The tests check that the generator visits the same configurations, with the
+same composite arities and the same split at the arity bound, in the same
+order, and that the functions built on it give the same tables and reports.
+``mult_table`` asks for the same multiplications in the same order; the law
+check multiplies each first-level configuration once and reads it from then
+on, so it is checked on the products it multiplies.  ``cell_products`` now
+cuts each cell instead of enumerating configurations, so it is checked on
+its result alone: the same keys, values and order as
+``reference_cell_products``.
 """
 
 import dataclasses
@@ -26,12 +28,12 @@ import pytest
 from globop import pasting
 from globop.collection import (
     Bounds,
-    Collection,
     Overflow,
     PairCell,
     TensorResult,
     collection_labellings,
     configurations,
+    make_collection,
     one_cell_collection,
     tensor,
     terminal_collection,
@@ -71,6 +73,13 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 
 # --- reference: the loops before the shared enumeration, verbatim -----------
+
+
+def Collection(carrier, arity):
+    """A collection from a globular set and an arity table: ``reference_tensor``
+    builds its result this way, from when a collection wrapped its globular
+    set in a ``carrier`` field."""
+    return make_collection(carrier.cells, carrier.src, carrier.tgt, arity)
 
 
 def reference_tensor(a: Collection, b: Collection, bounds: Bounds) -> TensorResult:
@@ -642,7 +651,7 @@ def test_tensor_matches_the_reference(a_bounds, bounds):
         for k in range(new.collection.max_dim + 1):
             assert new.collection.cells_at(k) == old.collection.cells_at(k)
             for table in ("src", "tgt"):
-                assert list(getattr(new.collection.carrier, table)[k].items()) == list(
-                    getattr(old.collection.carrier, table)[k].items()
+                assert list(getattr(new.collection, table)[k].items()) == list(
+                    getattr(old.collection, table)[k].items()
                 )
             assert list(new.collection.arity[k].items()) == list(old.collection.arity[k].items())

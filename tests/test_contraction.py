@@ -119,7 +119,7 @@ def test_parallel_and_boundary_constraints_enforced():
 def test_morphism_check_identity_and_terminal():
     coll, ctr = one_point_state()
     res = free_contraction_step(coll, ctr, Bounds(1, 5, 2))
-    f = identity_morphism(res.collection.carrier)
+    f = identity_morphism(res.collection)
     assert contraction_morphism_check(f, res.contraction, res.contraction, Bounds(1, 5, 2)).passed
 
     bounds = Bounds(1, 5, 2)

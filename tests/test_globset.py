@@ -3,12 +3,12 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from globop.collection import empty_collection
 from globop.globset import (
     GlobMorphism,
     GlobularSet,
     check_glob_morphism,
     check_globularity,
-    empty_glob_set,
     glob_set,
     parallel,
 )
@@ -28,7 +28,7 @@ def two_cell_globe():
 
 
 def test_empty_is_valid():
-    assert check_globularity(empty_glob_set(3)).passed
+    assert check_globularity(empty_collection(3)).passed
 
 
 def test_globe_is_valid():

@@ -7,7 +7,6 @@ import pytest
 from globop import interleave
 from globop.collection import (
     Bounds,
-    Collection,
     add_cells,
     empty_collection,
     make_collection,
@@ -16,7 +15,6 @@ from globop.collection import (
     unit_collection,
 )
 from globop.contraction import CtrCell, free_contraction_step, terminal_contraction
-from globop.globset import GlobularSet
 from globop.interleave import (
     OwcState,
     free_owc,
@@ -99,15 +97,15 @@ def _change_one_arity(coll):
     cell = coll.cells_at(1)[-1]
     layer[cell] = PastingDiagram(1, (DOT,) * (len(layer[cell].children) + 1))
     arity[1] = layer
-    return Collection(coll.carrier, tuple(arity))
+    return dataclasses.replace(coll, arity=tuple(arity))
 
 
 def _reorder_one_cell(coll):
-    cells = list(coll.carrier.cells)
+    cells = list(coll.cells)
     layer = list(cells[1])
     layer[0], layer[1] = layer[1], layer[0]
     cells[1] = tuple(layer)
-    return Collection(GlobularSet(tuple(cells), coll.carrier.src, coll.carrier.tgt), coll.arity)
+    return dataclasses.replace(coll, cells=tuple(cells))
 
 
 def _stray_point(coll, d=None):
@@ -137,11 +135,11 @@ def _tampered_operad_step(tamper):
 
 def _drop_one_lift(coll, d):
     lift = next(c for c in coll.cells_at(d) if isinstance(c, CtrCell))
-    cells = list(coll.carrier.cells)
+    cells = list(coll.cells)
     cells[d] = tuple(c for c in cells[d] if c is not lift)
     arity = list(coll.arity)
     arity[d] = {c: a for c, a in arity[d].items() if c is not lift}
-    return Collection(GlobularSet(tuple(cells), coll.carrier.src, coll.carrier.tgt), tuple(arity))
+    return dataclasses.replace(coll, cells=tuple(cells), arity=tuple(arity))
 
 
 @pytest.mark.parametrize(
@@ -163,7 +161,7 @@ def test_operad_step_asserts_what_it_must_keep(monkeypatch, tamper, message):
 def _snapshot(state: OwcState) -> list:
     # per layer: the cells in order, and the src, tgt and arity entries in order
     coll = state.collection
-    tables = (coll.carrier.src, coll.carrier.tgt, coll.arity)
+    tables = (coll.src, coll.tgt, coll.arity)
     return [
         (coll.cells_at(k), *(list(table[k].items()) for table in tables))
         for k in range(coll.max_dim + 1)
@@ -247,10 +245,8 @@ def test_dim2_arities_bound_their_ends():
 def terminal_state(bounds):
     coll = terminal_collection(bounds)
     return OwcState(
-        collection=coll,
         operad=terminal_operad(bounds),
         contraction=terminal_contraction(coll, bounds.max_dim, bounds),
-        stage=(bounds.max_dim, bounds.max_dim),
         bounds=bounds,
         provenance={},
     )
@@ -285,10 +281,8 @@ def test_induced_reports_non_receptive():
     gamma = dict(t.contraction.gamma)
     gamma.pop((UnitTerm(0), UnitTerm(0), chain(0)))
     broken = OwcState(
-        collection=t.collection,
         operad=t.operad,
         contraction=type(t.contraction)(t.collection, 1, gamma),
-        stage=t.stage,
         bounds=t.bounds,
         provenance=t.provenance,
     )

@@ -147,10 +147,8 @@ def test_search_finds_none_into_broken_target():
     from globop.contraction import ContractionStructure
 
     broken = OwcState(
-        collection=t.collection,
         operad=t.operad,
         contraction=ContractionStructure(t.collection, 1, gamma),
-        stage=t.stage,
         bounds=t.bounds,
         provenance=t.provenance,
     )

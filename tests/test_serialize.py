@@ -3,9 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from globop.collection import Bounds, one_cell_collection
+from globop.collection import Bounds, empty_collection, one_cell_collection
 from globop.contraction import CtrCell
-from globop.interleave import free_owc, initial_owc
+from globop.interleave import free_owc, free_owc_trace, initial_owc
 from globop.operad import NodeTerm, UnitTerm
 from globop.pasting import DOT, PastingDiagram, chain
 from globop.serialize import (
@@ -71,6 +71,26 @@ def test_state_roundtrip_and_gen_wrapping():
     assert decoded.state.contraction.gamma == st.contraction.gamma
     assert decoded.state.stage == st.stage
     assert state_text(decoded.state) == state_text(st)
+
+
+@pytest.mark.parametrize(
+    "make, bounds",
+    [
+        (empty_collection, Bounds(2, 5, 1)),
+        (empty_collection, Bounds(3, 7, 1)),
+        (lambda: one_cell_collection(2), Bounds(2, 5, 1)),
+    ],
+    ids=["empty-251", "empty-371", "one-cell-251"],
+)
+def test_every_state_of_a_ladder_roundtrips(make, bounds):
+    """The decoder reads the stage off the operad and the contraction it
+    builds: every state of a ladder, at the stages (k + 1, k) as at (k, k),
+    decodes to its stage and collection and encodes to the same text."""
+    for label, st in free_owc_trace(make(), bounds):
+        text = state_text(st)
+        decoded = state_from_json(json.loads(text)).state
+        assert (decoded.stage, decoded.collection) == (st.stage, st.collection), label
+        assert state_text(decoded) == text, label
 
 
 def test_mult_entries_recovered():

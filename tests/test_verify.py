@@ -140,6 +140,29 @@ def test_triangle_identities_count_what_they_evaluate():
     assert rep.passed and rep.counts == {"counit_cells": len(start.collection.cells_at(0)), "gamma_entries": 0}
 
 
+def test_globularity_counts_the_cells_it_checks():
+    """A pass says how many cells it checked: at the default bounds those of
+    the unit, terminal, initial and tensor collections it builds, on the
+    corrupted fixture its five, and on a single empty layer none."""
+    assert run_suite("globularity").counts == {"cells": 4 + 8 + 378 + 3}
+    rep = run_suite("globularity", SMALL, fixture=FIXTURES / "corrupt_globset.json")
+    assert rep.counts == {"cells": 5}
+    rep = run_suite("globularity", SMALL, fixture={"dims": 0, "cells": [[]], "src": [], "tgt": []})
+    assert rep.passed and rep.counts == {"cells": 0}
+
+
+def test_ladder_coherence_counts_the_slices_it_compares():
+    """A pass says how many dimensions it compared: one per pair of ladders
+    fresh, and those up to j of a state at stage (i, j), so the least is one,
+    at stage (0, 0)."""
+    assert run_suite("ladder-coherence").counts == {"slices": 2}
+    rep = run_suite("ladder-coherence", SMALL, fixture=FIXTURES / "valid_state.json")
+    assert rep.passed and rep.counts == {"slices": 2}
+    start = start_state(empty_collection(SMALL.max_dim), SMALL)
+    rep = run_suite("ladder-coherence", SMALL, fixture=state_to_json(start))
+    assert rep.passed and rep.counts == {"slices": 1}
+
+
 def test_globularity_negative_names_witness():
     rep = run_suite("globularity", SMALL, fixture=FIXTURES / "corrupt_globset.json")
     assert len(rep.violations) == 1
@@ -339,7 +362,7 @@ def test_oracle_suite_fails_on_a_perturbed_layer_of_free_2_terms(monkeypatch):
         more = add_cells(
             coll, 2, ["extra"], {"extra": coll.src_of(2, c)}, {"extra": coll.tgt_of(2, c)}, {"extra": coll.arity_of(2, c)}
         )
-        return trace[:-1] + [(label, dataclasses.replace(m2, collection=more))]
+        return trace[:-1] + [(label, dataclasses.replace(m2, operad=dataclasses.replace(m2.operad, over=more)))]
 
     monkeypatch.setattr(verify, "free_owc_trace", perturbed)
     rep = run_suite("oracle-equivalence", SMALL)
