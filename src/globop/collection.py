@@ -357,9 +357,6 @@ class PairCell(Keyed):
     left: object
     labelling: LabelledDiagram
 
-    def _sort_key_(self):
-        return (self.left, self.labelling)
-
 
 @dataclass(frozen=True)
 class TensorResult:

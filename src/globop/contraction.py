@@ -42,16 +42,12 @@ class CtrCell(Keyed):
         self = _ctr_cells[key] = new_cell(cls, key)
         return self
 
-    def _sort_key_(self):
-        return (self.a, self.b, self.theta)
-
 
 @dataclass
 class ContractionStructure:
-    """gamma maps admissible triples (a, b, theta) at dimensions <= up_to_dim
-    to their lift cells."""
+    """gamma maps the admissible triples (a, b, theta) of a collection, at
+    dimensions <= up_to_dim, to their lift cells."""
 
-    over: Collection
     up_to_dim: int
     gamma: dict[tuple[object, object, PastingDiagram], object]
 
@@ -80,7 +76,6 @@ def admissible_triples(coll: Collection, k: int, bounds: Bounds) -> list[tuple]:
 class FreeContractionResult:
     collection: Collection
     contraction: ContractionStructure
-    new_dim: int
     new_cells: tuple
 
 
@@ -114,18 +109,16 @@ def free_contraction_step(
     )
     return FreeContractionResult(
         collection=new_coll,
-        contraction=ContractionStructure(new_coll, d, gamma),
-        new_dim=d,
+        contraction=ContractionStructure(d, gamma),
         new_cells=tuple(new_cells),
     )
 
 
-def check_contraction(s: ContractionStructure, bounds: Bounds) -> Report:
+def check_contraction(coll: Collection, s: ContractionStructure, bounds: Bounds) -> Report:
     """gamma must be total on the admissible triples within bounds and every
     lift must have the stated arity, source and target.  ``counts`` gives
     the triples checked per dimension and in all, which is 0 if none was."""
     rep = Report("contraction-laws")
-    coll = s.over
     for k in range(1, s.up_to_dim + 1):
         triples = admissible_triples(coll, k, bounds)
         rep.counts[f"admissible_triples_dim_{k}"] = len(triples)
@@ -148,13 +141,13 @@ def check_contraction(s: ContractionStructure, bounds: Bounds) -> Report:
 
 
 def contraction_morphism_check(
-    f: GlobMorphism, s: ContractionStructure, s2: ContractionStructure, bounds: Bounds
+    f: GlobMorphism, coll: Collection, s: ContractionStructure, s2: ContractionStructure, bounds: Bounds
 ) -> Report:
     """Verify f(gamma(a, b, theta)) == gamma'(fa, fb, theta) on all admissible
-    triples of the domain within bounds."""
+    triples of the domain ``coll`` within bounds."""
     rep = Report("contraction-morphism")
     for k in range(1, min(s.up_to_dim, s2.up_to_dim) + 1):
-        for a, b, theta in admissible_triples(s.over, k, bounds):
+        for a, b, theta in admissible_triples(coll, k, bounds):
             lift = s.gamma.get((a, b, theta))
             if lift is None:
                 rep.add("domain gamma undefined", witness=(k, a, b, theta))
@@ -175,4 +168,4 @@ def terminal_contraction(coll: Collection, up_to: int, bounds: Bounds) -> Contra
     for k in range(1, up_to + 1):
         for a, b, theta in admissible_triples(coll, k, bounds):
             gamma[(a, b, theta)] = theta
-    return ContractionStructure(coll, up_to, gamma)
+    return ContractionStructure(up_to, gamma)

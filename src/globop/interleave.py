@@ -96,8 +96,7 @@ def start_state(a: Collection, bounds: Bounds) -> OwcState:
     res = free_operad_dim0(padded, bounds)
     for cell, stratum in res.strata.items():
         provenance[(0, cell)] = Provenance("operad-0", stratum)
-    contraction = ContractionStructure(res.operad.over, 0, {})
-    return OwcState(res.operad, contraction, bounds, provenance, res.overflows)
+    return OwcState(res.operad, ContractionStructure(0, {}), bounds, provenance, res.overflows)
 
 
 def step_contraction(s: OwcState) -> OwcState:
@@ -110,13 +109,12 @@ def step_contraction(s: OwcState) -> OwcState:
     if i != j:
         raise ValueError(f"contraction step needs stage (k, k), got {s.stage}")
     res = free_contraction_step(s.collection, s.contraction, s.bounds)
-    k = s.operad.up_to_dim
-    if truncate(res.collection, k) != truncate(s.collection, k):
+    if truncate(res.collection, j) != truncate(s.collection, j):
         raise AssertionError("contraction step disturbed the operad multiplication")
     new_operad = OperadStructure(res.collection, s.operad.units, s.operad.mults)
     provenance = dict(s.provenance)
     for cell in res.new_cells:
-        provenance[(res.new_dim, cell)] = Provenance(f"contraction-{res.new_dim}")
+        provenance[(j + 1, cell)] = Provenance(f"contraction-{j + 1}")
     return replace(s, operad=new_operad, contraction=res.contraction, provenance=provenance)
 
 
@@ -129,25 +127,17 @@ def step_operad(s: OwcState) -> OwcState:
     i, j = s.stage
     if i != j + 1:
         raise ValueError(f"operad step needs stage (k + 1, k), got {s.stage}")
-    gamma_before = dict(s.contraction.gamma)
     res = free_operad_step(s.operad, s.bounds)
     new_coll = res.operad.over
     if truncate(new_coll, j) != truncate(s.collection, j):
         raise AssertionError("operad step changed the admissible triples below it")
-    for (a, b, theta), lift in gamma_before.items():
+    for (a, b, theta), lift in s.contraction.gamma.items():
         if not new_coll.has_cell(theta.dim, lift):
             raise AssertionError("operad step removed a contraction cell")
-    new_contraction = ContractionStructure(new_coll, s.contraction.up_to_dim, gamma_before)
     provenance = dict(s.provenance)
     for cell, stratum in res.strata.items():
         provenance.setdefault((res.new_dim, cell), Provenance(f"operad-{res.new_dim}", stratum))
-    return replace(
-        s,
-        operad=res.operad,
-        contraction=new_contraction,
-        provenance=provenance,
-        overflows=s.overflows + res.overflows,
-    )
+    return replace(s, operad=res.operad, provenance=provenance, overflows=s.overflows + res.overflows)
 
 
 def free_owc_trace(a: Collection, bounds: Bounds) -> list[tuple[str, OwcState]]:
@@ -281,5 +271,5 @@ def morphism_reports(f: GlobMorphism, s: OwcState, t: OwcState, up_to: int) -> l
     return [
         arity_morphism_check(f, s.collection, t.collection, up_to),
         operad_morphism_check(f, s.operad, t.operad, s.bounds, up_to),
-        contraction_morphism_check(f, s.contraction, t.contraction, s.bounds),
+        contraction_morphism_check(f, s.collection, s.contraction, t.contraction, s.bounds),
     ]

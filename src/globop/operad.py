@@ -64,9 +64,6 @@ class UnitTerm(Keyed):
             self = _units[dim] = new_cell(cls, (dim,))
             return self
 
-    def _sort_key_(self):
-        return (self.dim,)
-
     def __repr__(self):
         return f"UnitTerm({self.dim})"
 
@@ -101,9 +98,6 @@ class NodeTerm(Keyed):
         self = new_cell(cls, key)
         _nodes[key] = KeyedRef(self, _drop_node, key)
         return self
-
-    def _sort_key_(self):
-        return (self.dim, self.gen, self.labels)
 
 
 @dataclass
@@ -298,14 +292,6 @@ def extend_operad(lower: OperadStructure | None, coll: Collection, d: int) -> Op
     units = lower.units if lower else {}
     mults = lower.mults if lower else ()
     return OperadStructure(coll, units | {d: UnitTerm(d)}, mults + (term_mult,))
-
-
-def state_operad(coll: Collection, up_to: int) -> OperadStructure:
-    """The operad structure of a fully interleaved state: every dimension up
-    to ``up_to`` is term-based with the formal unit."""
-    return OperadStructure(
-        coll, {j: UnitTerm(j) for j in range(up_to + 1)}, (term_mult,) * (up_to + 1)
-    )
 
 
 def _substitute_mult(op: OperadStructure, d: int, a, phi: LabelledDiagram):

@@ -86,9 +86,6 @@ class CellAddr(Keyed):
         self = _addrs[key] = new_cell(cls, key)
         return self
 
-    def _sort_key_(self):
-        return (self.dim, self.path)
-
 
 # ---------------------------------------------------------------------------
 # basic tree operations
@@ -263,9 +260,6 @@ class LabelledDiagram(Keyed):
 
     def label_of(self, addr: CellAddr):
         return self.labels[_addr_index(self.shape)[addr]]
-
-    def _sort_key_(self):
-        return (self.shape, self.labels)
 
 
 def labelled(shape: PastingDiagram, mapping: Mapping[CellAddr, object]) -> LabelledDiagram:

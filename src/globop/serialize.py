@@ -9,12 +9,12 @@ cell lists, and all output is canonical single-line JSON.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .collection import Bounds, Overflow, make_collection
 from .contraction import ContractionStructure, CtrCell
 from .interleave import OwcState, Provenance
-from .operad import NodeTerm, UnitTerm, cell_products, state_operad
+from .operad import NodeTerm, UnitTerm, cell_products, extend_operad
 from .pasting import all_cells, tree_from_json, tree_to_json
 from .util import canonical_json
 
@@ -198,14 +198,10 @@ def state_to_json(s: OwcState) -> dict:
                 }
             )
         cells.append(layer)
-    src = [
-        [index[k - 1][coll.src_of(k, c)] for c in coll.cells_at(k)]
-        for k in range(1, coll.max_dim + 1)
-    ]
-    tgt = [
-        [index[k - 1][coll.tgt_of(k, c)] for c in coll.cells_at(k)]
-        for k in range(1, coll.max_dim + 1)
-    ]
+    src, tgt = (
+        [[index[k - 1][table[k][c]] for c in coll.cells_at(k)] for k in range(1, coll.max_dim + 1)]
+        for table in (coll.src, coll.tgt)
+    )
     arity = [
         [tree_to_json(coll.arity_of(k, c)) for c in coll.cells_at(k)]
         for k in range(coll.max_dim + 1)
@@ -244,11 +240,7 @@ def state_to_json(s: OwcState) -> dict:
     ]
     return {
         "stage": list(s.stage),
-        "bounds": {
-            "max_dim": s.bounds.max_dim,
-            "max_arity_size": s.bounds.max_arity_size,
-            "max_term_size": s.bounds.max_term_size,
-        },
+        "bounds": asdict(s.bounds),
         "cells": cells,
         "src": src,
         "tgt": tgt,
@@ -313,7 +305,9 @@ def state_from_json(data: dict) -> DecodedState:
     ]
     _check_nodes(cells_by_dim, arity)
     coll = make_collection(cells_by_dim, src, tgt, arity)
-    operad = state_operad(coll, stage[1])
+    operad = None
+    for d in range(stage[1] + 1):
+        operad = extend_operad(operad, coll, d)
     gamma = {}
     for entry in data["gamma"]:
         k = entry["dim"]
@@ -326,7 +320,7 @@ def state_from_json(data: dict) -> DecodedState:
                 tree_from_json(entry["theta"], k),
             )
         ] = _at(layer, entry["cell"], "gamma cell")
-    contraction = ContractionStructure(coll, stage[0], gamma)
+    contraction = ContractionStructure(stage[0], gamma)
     mult_entries = {}
     for entry in data["mult"]:
         d = entry["dim"]

@@ -30,14 +30,21 @@ class Keyed:
     by field, and their hash is the dataclass's, computed only when asked
     for.  Most labellings are built for a single product and read only by
     position.
+
+    ``_sort_key_`` defaults to the fields in order; only ``PastingDiagram``
+    overrides it, to put its size first.
     """
 
     __slots__ = ("_key", "__weakref__")
 
+    def _sort_key_(self):
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
     def __reduce__(self):
         # copy and pickle rebuild through the constructor, so a copy of an
-        # interned cell is the cell itself
-        return (type(self), tuple(getattr(self, name) for name in self.__match_args__))
+        # interned cell is the cell itself: pass the fields, not the
+        # diagram's size-first sort key
+        return (type(self), Keyed._sort_key_(self))
 
 
 def new_cell(cls, values: tuple):

@@ -217,14 +217,15 @@ def _suite_operad_laws(bounds: Bounds, fixture) -> Report:
 def _suite_contraction_laws(bounds: Bounds, fixture) -> Report:
     rep = Report("contraction-laws")
     if fixture is not None:
-        decoded = state_from_json(fixture)
-        rep.extend(check_contraction(decoded.state.contraction, decoded.state.bounds))
+        state = state_from_json(fixture).state
+        rep.extend(check_contraction(state.collection, state.contraction, state.bounds))
         return rep
     state = cached_initial(STABILITY_BOUNDS)
-    rep.extend(check_contraction(state.contraction, state.bounds))
+    rep.extend(check_contraction(state.collection, state.contraction, state.bounds))
     term_bounds = Bounds(2, 5, 1)
-    term = terminal_contraction(terminal_collection(term_bounds), 2, term_bounds)
-    rep.extend(check_contraction(term, term_bounds))
+    term_coll = terminal_collection(term_bounds)
+    term = terminal_contraction(term_coll, 2, term_bounds)
+    rep.extend(check_contraction(term_coll, term, term_bounds))
     return rep
 
 
@@ -276,12 +277,15 @@ def _suite_stability_contraction(bounds: Bounds, fixture) -> Report:
         rep.counts.update(rebuilt_products=len(want), fixture_entries=len(decoded.mult_entries))
         return rep
     trace = cached_trace(STABILITY_BOUNDS)
+    rep.counts.update(steps=0, products=0)
     for (label_before, before), (label_after, after) in zip(trace, trace[1:]):
         if not label_after.startswith("H"):
             continue
         dims = range(before.operad.up_to_dim + 1)
         tb = mult_table(before.operad, STABILITY_BOUNDS, dims=dims)
         ta = mult_table(after.operad, STABILITY_BOUNDS, dims=dims)
+        rep.counts["steps"] += 1
+        rep.counts["products"] += len(tb.keys() | ta.keys())
         for key in _table_diffs(tb, ta):
             rep.add(
                 f"multiplication changed across {label_after}",
@@ -294,19 +298,24 @@ def _suite_stability_operad(bounds: Bounds, fixture) -> Report:
     rep = Report("stability-operad")
     if fixture is not None:
         decoded, rebuilt = _rebuild(fixture)
-        for key in _table_diffs(rebuilt.contraction.gamma, decoded.state.contraction.gamma):
+        want, got = rebuilt.contraction.gamma, decoded.state.contraction.gamma
+        for key in _table_diffs(want, got):
             rep.add("fixture gamma table differs from a fresh build", witness=repr(key))
+        rep.counts["gamma_entries"] = len(want.keys() | got.keys())
         return rep
     trace = cached_trace(STABILITY_BOUNDS)
+    rep.counts.update(steps=0, gamma_entries=0, admissible_triples=0)
     for (label_before, before), (label_after, after) in zip(trace, trace[1:]):
         if not label_after.startswith("M") or label_after == "M0":
             continue
+        rep.counts["steps"] += 1
+        rep.counts["gamma_entries"] += len(before.contraction.gamma)
         if before.contraction.gamma != after.contraction.gamma:
             rep.add(f"gamma table changed across {label_after}")
         for k in range(1, before.contraction.up_to_dim + 1):
-            if admissible_triples(before.collection, k, STABILITY_BOUNDS) != admissible_triples(
-                after.collection, k, STABILITY_BOUNDS
-            ):
+            triples = admissible_triples(before.collection, k, STABILITY_BOUNDS)
+            rep.counts["admissible_triples"] += len(triples)
+            if triples != admissible_triples(after.collection, k, STABILITY_BOUNDS):
                 rep.add(f"admissible triples changed across {label_after}", witness=k)
     return rep
 
@@ -344,11 +353,22 @@ def _suite_oracle(bounds: Bounds, fixture) -> Report:
                 rep.add("fixture cells differ from a fresh build", witness=k)
         if state.contraction.gamma != rebuilt.contraction.gamma:
             rep.add("fixture gamma differs from a fresh build")
+        rep.counts.update(
+            layers=state.collection.max_dim + 1,
+            gamma_entries=len(state.contraction.gamma.keys() | rebuilt.contraction.gamma.keys()),
+        )
         return rep
+    kinds = ("trees", "substitutions", "term_layers", "contraction_layers", "count_law_cases")
+    rep.counts.update(dict.fromkeys(kinds, 0))
+
+    def differs(layers: str, cells, want: set) -> bool:
+        rep.counts[layers] += 1
+        return set(cells) != want
 
     # trees
     for k in range(3):
         mine = set(enumerate_trees(k, 9))
+        rep.counts["trees"] += len(mine)
         theirs = {e.to_tree() for e in oracle_trees(k, 9)}
         if mine != theirs:
             rep.add("tree enumeration differs from the oracle", witness=k)
@@ -357,41 +377,35 @@ def _suite_oracle(bounds: Bounds, fixture) -> Report:
     for d in range(3):
         for shape in enumerate_trees(d, 9):
             for ld in tree_labellings(shape, 3):
+                rep.counts["substitutions"] += 1
                 if explicit_from_tree(substitute(ld)) != oracle_substitute2(ld):
                     rep.add("substitution differs from column splicing", witness=repr(shape))
 
     # free operad terms
     term_bounds = Bounds(2, 7, 3)
-    empty = empty_collection(0)
-    res0 = free_operad_dim0(empty, term_bounds)
-    if set(res0.operad.over.cells_at(0)) != oracle_terms(None, empty, 0, term_bounds):
-        rep.add("free 0-terms over the empty collection differ from the oracle")
-    single = one_cell_collection()
-    res1 = free_operad_dim0(single, term_bounds)
-    if set(res1.operad.over.cells_at(0)) != oracle_terms(None, single, 0, term_bounds):
-        rep.add("free 0-terms over one generator differ from the oracle")
-    trace = cached_trace(Bounds(1, 5, 2))
-    h1 = dict(trace)["H1"]
-    m1 = dict(trace)["M1"]
-    want = oracle_terms(h1.operad, h1.collection, 1, Bounds(1, 5, 2))
-    if set(m1.collection.cells_at(1)) != want:
-        rep.add("free 1-terms differ from the oracle")
-    t2 = dict(free_owc_trace(one_cell_collection(2), Bounds(2, 5, 1)))
-    want = oracle_terms(t2["H2"].operad, t2["H2"].collection, 2, Bounds(2, 5, 1))
-    if set(t2["M2"].collection.cells_at(2)) != want:
-        rep.add("free 2-terms differ from the oracle")
+    inputs = {"the empty collection": empty_collection(0), "one generator": one_cell_collection()}
+    for over, coll in inputs.items():
+        got = free_operad_dim0(coll, term_bounds).operad.over.cells_at(0)
+        if differs("term_layers", got, oracle_terms(None, coll, 0, term_bounds)):
+            rep.add(f"free 0-terms over {over} differ from the oracle")
+    ladders = (cached_trace(Bounds(1, 5, 2)), free_owc_trace(one_cell_collection(2), Bounds(2, 5, 1)))
+    for k, trace in enumerate(ladders, 1):
+        h, m = dict(trace)[f"H{k}"], dict(trace)[f"M{k}"]
+        want = oracle_terms(h.operad, h.collection, k, h.bounds)
+        if differs("term_layers", m.collection.cells_at(k), want):
+            rep.add(f"free {k}-terms differ from the oracle")
 
     # contraction triples
-    t0 = dict(cached_trace(Bounds(2, 7, 1)))
-    step1 = free_contraction_step(t0["M0"].collection, t0["M0"].contraction, Bounds(2, 7, 1))
-    if set(step1.new_cells) != oracle_triples(t0["M0"].collection, 1, Bounds(2, 7, 1)):
-        rep.add("contraction 1-cells differ from the oracle")
-    step2 = free_contraction_step(t0["M1"].collection, t0["M1"].contraction, Bounds(2, 7, 1))
-    if set(step2.new_cells) != oracle_triples(t0["M1"].collection, 2, Bounds(2, 7, 1)):
-        rep.add("contraction 2-cells differ from the oracle")
+    ctr_bounds = Bounds(2, 7, 1)
+    t0 = dict(cached_trace(ctr_bounds))
+    for k, state in enumerate((t0["M0"], t0["M1"]), 1):
+        step = free_contraction_step(state.collection, state.contraction, ctr_bounds)
+        want = oracle_triples(state.collection, k, ctr_bounds)
+        if differs("contraction_layers", step.new_cells, want):
+            rep.add(f"contraction {k}-cells differ from the oracle")
     for m in range(7):
-        b = Bounds(1, 2 * m + 1, 1)
-        triples = admissible_triples(t0["M0"].collection, 1, b)
+        rep.counts["count_law_cases"] += 1
+        triples = admissible_triples(t0["M0"].collection, 1, Bounds(1, 2 * m + 1, 1))
         if len(triples) != m + 1:
             rep.add("contraction count law fails", witness=m)
     return rep
@@ -450,7 +464,7 @@ def _suite_initiality(bounds: Bounds, fixture) -> Report:
         decoded = None
         t = free_owc(one_cell_collection(PROBE_BOUNDS.max_dim), PROBE_BOUNDS)
     rep.extend(check_collection(t.collection))
-    rep.extend(check_contraction(t.contraction, t.bounds))
+    rep.extend(check_contraction(t.collection, t.contraction, t.bounds))
     if decoded is not None:
         _check_serialized_mult(rep, decoded)
     if not rep.passed:

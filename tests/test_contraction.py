@@ -26,7 +26,7 @@ def one_point_state(max_dim=1):
         [{} for _ in range(layers)],
         [{"u": DOT}] + [{} for _ in range(layers - 1)],
     )
-    return coll, ContractionStructure(coll, 0, {})
+    return coll, ContractionStructure(0, {})
 
 
 def test_step_on_one_point():
@@ -55,7 +55,7 @@ def test_step_is_idempotent_on_the_same_bound():
 
 def test_step_on_empty_adds_nothing():
     coll = empty_collection(1)
-    res = free_contraction_step(coll, ContractionStructure(coll, 0, {}), Bounds(1, 5, 2))
+    res = free_contraction_step(coll, ContractionStructure(0, {}), Bounds(1, 5, 2))
     assert res.new_cells == ()
 
 
@@ -82,13 +82,14 @@ def test_triples_depend_only_on_lower_dimensions():
 def test_check_contraction_accepts_free_output():
     coll, ctr = one_point_state()
     res = free_contraction_step(coll, ctr, Bounds(1, 5, 2))
-    assert check_contraction(res.contraction, Bounds(1, 5, 2)).passed
+    assert check_contraction(res.collection, res.contraction, Bounds(1, 5, 2)).passed
 
 
 def test_check_contraction_terminal():
     bounds = Bounds(2, 5, 1)
-    term = terminal_contraction(terminal_collection(bounds), 2, bounds)
-    assert check_contraction(term, bounds).passed
+    coll = terminal_collection(bounds)
+    term = terminal_contraction(coll, 2, bounds)
+    assert check_contraction(coll, term, bounds).passed
 
 
 def test_check_contraction_missing_entry():
@@ -96,8 +97,8 @@ def test_check_contraction_missing_entry():
     res = free_contraction_step(coll, ctr, Bounds(1, 5, 2))
     gamma = dict(res.contraction.gamma)
     gamma.pop(("u", "u", chain(1)))
-    broken = ContractionStructure(res.collection, 1, gamma)
-    rep = check_contraction(broken, Bounds(1, 5, 2))
+    broken = ContractionStructure(1, gamma)
+    rep = check_contraction(res.collection, broken, Bounds(1, 5, 2))
     assert [v.message for v in rep.violations] == ["gamma undefined on an admissible triple"]
 
 
@@ -120,7 +121,9 @@ def test_morphism_check_identity_and_terminal():
     coll, ctr = one_point_state()
     res = free_contraction_step(coll, ctr, Bounds(1, 5, 2))
     f = identity_morphism(res.collection)
-    assert contraction_morphism_check(f, res.contraction, res.contraction, Bounds(1, 5, 2)).passed
+    assert contraction_morphism_check(
+        f, res.collection, res.contraction, res.contraction, Bounds(1, 5, 2)
+    ).passed
 
     bounds = Bounds(1, 5, 2)
     term = terminal_contraction(terminal_collection(bounds), 1, bounds)
@@ -130,7 +133,7 @@ def test_morphism_check_identity_and_terminal():
             for k in range(2)
         }
     )
-    assert contraction_morphism_check(arity_map, res.contraction, term, bounds).passed
+    assert contraction_morphism_check(arity_map, res.collection, res.contraction, term, bounds).passed
 
 
 def test_morphism_check_permutation_fails():
@@ -141,6 +144,6 @@ def test_morphism_check_permutation_fails():
     maps = {0: {"u": "u"}, 1: {c: c for c in res.collection.cells_at(1)}}
     maps[1][c0], maps[1][c1] = c1, c0
     rep = contraction_morphism_check(
-        GlobMorphism(maps), res.contraction, res.contraction, Bounds(1, 5, 2)
+        GlobMorphism(maps), res.collection, res.contraction, res.contraction, Bounds(1, 5, 2)
     )
     assert not rep.passed

@@ -14,7 +14,7 @@ from globop.collection import (
     terminal_collection,
     unit_collection,
 )
-from globop.contraction import CtrCell, free_contraction_step, terminal_contraction
+from globop.contraction import ContractionStructure, CtrCell, free_contraction_step, terminal_contraction
 from globop.interleave import (
     OwcState,
     free_owc,
@@ -79,6 +79,20 @@ def test_gamma_and_mult_survive_later_steps():
     t0 = mult_table(m1.operad, b, dims=[0, 1])
     t1 = mult_table(m2.operad, b, dims=[0, 1])
     assert t0 == t1
+
+
+def test_each_step_keeps_the_other_structure():
+    """An operad step replaces only the operad and a contraction step keeps
+    the operad's units and multiplications: the contraction lives on no
+    collection of its own, so neither step rebuilds the other structure."""
+    trace = free_owc_trace(empty_collection(), Bounds(3, 7, 1))
+    assert [label for label, _ in trace] == ["M0", "H1", "M1", "H2", "M2", "H3", "M3"]
+    for (_, before), (label, after) in zip(trace, trace[1:]):
+        if label.startswith("M"):
+            assert after.contraction is before.contraction
+        else:
+            assert after.operad.units is before.operad.units
+            assert after.operad.mults is before.operad.mults
 
 
 def _tampered_contraction_step(tamper):
@@ -282,7 +296,7 @@ def test_induced_reports_non_receptive():
     gamma.pop((UnitTerm(0), UnitTerm(0), chain(0)))
     broken = OwcState(
         operad=t.operad,
-        contraction=type(t.contraction)(t.collection, 1, gamma),
+        contraction=ContractionStructure(1, gamma),
         bounds=t.bounds,
         provenance=t.provenance,
     )

@@ -148,7 +148,7 @@ def test_search_finds_none_into_broken_target():
 
     broken = OwcState(
         operad=t.operad,
-        contraction=ContractionStructure(t.collection, 1, gamma),
+        contraction=ContractionStructure(1, gamma),
         bounds=t.bounds,
         provenance=t.provenance,
     )

@@ -24,7 +24,7 @@ from globop.pasting import (
     unit_tree,
 )
 from globop.report import Report
-from globop.interleave import start_state
+from globop.interleave import initial_owc, start_state
 from globop.serialize import state_from_json, state_to_json
 from globop.verify import (
     PROBE_BOUNDS,
@@ -161,6 +161,45 @@ def test_ladder_coherence_counts_the_slices_it_compares():
     start = start_state(empty_collection(SMALL.max_dim), SMALL)
     rep = run_suite("ladder-coherence", SMALL, fixture=state_to_json(start))
     assert rep.passed and rep.counts == {"slices": 1}
+
+
+def _dimension_0_build() -> dict:
+    """The build at (0, 1, 0): one layer and no gamma entry."""
+    return state_to_json(initial_owc(Bounds(0, 1, 0)))
+
+
+def test_stability_suites_count_what_they_compare():
+    """A fresh pass says how many steps it compared and what it compared
+    across them: at (3, 7, 1), the union of the product tables' keys across
+    H1 to H3, and the gamma entries and admissible triples across M1 to M3.
+    On a fixture stability-operad counts the gamma keys it compared, none
+    on a build at dimension 0."""
+    assert run_suite("stability-contraction").counts == {"steps": 3, "products": 888}
+    counts = run_suite("stability-operad").counts
+    assert counts == {"steps": 3, "gamma_entries": 85, "admissible_triples": 85}
+    rep = run_suite("stability-operad", SMALL, fixture=FIXTURES / "valid_state.json")
+    assert rep.passed and rep.counts == {"gamma_entries": 18}
+    rep = run_suite("stability-operad", SMALL, fixture=_dimension_0_build())
+    assert rep.passed and rep.counts == {"gamma_entries": 0}
+    assert run_suite("stability-contraction", SMALL, fixture=_dimension_0_build()).passed
+
+
+def test_oracle_equivalence_counts_what_it_compares():
+    """A fresh pass says how many trees, substitutions, term layers,
+    contraction layers and count-law cases it compared with the oracle; on
+    a fixture, the layers of cells and the gamma keys it compared with a
+    fresh build, one layer and no gamma key on a build at dimension 0."""
+    assert run_suite("oracle-equivalence").counts == {
+        "trees": 1 + 5 + 16,
+        "substitutions": 113,
+        "term_layers": 4,
+        "contraction_layers": 2,
+        "count_law_cases": 7,
+    }
+    rep = run_suite("oracle-equivalence", SMALL, fixture=FIXTURES / "valid_state.json")
+    assert rep.passed and rep.counts == {"layers": 2, "gamma_entries": 18}
+    rep = run_suite("oracle-equivalence", SMALL, fixture=_dimension_0_build())
+    assert rep.passed and rep.counts == {"layers": 1, "gamma_entries": 0}
 
 
 def test_globularity_negative_names_witness():
