@@ -240,10 +240,14 @@ def _live_node(d: int, gen, labels: tuple):
 def _intern(t):
     """The cell of a grafting product: a transient becomes its ``NodeTerm``,
     labels first; any other value is returned as it is."""
-    if type(t) is tuple and t and t[0] is _TRANSIENT:
+    if _is_transient(t):
         _, d, gen, labels = t
         return NodeTerm(d, gen, tuple([_intern(lab) for lab in labels]))
     return t
+
+
+def _is_transient(t) -> bool:
+    return type(t) is tuple and len(t) == 4 and t[0] is _TRANSIENT
 
 
 def _mult_plan(op: OperadStructure, j: int, a, products=None) -> Callable[[tuple], object]:
@@ -709,8 +713,20 @@ def check_operad_laws(op: OperadStructure, bounds: Bounds, dims=None) -> Report:
     that table: the lhs ``(a∘phi)∘chi``, the label products of ``1⊗μ``, the
     rhs and the lower labels inside grafting read it.  The third factor
     ``chi`` is a configuration of the composite arity of ``(a, phi)``; both
-    levels read one ``labelling_fits`` memo per dimension.  A product not in
-    the table runs a plan (``_plan``) built once per cell and per ``a∘phi``.
+    levels read one ``labelling_fits`` memo per dimension.
+
+    The composed labelling ``phi·chi`` of ``1⊗μ`` depends on the arity S of
+    ``a``, not on ``a``: the cells of a layer are grouped by arity, and
+    ``phi·chi`` is built once per (S, phi, chi), with the label plans and
+    slicers once per (S, phi).  The plan (``_plan``) of a cell is built once
+    per call, that of ``r = a∘phi`` once per (a, phi), and the lhs ``r∘chi``
+    and the rhs ``a∘(phi·chi)`` once per configuration.  The table is read
+    only where it can hold the product: for the lhs if ``r`` is an
+    operation of it (a cell of the layer or of ``op.products``), for the rhs
+    if ``phi·chi`` holds no transient, as a transient equals no cell.  Each
+    violation keeps its place in the order of a loop over the cells (the
+    position of ``a``, then of ``phi``, then of ``chi``), and they are
+    reported sorted by it.
 
     Only the first-level products are interned, all before anything is
     compared: both sides of the laws are compared as ``_plan`` returns them.
@@ -723,21 +739,22 @@ def check_operad_laws(op: OperadStructure, bounds: Bounds, dims=None) -> Report:
     table = dict(op.products)
     view = replace(op, products=table)
     get = table.get
-    asked = multiplied = first = triples = over_bound = 0
+    multiplied = read = first = triples = over_bound = 0
 
     @cache
     def plan(j, c):
         # the plan of a cell, built once per call
         return _mult_plan(view, j, c)
 
-    def product(j, c, labels, run):
-        # view.mult on a label tuple, with ``run`` the plan of ``c``
-        nonlocal asked, multiplied
-        asked += 1
-        r = get((j, c, labels))
+    def product(j, c, labels, run, lookup=True):
+        # view.mult on a label tuple, with ``run`` the plan of ``c``; the
+        # table is read only if ``lookup``
+        nonlocal multiplied, read
+        r = get((j, c, labels)) if lookup else None
         if r is None:
             multiplied += 1
-            r = run(labels)
+            return run(labels)
+        read += 1
         return r
 
     for d in dims if dims is not None else range(op.up_to_dim + 1):
@@ -753,36 +770,49 @@ def check_operad_laws(op: OperadStructure, bounds: Bounds, dims=None) -> Report:
         for t in layer:
             if product(d, unit, _unit_argument(view, d, t).labels, plan(d, unit)) != t:
                 rep.add("left unit law fails", witness=(d, t))
-        for a in layer:
+        operations = set(layer).union(k[1] for k in op.products if k[0] == d)
+        groups: dict = {}
+        found = []  # (place in the order of a loop over the cells, message, witness)
+        for i, a in enumerate(layer):
             shape = op.over.arity_of(d, a)
-            run_a = plan(d, a)
-            if product(d, a, _unit_labels(view, shape), run_a) != a:
-                rep.add("right unit law fails", witness=(d, a))
-            for phi, mid_shape in split(shape)[0]:
-                r = table[(d, a, phi.labels)]
-                if cell_arity(op, d, r) != mid_shape:
-                    rep.add("arity of composite differs from substitution", witness=(d, a, phi.labels))
+            if product(d, a, _unit_labels(view, shape), plan(d, a)) != a:
+                found.append(((i, -1), "right unit law fails", (d, a)))
+            groups.setdefault(shape, []).append((i, a, plan(d, a)))
+        for shape, group in groups.items():
+            for p, (phi, mid_shape) in enumerate(split(shape)[0]):
+                sides = []
+                for i, a, run_a in group:
+                    r = table[(d, a, phi.labels)]
+                    if cell_arity(op, d, r) != mid_shape:
+                        found.append(((i, p), "arity of composite differs from substitution", (d, a, phi.labels)))
+                    else:
+                        sides.append((i, a, run_a, r, _mult_plan(view, d, r), r in operations))
+                if not sides:
                     continue
                 fits, over = split(mid_shape)
-                triples += len(fits)
-                over_bound += len(over)
-                run_r = _mult_plan(view, d, r)
+                triples += len(fits) * len(sides)
+                over_bound += len(over) * len(sides)
                 arities = _label_arities(op, shape, phi.labels)
                 factors = [
                     (x.dim, lab, plan(x.dim, lab), take)
                     for x, lab, take in zip(all_cells(shape), phi.labels, slicers(shape, arities))
                 ]
-                for chi, _ in fits:
+                for q, (chi, _) in enumerate(fits):
                     labels = chi.labels
-                    lhs = product(d, r, labels, run_r)
                     composed = tuple([product(j, lab, take(labels), run) for j, lab, run, take in factors])
-                    if lhs != product(d, a, composed, run_a):
-                        rep.add("associativity fails", witness=(d, a, phi.labels, labels))
+                    lookup = not any(_is_transient(lab) for lab in composed)
+                    for i, a, run_a, r, run_r, r_is_operation in sides:
+                        lhs = product(d, r, labels, run_r, r_is_operation)
+                        if lhs != product(d, a, composed, run_a, lookup):
+                            found.append(((i, p, q), "associativity fails", (d, a, phi.labels, labels)))
+        found.sort(key=itemgetter(0))
+        for _, message, witness in found:
+            rep.add(message, witness=witness)
     rep.counts.update(
         first_level_configurations=first,
         associativity_configurations=triples,
         configurations_over_bound=over_bound,
         products_multiplied=multiplied,
-        products_read_from_table=asked - multiplied,
+        products_read_from_table=read,
     )
     return rep

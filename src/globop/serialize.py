@@ -266,23 +266,24 @@ def state_text(s: OwcState) -> str:
 
 def state_from_json(data: dict) -> DecodedState:
     bounds = Bounds(**data["bounds"])
-    if bounds.max_dim >= len(data["cells"]):
+    layers = _layers(data, "cells")
+    if bounds.max_dim >= len(layers):
         # a ladder pads its input to max_dim, so every dimension has a layer
-        raise ValueError(f"max_dim {bounds.max_dim} is beyond the {len(data['cells'])} layers of cells")
+        raise ValueError(f"max_dim {bounds.max_dim} is beyond the {len(layers)} layers of cells")
     stage = tuple(data["stage"])
     if not (
         len(stage) == 2
         and all(type(x) is int for x in stage)
         and stage[0] - stage[1] in (0, 1)
         and 0 <= stage[1] <= stage[0] <= bounds.max_dim
-        and stage[0] < len(data["cells"])
+        and stage[0] < len(layers)
     ):
         raise ValueError(
             f"stage {list(stage)!r} is not (k, k) or (k + 1, k) within max_dim and the layers"
         )
     cells_by_dim = []
     provenance = {}
-    for k, layer in enumerate(data["cells"]):
+    for k, layer in enumerate(layers):
         decoded = []
         for entry in layer:
             c = cell_from_json(entry["cell"])

@@ -169,6 +169,12 @@ def check_substitution_laws(max_shape_size: int, max_label_size: int, max_dim: i
 
 def _suite_globularity(bounds: Bounds, fixture) -> Report:
     rep = Report("globularity")
+    if isinstance(fixture, dict) and "stage" in fixture:
+        # a state: its collection is a globular set with arities
+        coll = state_from_json(fixture).state.collection
+        rep.extend(check_globularity(coll))
+        rep.extend(check_collection(coll))
+        return rep
     if fixture is not None:
         rep.extend(check_globularity(globset_from_json(fixture)))
         return rep

@@ -183,6 +183,29 @@ def test_verify_corrupted_fixture_fails(tmp_path, capsys):
     assert data[0]["pass"] is False and data[0]["violations"]
 
 
+@pytest.mark.parametrize(
+    "name, code, verdict, cells",
+    [
+        ("valid_state", 0, "pass", 109),
+        ("corrupt_state_cells", 1, "FAIL", 109),
+        ("corrupt_globset", 1, "FAIL", 5),
+    ],
+)
+def test_verify_globularity_reads_the_collection_of_a_state(tmp_path, capsys, name, code, verdict, cells):
+    """Given a state, globularity checks its collection, as a globular set
+    and as a collection (the corrupted contraction cell of
+    ``corrupt_state_cells`` has an arity other than its theta); a globular
+    set fixture is read as before."""
+    reports = tmp_path / "reports.json"
+    got, out, err = run(
+        capsys, "verify", "--suite", "globularity",
+        "--input", str(FIXTURES / f"{name}.json"), "--out", str(reports),
+    )
+    assert (got, err) == (code, "")
+    assert out.startswith(f"globularity: {verdict} ")
+    assert json.loads(reports.read_text())[0]["counts"] == {"cells": cells}
+
+
 def test_verify_initiality_probe_rejects_partial_contraction(tmp_path, capsys):
     reports = tmp_path / "reports.json"
     code, out, _ = run(

@@ -97,7 +97,7 @@ def test_state_suites_pass_on_valid_fixture(name):
         assert counts["associativity_configurations"] == 233143
         assert counts["configurations_over_bound"] == 0
         assert counts["products_multiplied"] == 442368
-        assert counts["products_read_from_table"] == 727496
+        assert counts["products_read_from_table"] == 44387
     if name == "stability-contraction":
         assert rep.counts == {"rebuilt_products": 316, "fixture_entries": 316}
 
