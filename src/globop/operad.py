@@ -775,9 +775,10 @@ def check_operad_laws(op: OperadStructure, bounds: Bounds, dims=None) -> Report:
         found = []  # (place in the order of a loop over the cells, message, witness)
         for i, a in enumerate(layer):
             shape = op.over.arity_of(d, a)
-            if product(d, a, _unit_labels(view, shape), plan(d, a)) != a:
+            run_a = plan(d, a)
+            if product(d, a, _unit_labels(view, shape), run_a) != a:
                 found.append(((i, -1), "right unit law fails", (d, a)))
-            groups.setdefault(shape, []).append((i, a, plan(d, a)))
+            groups.setdefault(shape, []).append((i, a, run_a))
         for shape, group in groups.items():
             for p, (phi, mid_shape) in enumerate(split(shape)[0]):
                 sides = []
