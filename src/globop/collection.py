@@ -2,9 +2,10 @@
 
 Also home to the labelling enumerator (a labelling of a shape by a globular
 set is a globular map, so labels of higher cells force the labels of their
-boundary cells) and to ``configurations``: an operation with a labelling of
-its arity, a cell of a tensor product and the argument of every
-multiplication and operad law.
+boundary cells) and to ``labelling_fits``, the memo of the labellings of an
+arity split at the arity bound: with an operation, a labelling of its arity
+is a cell of a tensor product and the argument of every multiplication and
+operad law.
 """
 
 from __future__ import annotations
@@ -317,32 +318,26 @@ def collection_labellings(shape: PastingDiagram, b: Collection, overrides=None) 
 
 
 def labelling_fits(b: Collection, max_arity_size: int):
-    """A memo of ``shape -> (fits, over)``: the pairs ``(phi, composite)``
-    of a labelling of ``shape`` by cells of ``b``, in
-    ``collection_labellings`` order, with the substitution of its labels'
-    arities into ``shape``, split at ``max_arity_size``.  Labellings are
+    """A memo of ``shape -> (fits, over)``: the labellings of ``shape`` by
+    cells of ``b``, as label tuples in ``enumerate_labellings`` order, split
+    at ``max_arity_size`` by the substitution of their labels' arities into
+    ``shape``.  ``fits`` pairs each labelling within the bound with that
+    composite; ``over`` holds the labellings over it.  Labellings are
     enumerated once per shape."""
 
     @cache
     def split(shape: PastingDiagram) -> tuple[tuple, tuple]:
         addrs = all_cells(shape)
         fits, over = [], []
-        for phi in collection_labellings(shape, b):
-            composite = subst_arities(
-                shape, tuple(b.arity_of(a.dim, lab) for a, lab in zip(addrs, phi.labels))
-            )
-            (fits if size(composite) <= max_arity_size else over).append((phi, composite))
+        for labels in enumerate_labellings(shape, b):
+            composite = subst_arities(shape, tuple(b.arity_of(a.dim, lab) for a, lab in zip(addrs, labels)))
+            if size(composite) <= max_arity_size:
+                fits.append((labels, composite))
+            else:
+                over.append(labels)
         return tuple(fits), tuple(over)
 
     return split
-
-
-def configurations(operations, b: Collection, max_arity_size: int):
-    """For each ``(x, shape)`` of ``operations``, in order, yield ``(x, fits,
-    over)`` as ``labelling_fits`` splits ``shape``."""
-    split = labelling_fits(b, max_arity_size)
-    for x, shape in operations:
-        yield x, *split(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -374,15 +369,19 @@ def tensor(a: Collection, b: Collection, bounds: Bounds) -> TensorResult:
     """
     top = min(a.max_dim, bounds.max_dim)
     cells, src, tgt, arity = [], [], [], []
+    split = labelling_fits(b, bounds.max_arity_size)
     # the number of pairs over the bound, and the first three of them
     skipped, samples = 0, []
     for k in range(top + 1):
         layer, layer_src, layer_tgt, layer_arity = [], {}, {}, {}
-        operations = ((left, a.arity_of(k, left)) for left in a.cells_at(k))
-        for left, fits, over in configurations(operations, b, bounds.max_arity_size):
+        for left in a.cells_at(k):
+            shape = a.arity_of(k, left)
+            fits, over = split(shape)
             skipped += len(over)
-            samples.extend((k, PairCell(left, phi)) for phi, _ in over[: 3 - len(samples)])
-            for phi, composed in fits:
+            for labels in over[: 3 - len(samples)]:
+                samples.append((k, PairCell(left, LabelledDiagram(shape, labels))))
+            for labels, composed in fits:
+                phi = LabelledDiagram(shape, labels)
                 pair = PairCell(left, phi)
                 layer.append(pair)
                 layer_arity[pair] = composed

@@ -141,12 +141,12 @@ def check_contraction(coll: Collection, s: ContractionStructure, bounds: Bounds)
 
 
 def contraction_morphism_check(
-    f: GlobMorphism, coll: Collection, s: ContractionStructure, s2: ContractionStructure, bounds: Bounds
+    f: GlobMorphism, coll: Collection, s: ContractionStructure, s2: ContractionStructure, bounds: Bounds, up_to: int
 ) -> Report:
     """Verify f(gamma(a, b, theta)) == gamma'(fa, fb, theta) on all admissible
-    triples of the domain ``coll`` within bounds."""
+    triples of the domain ``coll`` within bounds, of dimension up to ``up_to``."""
     rep = Report("contraction-morphism")
-    for k in range(1, min(s.up_to_dim, s2.up_to_dim) + 1):
+    for k in range(1, min(up_to, s.up_to_dim, s2.up_to_dim) + 1):
         for a, b, theta in admissible_triples(coll, k, bounds):
             lift = s.gamma.get((a, b, theta))
             if lift is None:

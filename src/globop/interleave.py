@@ -40,7 +40,7 @@ from .operad import (
     free_operad_dim0,
     free_operad_step,
 )
-from .pasting import all_cells, labelled
+from .pasting import LabelledDiagram, all_cells
 from .report import Report
 
 
@@ -48,9 +48,6 @@ from .report import Report
 class Provenance:
     step: str
     stratum: int | None = None
-
-    def to_json(self):
-        return {"step": self.step, "stratum": self.stratum}
 
 
 @dataclass
@@ -190,7 +187,6 @@ def induced_morphism(s: OwcState, t: OwcState, seed: dict | None = None) -> Indu
     A missing gamma or multiplication value in the codomain is reported as
     non-receptivity rather than raised.
     """
-    top = s.stage[1]
     maps: dict[int, dict] = {k: {} for k in range(s.collection.max_dim + 1)}
     missing: list = []
 
@@ -213,7 +209,7 @@ def induced_morphism(s: OwcState, t: OwcState, seed: dict | None = None) -> Indu
             ig = image(k, c.gen)
             images = [image(a.dim, lab) for a, lab in zip(all_cells(shape), c.labels)]
             if ig is not None and all(v is not None for v in images):
-                val = t.operad.mult(k, ig, labelled(shape, dict(zip(all_cells(shape), images))))
+                val = t.operad.mult(k, ig, LabelledDiagram(shape, tuple(images)))
                 if not t.collection.has_cell(k, val):
                     missing.append(("mult", k, c))
                     val = None
@@ -231,23 +227,20 @@ def induced_morphism(s: OwcState, t: OwcState, seed: dict | None = None) -> Indu
     if missing:
         return InducedMorphismResult(None, missing, [])
     f = GlobMorphism({k: dict(m) for k, m in maps.items()})
-    return InducedMorphismResult(f, [], morphism_reports(f, s, t, up_to=top))
+    return InducedMorphismResult(f, [], morphism_reports(f, s, t, up_to=s.collection.max_dim))
 
 
 def operad_morphism_check(
     f: GlobMorphism, s_op: OperadStructure, t_op: OperadStructure, bounds: Bounds, up_to: int
 ) -> Report:
     rep = Report("operad-morphism")
-    for d in range(up_to + 1):
+    dims = range(min(up_to, s_op.up_to_dim) + 1)
+    for d in dims:
         if f.apply(d, s_op.units[d]) != t_op.units[d]:
             rep.add("unit not preserved", witness=d)
-    table = cell_products(s_op, bounds, dims=range(up_to + 1))
-    for (d, a, labels), r in table.items():
+    for (d, a, labels), r in cell_products(s_op, bounds, dims=dims).items():
         shape = s_op.over.arity_of(d, a)
-        mapped = labelled(
-            shape,
-            {x: f.apply(x.dim, lab) for x, lab in zip(all_cells(shape), labels)},
-        )
+        mapped = LabelledDiagram(shape, tuple([f.apply(x.dim, lab) for x, lab in zip(all_cells(shape), labels)]))
         if t_op.mult(d, f.apply(d, a), mapped) != f.apply(d, r):
             rep.add("multiplication not preserved", witness=(d, a))
     return rep
@@ -255,7 +248,7 @@ def operad_morphism_check(
 
 def arity_morphism_check(f: GlobMorphism, s: Collection, t: Collection, up_to: int) -> Report:
     rep = Report("collection-morphism")
-    rep.extend(check_glob_morphism(f, s, t))
+    rep.extend(check_glob_morphism(f, truncate(s, up_to), truncate(t, up_to)))
     for k in range(up_to + 1):
         for c in s.cells_at(k):
             try:
@@ -267,9 +260,10 @@ def arity_morphism_check(f: GlobMorphism, s: Collection, t: Collection, up_to: i
 
 
 def morphism_reports(f: GlobMorphism, s: OwcState, t: OwcState, up_to: int) -> list[Report]:
-    """Collection, operad and contraction morphism checks within bounds."""
+    """Collection, operad and contraction morphism checks within bounds, on
+    the dimensions up to ``up_to``, the last one ``f`` is defined on."""
     return [
         arity_morphism_check(f, s.collection, t.collection, up_to),
         operad_morphism_check(f, s.operad, t.operad, s.bounds, up_to),
-        contraction_morphism_check(f, s.collection, s.contraction, t.contraction, s.bounds),
+        contraction_morphism_check(f, s.collection, s.contraction, t.contraction, s.bounds, up_to),
     ]

@@ -23,7 +23,7 @@ from operator import itemgetter
 from typing import Callable
 from weakref import KeyedRef
 
-from .collection import Bounds, Collection, Overflow, add_cells, configurations, count_labellings
+from .collection import Bounds, Collection, Overflow, add_cells, count_labellings
 from .collection import enumerate_labellings, labelling_fits, labelling_order
 from .globset import GlobularSet
 from .pasting import (
@@ -36,7 +36,6 @@ from .pasting import (
     cells,
     emb_map,
     inner_size,
-    labelled,
     size,
     slicers,
     subst_arities,
@@ -276,11 +275,10 @@ def counit_eval(y: OperadStructure, d: int, t):
         if not y.over.has_cell(d, t.gen):
             raise KeyError(f"unknown generator {t.gen!r}")
         shape = y.over.arity_of(d, t.gen)
-        new_labels = {
-            a: counit_eval(y, d, lab) if a.dim == d else lab
-            for a, lab in zip(all_cells(shape), t.labels)
-        }
-        return y.mult(d, t.gen, labelled(shape, new_labels))
+        new_labels = tuple(
+            counit_eval(y, d, lab) if a.dim == d else lab for a, lab in zip(all_cells(shape), t.labels)
+        )
+        return y.mult(d, t.gen, LabelledDiagram(shape, new_labels))
     if not y.over.has_cell(d, t):
         raise KeyError(f"unknown generator {t!r}")
     return t
@@ -559,11 +557,12 @@ def mult_table(op: OperadStructure, bounds: Bounds, dims=None) -> dict:
     arity exceeds the bound are left out.
     """
     table = {}
+    split = labelling_fits(op.over, bounds.max_arity_size)
     for d in dims if dims is not None else range(op.up_to_dim + 1):
-        operations = ((a, op.over.arity_of(d, a)) for a in op.over.cells_at(d))
-        for a, fits, _ in configurations(operations, op.over, bounds.max_arity_size):
-            for phi, _ in fits:
-                table[(d, a, phi.labels)] = op.mult(d, a, phi)
+        for a in op.over.cells_at(d):
+            shape = op.over.arity_of(d, a)
+            for labels, _ in split(shape)[0]:
+                table[(d, a, labels)] = op.mult(d, a, LabelledDiagram(shape, labels))
     return table
 
 
@@ -654,7 +653,7 @@ def _cuts(op: OperadStructure, cells):
 
     @cache
     def cuts(j: int, t) -> dict:
-        out = {UnitTerm(j): _unit_argument(op, j, t).labels} if over.has_cell(j, t) else {}
+        out = {UnitTerm(j): _unit_argument(op, j, t)} if over.has_cell(j, t) else {}
         if isinstance(t, UnitTerm):
             return out
         gen = t.gen if isinstance(t, NodeTerm) else t
@@ -687,19 +686,16 @@ def _glue(op: OperadStructure, shape, labels: tuple, parts: list):
     return tuple(out)
 
 
-def _unit_argument(op: OperadStructure, d: int, t) -> LabelledDiagram:
-    """The labelling of the single-cell shape whose top label is ``t``, its
+def _unit_argument(op: OperadStructure, d: int, t) -> tuple:
+    """The labels of the single-cell shape whose top label is ``t``, its
     lower labels read from the src and tgt tables."""
-    shape = unit_tree(d)
-    out = {}
-    for addr in all_cells(shape):
+    out = []
+    for addr in all_cells(unit_tree(d)):
         c = t
-        j = d
-        while j > addr.dim:
+        for j in range(d, addr.dim, -1):
             c = op.over.src_of(j, c) if addr.path[-1] == 0 else op.over.tgt_of(j, c)
-            j -= 1
-        out[addr] = c
-    return labelled(shape, out)
+        out.append(c)
+    return tuple(out)
 
 
 def check_operad_laws(op: OperadStructure, bounds: Bounds, dims=None) -> Report:
@@ -713,7 +709,7 @@ def check_operad_laws(op: OperadStructure, bounds: Bounds, dims=None) -> Report:
     that table: the lhs ``(a∘phi)∘chi``, the label products of ``1⊗μ``, the
     rhs and the lower labels inside grafting read it.  The third factor
     ``chi`` is a configuration of the composite arity of ``(a, phi)``; both
-    levels read one ``labelling_fits`` memo per dimension.
+    levels read one ``labelling_fits`` memo, of label tuples.
 
     The composed labelling ``phi·chi`` of ``1⊗μ`` depends on the arity S of
     ``a``, not on ``a``: the cells of a layer are grouped by arity, and
@@ -757,18 +753,18 @@ def check_operad_laws(op: OperadStructure, bounds: Bounds, dims=None) -> Report:
         read += 1
         return r
 
+    split = labelling_fits(op.over, bounds.max_arity_size)
     for d in dims if dims is not None else range(op.up_to_dim + 1):
         unit = op.units[d]
         layer = op.over.cells_at(d)
-        split = labelling_fits(op.over, bounds.max_arity_size)
         for a in layer:
             fits, over = split(op.over.arity_of(d, a))
             first += len(fits)
             over_bound += len(over)
             for phi, _ in fits:
-                table[(d, a, phi.labels)] = _intern(product(d, a, phi.labels, plan(d, a)))
+                table[(d, a, phi)] = _intern(product(d, a, phi, plan(d, a)))
         for t in layer:
-            if product(d, unit, _unit_argument(view, d, t).labels, plan(d, unit)) != t:
+            if product(d, unit, _unit_argument(view, d, t), plan(d, unit)) != t:
                 rep.add("left unit law fails", witness=(d, t))
         operations = set(layer).union(k[1] for k in op.products if k[0] == d)
         groups: dict = {}
@@ -783,9 +779,9 @@ def check_operad_laws(op: OperadStructure, bounds: Bounds, dims=None) -> Report:
             for p, (phi, mid_shape) in enumerate(split(shape)[0]):
                 sides = []
                 for i, a, run_a in group:
-                    r = table[(d, a, phi.labels)]
+                    r = table[(d, a, phi)]
                     if cell_arity(op, d, r) != mid_shape:
-                        found.append(((i, p), "arity of composite differs from substitution", (d, a, phi.labels)))
+                        found.append(((i, p), "arity of composite differs from substitution", (d, a, phi)))
                     else:
                         sides.append((i, a, run_a, r, _mult_plan(view, d, r), r in operations))
                 if not sides:
@@ -793,19 +789,18 @@ def check_operad_laws(op: OperadStructure, bounds: Bounds, dims=None) -> Report:
                 fits, over = split(mid_shape)
                 triples += len(fits) * len(sides)
                 over_bound += len(over) * len(sides)
-                arities = _label_arities(op, shape, phi.labels)
+                arities = _label_arities(op, shape, phi)
                 factors = [
                     (x.dim, lab, plan(x.dim, lab), take)
-                    for x, lab, take in zip(all_cells(shape), phi.labels, slicers(shape, arities))
+                    for x, lab, take in zip(all_cells(shape), phi, slicers(shape, arities))
                 ]
                 for q, (chi, _) in enumerate(fits):
-                    labels = chi.labels
-                    composed = tuple([product(j, lab, take(labels), run) for j, lab, run, take in factors])
+                    composed = tuple([product(j, lab, take(chi), run) for j, lab, run, take in factors])
                     lookup = not any(_is_transient(lab) for lab in composed)
                     for i, a, run_a, r, run_r, r_is_operation in sides:
-                        lhs = product(d, r, labels, run_r, r_is_operation)
+                        lhs = product(d, r, chi, run_r, r_is_operation)
                         if lhs != product(d, a, composed, run_a, lookup):
-                            found.append(((i, p, q), "associativity fails", (d, a, phi.labels, labels)))
+                            found.append(((i, p, q), "associativity fails", (d, a, phi, chi)))
         found.sort(key=itemgetter(0))
         for _, message, witness in found:
             rep.add(message, witness=witness)

@@ -63,7 +63,6 @@ from .pasting import (
     boundary,
     boundary_restrict,
     enumerate_trees,
-    labelled,
     slicers,
     subst_arities,
     substitute,
@@ -136,7 +135,7 @@ def check_substitution_laws(max_shape_size: int, max_label_size: int, max_dim: i
                 rep.add("left unit law fails", witness=repr(u.labels[-1]))
         for shape in enumerate_trees(d, max_shape_size):
             counts["shapes"] += 1
-            ru = labelled(shape, {a: unit_tree(a.dim) for a in all_cells(shape)})
+            ru = LabelledDiagram(shape, tuple(unit_tree(a.dim) for a in all_cells(shape)))
             if substitute(ru) != shape:
                 rep.add("right unit law fails", witness=repr(shape))
             for outer in tree_labellings(shape, max_label_size):

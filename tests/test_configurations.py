@@ -1,4 +1,4 @@
-"""``collection.configurations``, the one enumeration of composable
+"""``collection.labelling_fits``, the one enumeration of composable
 configurations, against the loops it replaced.
 
 Five loops used to write the enumeration out, each on its own: ``tensor``,
@@ -6,10 +6,12 @@ Five loops used to write the enumeration out, each on its own: ``tensor``,
 The reference functions below are verbatim copies of them, with
 ``_composite_arity`` and the law check's ``compose_labellings`` (only the
 imports are hoisted); ``reference_tensor`` builds its result with the
-two-field ``Collection`` of its day, which an adapter above it supplies.
-The tests check that the generator visits the same configurations, with the
-same composite arities and the same split at the arity bound, in the same
-order, and that the functions built on it give the same tables and reports.
+two-field ``Collection`` of its day, and ``reference_check_operad_laws``
+reads the unit argument as a ``LabelledDiagram``, as the adapters above
+them supply.  The tests check that the memo splits each arity into the same
+labellings, as label tuples, with the same composite arities within the
+bound and the same split at it, in the same order, and that the functions
+built on it give the same tables and reports.
 ``mult_table`` asks for the same multiplications in the same order; the law
 check multiplies each first-level configuration once and reads it from then
 on, so it is checked on the products it multiplies.  ``cell_products`` now
@@ -27,14 +29,14 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from globop import pasting
+from globop import operad, pasting
 from globop.collection import (
     Bounds,
     Overflow,
     PairCell,
     TensorResult,
     collection_labellings,
-    configurations,
+    labelling_fits,
     make_collection,
     one_cell_collection,
     tensor,
@@ -46,7 +48,6 @@ from globop.operad import (
     NodeTerm,
     OperadStructure,
     _label_arities,
-    _unit_argument,
     _unit_labels,
     cell_arity,
     cell_products,
@@ -64,6 +65,7 @@ from globop.pasting import (
     size,
     slicers,
     subst_arities,
+    unit_tree,
 )
 from globop.report import Report
 from globop.serialize import state_from_json
@@ -82,6 +84,13 @@ def Collection(carrier, arity):
     builds its result this way, from when a collection wrapped its globular
     set in a ``carrier`` field."""
     return make_collection(carrier.cells, carrier.src, carrier.tgt, arity)
+
+
+def _unit_argument(op: OperadStructure, d: int, t) -> LabelledDiagram:
+    """The unit argument of ``t`` as a ``LabelledDiagram``, as
+    ``reference_check_operad_laws`` reads it: the engine's is its label
+    tuple."""
+    return LabelledDiagram(unit_tree(d), operad._unit_argument(op, d, t))
 
 
 def reference_tensor(a: Collection, b: Collection, bounds: Bounds) -> TensorResult:
@@ -283,21 +292,31 @@ def _operations(op, d):
     return [(a, op.over.arity_of(d, a)) for a in op.over.cells_at(d)]
 
 
-# --- the generator -----------------------------------------------------------
+def _label_tuples(configs):
+    """``reference_configurations`` as ``labelling_fits`` keeps it: label
+    tuples, with their composite only within the bound."""
+    return [
+        (item, tuple((phi.labels, composed) for phi, composed in fits), tuple(phi.labels for phi, _ in over))
+        for item, fits, over in configs
+    ]
+
+
+# --- the memo ------------------------------------------------------------------
 
 
 # every labelling of each shape, as the ids say
 @pytest.mark.parametrize("case", CASES, ids=[f"all-{case}" for case in CASES])
 def test_configurations_match_the_reference(case):
     op, bounds = CASES[case]()
+    split = labelling_fits(op.over, bounds.max_arity_size)
     for d in range(op.up_to_dim + 1):
         ops = _operations(op, d)
-        got = list(configurations(iter(ops), op.over, bounds.max_arity_size))
-        assert got == reference_configurations(ops, op.over, bounds.max_arity_size)
+        got = [(a, *split(shape)) for a, shape in ops]
+        assert got == _label_tuples(reference_configurations(ops, op.over, bounds.max_arity_size))
         # the composite is the one the operad loops computed
-        for _, fits, over in got[:20]:
-            for phi, composed in fits + over:
-                assert composed == _composite_arity(op, phi.shape, phi)
+        for (_, shape), (_, fits, _) in zip(ops[:20], got):
+            for labels, composed in fits:
+                assert composed == _composite_arity(op, shape, LabelledDiagram(shape, labels))
 
 
 @pytest.mark.parametrize("case", ["initial-251", "one-atom-251", "terminal-252"])
@@ -305,25 +324,11 @@ def test_composites_streamed_back_in_match_the_reference(case):
     """The law check's second level: each configuration within the bound is
     an operation of its composite arity."""
     op, bounds = CASES[case]()
+    split = labelling_fits(op.over, bounds.max_arity_size)
     for d in range(op.up_to_dim + 1):
-        first = configurations(_operations(op, d), op.over, bounds.max_arity_size)
-        mids = [((a, phi), mid) for a, fits, _ in first for phi, mid in fits]
-        streamed = ((x, mid) for x, mid in mids)
-        got = list(configurations(streamed, op.over, bounds.max_arity_size))
-        assert got == reference_configurations(mids, op.over, bounds.max_arity_size)
-
-
-def test_operations_are_read_one_per_configuration():
-    op, bounds = CASES["one-atom-251"]()
-    read = []
-
-    def operations():
-        for item in _operations(op, 1):
-            read.append(item[0])
-            yield item
-
-    for n, (a, _, _) in enumerate(configurations(operations(), op.over, bounds.max_arity_size), 1):
-        assert read[-1] == a and len(read) == n
+        mids = [((a, phi), mid) for a, shape in _operations(op, d) for phi, mid in split(shape)[0]]
+        got = [(x, *split(mid)) for x, mid in mids]
+        assert got == _label_tuples(reference_configurations(mids, op.over, bounds.max_arity_size))
 
 
 # --- the functions built on it -------------------------------------------------
@@ -436,16 +441,17 @@ def test_cell_products_multiply_about_what_they_keep(monkeypatch):
     """The enumeration multiplied 14,644 configurations at (3, 9, 1) to keep
     344 of them.  The cuts invert grafting: they neither enumerate
     labellings nor multiply to confirm a product."""
-    from globop import collection, operad
+    from globop import collection
 
     def enumerated(*args, **kwargs):
-        raise AssertionError("collection_labellings called")
+        raise AssertionError("labellings enumerated")
 
     for dims, entries in (((3, 9, 1), 344), ((2, 5, 2), 1107)):
         rec, log = _recording(_initial(*dims).operad)
         with monkeypatch.context() as m:
-            m.setattr(collection, "collection_labellings", enumerated)
-            m.setattr(operad, "collection_labellings", enumerated, raising=False)
+            for name in ("collection_labellings", "enumerate_labellings"):
+                m.setattr(collection, name, enumerated)
+                m.setattr(operad, name, enumerated, raising=False)
             table = cell_products(rec, Bounds(*dims))
         assert len(table) == entries
         assert log == []
@@ -551,10 +557,9 @@ def test_law_check_matches_the_reference(case):
     new = check_operad_laws(_logged(op, product), bounds, dims=dims)
     assert new.violations == old.violations
     firsts = [
-        (d, a, phi.labels)
+        key
         for d in (dims if dims is not None else range(op.up_to_dim + 1))
-        for a, fits, _ in configurations(_operations(op, d), op.over, bounds.max_arity_size)
-        for phi, _ in fits
+        for key in _first_level_keys(op, bounds, d)
     ]
     assert new.counts["first_level_configurations"] == len(firsts)
     # each first-level configuration is multiplied exactly once, unless
@@ -587,11 +592,8 @@ def test_law_check_on_plans_matches_the_reference(case):
 
 
 def _first_level_keys(op, bounds, d):
-    return [
-        (d, a, phi.labels)
-        for a, fits, _ in configurations(_operations(op, d), op.over, bounds.max_arity_size)
-        for phi, _ in fits
-    ]
+    split = labelling_fits(op.over, bounds.max_arity_size)
+    return [(d, a, phi) for a, shape in _operations(op, d) for phi, _ in split(shape)[0]]
 
 
 @st.composite
@@ -613,7 +615,9 @@ def test_law_check_on_a_mutant_table_keeps_the_witness_order():
     violations back.  A wrong entry at dimension 1 reaches dimension 2
     through the lower labels of grafting, so the violations fall on cells
     of many arities.  Each example runs both checks on the whole operad, so
-    a failure is reported as drawn, not shrunk."""
+    a failure is reported as drawn, not shrunk; and a failure can list tens
+    of thousands of violations, so their number and the first place the two
+    lists differ are compared before the lists themselves."""
     op, bounds = CASES["one-atom-251"]()
 
     @settings(
@@ -623,9 +627,12 @@ def test_law_check_on_a_mutant_table_keeps_the_witness_order():
     @given(_redirected(op, bounds))
     def check(products):
         mutant = dataclasses.replace(op, products=products)
-        new = check_operad_laws(mutant, bounds)
-        assert new.violations
-        assert new.violations == reference_check_operad_laws(mutant, bounds).violations
+        new = check_operad_laws(mutant, bounds).violations
+        old = reference_check_operad_laws(mutant, bounds).violations
+        assert new
+        differs = next((i for i, (x, y) in enumerate(zip(new, old)) if x != y), None)
+        assert (len(new), differs) == (len(old), None)
+        assert new == old
 
     check()
 
@@ -644,41 +651,43 @@ def test_law_check_counts_what_it_covered():
     # ``phi``, shared by the cells of that arity; and the configurations
     # left out over the bound at both levels
     asked = over_bound = 0
+    split = labelling_fits(op.over, bounds.max_arity_size)
     for d in range(op.up_to_dim + 1):
         layer = op.over.cells_at(d)
         asked += 2 * len(layer)
-        arities = Counter(op.over.arity_of(d, a) for a in layer)
-        operations = [(n, shape) for shape, n in arities.items()]
-        for n, fits, over in configurations(operations, op.over, bounds.max_arity_size):
+        for shape, n in Counter(op.over.arity_of(d, a) for a in layer).items():
+            fits, over = split(shape)
             asked += n * len(fits)
             over_bound += n * len(over)
-            for phi, inner, inner_over in configurations(fits, op.over, bounds.max_arity_size):
-                asked += len(inner) * (2 * n + len(phi.labels))
+            for phi, mid in fits:
+                inner, inner_over = split(mid)
+                asked += len(inner) * (2 * n + len(phi))
                 over_bound += n * len(inner_over)
     assert counts["products_multiplied"] + counts["products_read_from_table"] == asked
     assert counts["configurations_over_bound"] == over_bound
 
 
 def test_law_check_enumerates_each_shape_once(monkeypatch):
-    """Both levels of the law check read one memo of labellings: each
-    distinct shape, an arity of a cell or a composite arity, is enumerated
-    once."""
+    """Both levels of the law check, at every dimension, read one memo of
+    labellings: each distinct shape, an arity of a cell or a composite
+    arity, is enumerated once."""
     from globop import collection
 
     op, bounds = CASES["one-atom-251"]()
+    split = labelling_fits(op.over, bounds.max_arity_size)
     expected = set()
     for d in range(op.up_to_dim + 1):
-        expected.update(shape for _, shape in _operations(op, d))
-        for _, fits, _ in configurations(_operations(op, d), op.over, bounds.max_arity_size):
-            expected.update(mid for _, mid in fits)
+        for _, shape in _operations(op, d):
+            expected.add(shape)
+            expected.update(mid for _, mid in split(shape)[0])
     enumerated = Counter()
-    labellings = collection.collection_labellings
+    labellings = collection.enumerate_labellings
 
-    def counted(shape, b, overrides=None):
+    def counted(shape, family, overrides=None):
         enumerated[shape] += 1
-        return labellings(shape, b, overrides)
+        return labellings(shape, family, overrides)
 
-    monkeypatch.setattr(collection, "collection_labellings", counted)
+    monkeypatch.setattr(collection, "enumerate_labellings", counted)
     check_operad_laws(op, bounds)
     assert enumerated == Counter(expected)
 

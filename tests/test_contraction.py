@@ -122,7 +122,7 @@ def test_morphism_check_identity_and_terminal():
     res = free_contraction_step(coll, ctr, Bounds(1, 5, 2))
     f = identity_morphism(res.collection)
     assert contraction_morphism_check(
-        f, res.collection, res.contraction, res.contraction, Bounds(1, 5, 2)
+        f, res.collection, res.contraction, res.contraction, Bounds(1, 5, 2), 1
     ).passed
 
     bounds = Bounds(1, 5, 2)
@@ -133,7 +133,7 @@ def test_morphism_check_identity_and_terminal():
             for k in range(2)
         }
     )
-    assert contraction_morphism_check(arity_map, res.collection, res.contraction, term, bounds).passed
+    assert contraction_morphism_check(arity_map, res.collection, res.contraction, term, bounds, 1).passed
 
 
 def test_morphism_check_permutation_fails():
@@ -144,6 +144,6 @@ def test_morphism_check_permutation_fails():
     maps = {0: {"u": "u"}, 1: {c: c for c in res.collection.cells_at(1)}}
     maps[1][c0], maps[1][c1] = c1, c0
     rep = contraction_morphism_check(
-        GlobMorphism(maps), res.collection, res.contraction, res.contraction, Bounds(1, 5, 2)
+        GlobMorphism(maps), res.collection, res.contraction, res.contraction, Bounds(1, 5, 2), 1
     )
     assert not rep.passed

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import pytest
 
-from globop.collection import Bounds, configurations, labelling_fits, one_cell_collection
+from globop.collection import Bounds, labelling_fits, one_cell_collection
 from globop.interleave import free_owc
 from globop.operad import (
     NodeTerm,
@@ -39,7 +39,6 @@ from globop.operad import (
     _label_arities,
     _nodes,
     _plan,
-    _unit_argument,
     _unit_labels,
     cell_arity,
     cell_products,
@@ -64,6 +63,7 @@ from globop.verify import cached_initial
 from test_cell_identity import count_new_nodes
 from test_configurations import (
     _broken_terminal,
+    _unit_argument,
     _wrong_product,
     compose_labellings,
     reference_cell_products,
@@ -268,23 +268,25 @@ def _law_check_calls(op: OperadStructure, bounds: Bounds, arity_fn, compose_fn, 
         return r
 
     rec.mult = mult
+    split = labelling_fits(op.over, bounds.max_arity_size)
     for d in range(op.up_to_dim + 1):
         for t in op.over.cells_at(d):
             rec.mult(d, op.units[d], _unit_argument(rec, d, t))
-        operations = ((a, op.over.arity_of(d, a)) for a in op.over.cells_at(d))
         n = 0
-        for a, fits, _ in configurations(operations, op.over, bounds.max_arity_size):
-            rec.mult(d, a, unit_labelling(rec, d, op.over.arity_of(d, a)))
-            for phi, mid in fits:
+        for a in op.over.cells_at(d):
+            shape = op.over.arity_of(d, a)
+            rec.mult(d, a, unit_labelling(rec, d, shape))
+            for labels, mid in split(shape)[0]:
+                phi = LabelledDiagram(shape, labels)
                 r = rec.mult(d, a, phi)
                 log.append(arity_fn(rec, d, r))
                 n += 1
                 if n % stride or arity_fn(rec, d, r) != mid:
                     continue
-                for _, inner, _ in configurations([(r, mid)], op.over, bounds.max_arity_size):
-                    for chi, _ in inner:
-                        rec.mult(d, r, chi)
-                        rec.mult(d, a, compose_fn(rec, phi, chi))
+                for inner, _ in split(mid)[0]:
+                    chi = LabelledDiagram(mid, inner)
+                    rec.mult(d, r, chi)
+                    rec.mult(d, a, compose_fn(rec, phi, chi))
     return log
 
 
@@ -328,12 +330,12 @@ def test_plans_graft_as_the_reference(case, monkeypatch):
         for a in op.over.cells_at(d):
             plan = _plan(op, d, a)
             for phi, mid in split(op.over.arity_of(d, a))[0]:
-                r = run(plan, phi.labels)
-                assert r is reference_graft(op, d, a, phi.labels)
+                r = run(plan, phi)
+                assert r is reference_graft(op, d, a, phi)
                 firsts += 1
                 plan_r = _plan(op, d, r)
                 for chi, _ in split(mid)[0]:
-                    assert run(plan_r, chi.labels) is reference_graft(op, d, r, chi.labels)
+                    assert run(plan_r, chi) is reference_graft(op, d, r, chi)
                     lhs += 1
     assert firsts > 0 and lhs > firsts
 
@@ -424,11 +426,12 @@ def test_table_arity_is_the_structural_arity(case):
 def test_transient_terms_get_their_structural_arity():
     op, bounds = CASES["initial-251"][0]()
     seen = 0
+    split = labelling_fits(op.over, bounds.max_arity_size)
     for d in range(op.up_to_dim + 1):
-        operations = ((a, op.over.arity_of(d, a)) for a in op.over.cells_at(d))
-        for a, fits, _ in configurations(operations, op.over, bounds.max_arity_size):
-            for phi, mid in fits:
-                r = op.mult(d, a, phi)
+        for a in op.over.cells_at(d):
+            shape = op.over.arity_of(d, a)
+            for labels, mid in split(shape)[0]:
+                r = op.mult(d, a, LabelledDiagram(shape, labels))
                 if not op.over.has_cell(d, r):
                     seen += 1
                     assert cell_arity(op, d, r) is reference_cell_arity(op, d, r) is mid

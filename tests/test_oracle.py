@@ -1,7 +1,9 @@
+import pytest
+
 from globop.collection import Bounds, empty_collection, make_collection, one_cell_collection
 from globop.contraction import CtrCell, free_contraction_step
 from globop.globset import check_globularity
-from globop.interleave import free_owc, free_owc_trace, initial_owc
+from globop.interleave import free_owc, free_owc_trace, induced_morphism, initial_owc
 from globop.operad import (
     NodeTerm,
     OperadStructure,
@@ -18,6 +20,7 @@ from globop.oracle import (
     oracle_trees,
     search_all_morphisms,
 )
+from globop.verify import cached_initial
 from globop.pasting import (
     DOT,
     PastingDiagram,
@@ -135,6 +138,18 @@ def test_search_finds_single_morphism():
     t = free_owc(one_cell_collection(1), b)
     found = search_all_morphisms(s, t, up_to=1)
     assert len(found) == 1
+
+
+@pytest.mark.parametrize("bounds", [Bounds(2, 5, 2), Bounds(3, 9, 1)])
+def test_search_below_the_top_dimension_checks_only_what_it_maps(bounds):
+    """A search up to dimension 1 defines its morphisms on dimensions 0 and
+    1 only, so every check it runs on them stops there: the identity is
+    the one morphism, the induced one cut to those dimensions."""
+    s = cached_initial(bounds)
+    found = search_all_morphisms(s, s, up_to=1)
+    assert len(found) == 1
+    induced = induced_morphism(s, s).morphism.maps
+    assert found[0].maps == {k: induced[k] for k in (0, 1)}
 
 
 def test_search_finds_none_into_broken_target():
