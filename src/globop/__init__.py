@@ -41,7 +41,6 @@ from .operad import (
     counit_eval,
     free_operad_dim0,
     free_operad_step,
-    term_mult,
     terminal_operad,
 )
 from .pasting import (

@@ -21,25 +21,29 @@ def _bounds_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-term-size", type=int, default=2)
 
 
+def _write(out: str | None, text: str) -> bool:
+    """Write ``text`` to the file ``out``, or to stdout if there is none;
+    False, with one line on stderr, if the file cannot be written."""
+    try:
+        Path(out).write_text(text) if out else sys.stdout.write(text)
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def cmd_trees(dim: int, max_size: int, out: str | None) -> int:
     trees = enumerate_trees(dim, max_size)
-    lines = [canonical_json(tree_to_json(t)) for t in trees]
-    if out:
-        Path(out).write_text("".join(line + "\n" for line in lines))
-    else:
-        for line in lines:
-            sys.stdout.write(line + "\n")
+    if not _write(out, "".join(canonical_json(tree_to_json(t)) + "\n" for t in trees)):
+        return 2
     print(f"count {len(trees)}", file=sys.stderr)
     return 0
 
 
 def cmd_build_initial(bounds: Bounds, out: str | None) -> int:
     state = initial_owc(bounds)
-    text = state_text(state)
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    if not _write(out, state_text(state)):
+        return 2
     for k in range(state.collection.max_dim + 1):
         print(f"dim {k}: {len(state.collection.cells_at(k))}")
     return 0
@@ -92,8 +96,8 @@ def cmd_verify(suites: list[str], bounds: Bounds, fixture_path: str | None, out:
         reports.append(rep.to_json())
         failed = failed or not rep.passed
         print(f"{name}: {'pass' if rep.passed else 'FAIL'} ({rep.ms:.0f} ms)")
-    if out:
-        Path(out).write_text(json.dumps(reports, indent=2, sort_keys=True) + "\n")
+    if out and not _write(out, json.dumps(reports, indent=2, sort_keys=True) + "\n"):
+        return 2
     return 1 if failed else 0
 
 
@@ -119,7 +123,7 @@ def main(argv: list[str] | None = None) -> int:
     p_verify.add_argument(
         "--suite",
         action="append",
-        default=[],
+        required=True,
         help="suite name, repeatable; 'all' runs every suite",
     )
     p_verify.add_argument("--input", help="fixture file validated instead of fresh builds")

@@ -17,7 +17,7 @@ operad structure one dimension down and stored in the cell tables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cache
+from functools import cache, partial
 from itertools import product
 from operator import itemgetter
 from typing import Callable
@@ -103,15 +103,15 @@ class NodeTerm(Keyed):
 class OperadStructure:
     """A collection with unit cells and one multiplication per dimension.
 
-    ``mults[d](op, d, a, phi)`` composes the d-cell ``a`` with a labelling
-    ``phi`` of its arity by cells of ``op.over``; a freely built dimension
-    uses ``term_mult``.  Entries of ``products``, keyed by
-    ``(d, a, phi.labels)``, take precedence over the multiplications.
+    ``mults[d](op, d, a)`` is the plan of the d-cell ``a``: a function that
+    takes the labels of a labelling of ``a``'s arity by cells of ``op.over``
+    to their product.  A freely built dimension uses ``_plan``, grafting.
     """
 
     over: Collection
     units: dict[int, object]
-    mults: tuple[Callable[[OperadStructure, int, object, LabelledDiagram], object], ...]
+    mults: tuple[Callable[[OperadStructure, int, object], Callable[[tuple], object]], ...]
+    # products keyed by ``(d, a, labels)``, taking precedence over the plans
     products: dict = field(default_factory=dict)
     # per shape, the unit labels of its cells, for the unit collapse of
     # nodes; ``units`` is not changed once nodes are built
@@ -122,12 +122,18 @@ class OperadStructure:
         return len(self.mults) - 1
 
     def mult(self, d: int, a, phi: LabelledDiagram):
-        if self.products:
-            try:
-                return self.products[(d, a, phi.labels)]
-            except KeyError:
-                pass
-        return self.mults[d](self, d, a, phi)
+        """``a`` composed with ``phi``: an entry of ``products``, else the
+        plan of ``a`` on ``phi``'s labels, interned.  ``phi`` must lie over
+        the arity the plan slices by (for a node, the substitution of its
+        labels' arities into its generator's), else ``ValueError``."""
+        if isinstance(a, NodeTerm):
+            shape = self.over.arity_of(d, a.gen)
+            arity = subst_arities(shape, _label_arities(self, shape, a.labels))
+        else:
+            arity = cell_arity(self, d, a)
+        if phi.shape != arity:
+            raise ValueError("labelling shape differs from the arity of the operation")
+        return _intern(_mult_plan(self, d, a, self.products)(phi.labels))
 
 
 # ---------------------------------------------------------------------------
@@ -176,29 +182,12 @@ def _unit_labels(op: OperadStructure, shape: PastingDiagram) -> tuple:
     return units
 
 
-def term_mult(op: OperadStructure, d: int, a, phi: LabelledDiagram):
-    """Grafting with unit collapse.
-
-    ``phi`` lies over the arity of ``a``; its labels at dimension d are terms
-    and its lower labels are cells.  Top labels of a node are composed with
-    their slice of ``phi``, lower labels are composed in the lower operad.
-    The shape is checked here; the product of ``a``'s plan is interned.
-    """
-    if isinstance(a, NodeTerm):
-        shape = op.over.arity_of(d, a.gen)
-        arity = subst_arities(shape, _label_arities(op, shape, a.labels))
-    else:
-        arity = cell_arity(op, d, a)
-    if phi.shape != arity:
-        raise ValueError("labelling shape differs from the arity of the operation")
-    return _intern(_plan(op, d, a)(phi.labels))
-
-
 def _plan(op: OperadStructure, d: int, a) -> Callable[[tuple], object]:
-    """``term_mult`` on ``a`` without the shape check, as a function of the
-    label tuple.  The arity, label arities and slicers of ``a`` are read
-    once, here; each label of a node gets a plan, a top label its grafting
-    and a lower label its ``_mult_plan`` behind ``op.products``.
+    """The plan of ``a`` where dimension d grafts: grafting with unit
+    collapse, as a function of the label tuple.  The arity, label arities
+    and slicers of ``a`` are read once, here; each label of a node gets a
+    plan, a top label its grafting and a lower label its ``_mult_plan``
+    behind ``op.products``.
 
     A plan interns nothing: a grafted node is the live ``NodeTerm`` of its
     key, else a transient ``(_TRANSIENT, d, gen, labels)``, which
@@ -250,17 +239,9 @@ def _is_transient(t) -> bool:
 
 
 def _mult_plan(op: OperadStructure, j: int, a, products=None) -> Callable[[tuple], object]:
-    """``op.mults[j]`` on ``a`` as a function of a label tuple: the plan of
-    ``a`` if dimension j grafts, else a call through a ``LabelledDiagram``;
-    no transient reaches it, as every structure built here (``extend_operad``
-    appends grafting) grafts only above the dimensions that do not.  A
-    non-empty ``products`` is looked up first, as ``op.mult`` does."""
-    mult = op.mults[j]
-    if mult is term_mult:
-        run = _plan(op, j, a)
-    else:
-        arity = cell_arity(op, j, a)
-        run = lambda labels: mult(op, j, a, LabelledDiagram(arity, labels))
+    """The plan of ``a``, ``op.mults[j](op, j, a)``; a non-empty
+    ``products`` is looked up first."""
+    run = op.mults[j](op, j, a)
     if not products:
         return run
     get = products.get
@@ -293,13 +274,7 @@ def extend_operad(lower: OperadStructure | None, coll: Collection, d: int) -> Op
     grafting and whose lower dimensions are those of ``lower``."""
     units = lower.units if lower else {}
     mults = lower.mults if lower else ()
-    return OperadStructure(coll, units | {d: UnitTerm(d)}, mults + (term_mult,))
-
-
-def _substitute_mult(op: OperadStructure, d: int, a, phi: LabelledDiagram):
-    if phi.shape != a:
-        raise ValueError("labelling shape differs from the operation")
-    return subst_arities(phi.shape, phi.labels)
+    return OperadStructure(coll, units | {d: UnitTerm(d)}, mults + (_plan,))
 
 
 def terminal_operad(bounds: Bounds) -> OperadStructure:
@@ -310,7 +285,7 @@ def terminal_operad(bounds: Bounds) -> OperadStructure:
     return OperadStructure(
         terminal_collection(bounds),
         {k: unit_tree(k) for k in range(bounds.max_dim + 1)},
-        (_substitute_mult,) * (bounds.max_dim + 1),
+        (lambda op, d, a: partial(subst_arities, a),) * (bounds.max_dim + 1),
     )
 
 
@@ -434,7 +409,7 @@ def _free_at(coll: Collection, lower: OperadStructure | None, d: int, bounds: Bo
         if d >= 1:
             bshape = boundary(shape)
             heads = (coll.src_of(d, g), coll.tgt_of(d, g))
-            if ctx.mults[d - 1] is term_mult and any(cell_arity(ctx, d - 1, h) != bshape for h in heads):
+            if ctx.mults[d - 1] is _plan and any(cell_arity(ctx, d - 1, h) != bshape for h in heads):
                 raise ValueError("labelling shape differs from the arity of the operation")
             sides = [(h, boundary_slicer(shape, i)) for i, h in enumerate(heads)]
         tables = [arity_tables[x.dim] for x in addrs]
@@ -570,19 +545,20 @@ def cell_products(op: OperadStructure, bounds: Bounds, dims=None) -> dict:
     """The entries of ``mult_table`` whose product is a cell of its layer,
     in the same order.
 
-    Where every dimension up to the largest one asked for multiplies by
-    ``term_mult`` and ``op.products`` is empty, they are found by inverting
-    grafting instead of multiplying.  Grafting is free, so ``a∘phi`` is the
-    d-cell ``c`` exactly when ``a`` is a top piece of ``c`` and ``phi`` the
-    quotient of ``c`` by ``a`` (see ``_cuts``).  Each cut whose operation is
-    a cell is an entry, unless its composite arity is over the bound or its
-    labels are not a labelling of the operation's arity by cells (a decoded
-    state can have such cuts).  Entries are sorted by operation, then by the
-    layer positions of their labels read in ``labelling_order``, which is
-    ``mult_table``'s order.  Elsewhere they are read from ``mult_table``.
+    Where every dimension up to the largest one asked for grafts (its
+    multiplication is ``_plan``) and ``op.products`` is empty, they are
+    found by inverting grafting instead of multiplying.  Grafting is free,
+    so ``a∘phi`` is the d-cell ``c`` exactly when ``a`` is a top piece of
+    ``c`` and ``phi`` the quotient of ``c`` by ``a`` (see ``_cuts``).  Each
+    cut whose operation is a cell is an entry, unless its composite arity is
+    over the bound or its labels are not a labelling of the operation's
+    arity by cells (a decoded state can have such cuts).  Entries are sorted
+    by operation, then by the layer positions of their labels read in
+    ``labelling_order``, which is ``mult_table``'s order.  Elsewhere they
+    are read from ``mult_table``.
     """
     dims = list(dims if dims is not None else range(op.up_to_dim + 1))
-    if op.products or any(m is not term_mult for m in op.mults[: max(dims, default=-1) + 1]):
+    if op.products or any(m is not _plan for m in op.mults[: max(dims, default=-1) + 1]):
         return {k: r for k, r in mult_table(op, bounds, dims).items() if op.over.has_cell(k[0], r)}
     over = op.over
     src, tgt = over.src, over.tgt
@@ -621,15 +597,14 @@ def _cuts(op: OperadStructure, cells):
     """The cut recursion of one ``cell_products`` call, memoized.
 
     ``cuts(j, t)`` maps each known top piece ``a`` of the j-term ``t`` to
-    the quotient of ``t`` by ``a``: the one ``psi`` with ``t =
-    term_mult(a, psi)``, unique since grafting is free.  The pieces are the
-    unit, with ``_unit_argument`` of ``t`` if ``t`` is a cell (else the
-    quotient would hold ``t`` as a label); the generator of ``t``, with
-    ``t``'s labels (a bare generator counts as its node with the unit
-    labels); and each known node of that generator whose labels are pieces
-    of ``t``'s labels, with their quotients glued over its arity.  The terms
-    are normal forms, as grafting builds them; the state decoder rejects
-    any other node.
+    the quotient of ``t`` by ``a``: the one ``psi`` that ``a`` grafts with
+    to ``t``, unique since grafting is free.  The pieces are the unit, with
+    ``_unit_argument`` of ``t`` if ``t`` is a cell (else the quotient would
+    hold ``t`` as a label); the generator of ``t``, with ``t``'s labels (a
+    bare generator counts as its node with the unit labels); and each known
+    node of that generator whose labels are pieces of ``t``'s labels, with
+    their quotients glued over its arity.  The terms are normal forms, as
+    grafting builds them; the state decoder rejects any other node.
 
     Known terms are the cells given and, recursively, the labels of their
     nodes.  A cut's operation is a cell given, so the lookup misses no cut;

@@ -5,6 +5,7 @@ criterion.
 """
 
 import time
+from operator import itemgetter
 
 from globop.collection import Bounds, empty_collection, make_collection, one_cell_collection
 from globop.contraction import CtrCell, admissible_triples, free_contraction_step
@@ -18,7 +19,7 @@ from globop.operad import (
     mult_table,
 )
 from globop.oracle import oracle_terms, oracle_trees, oracle_triples, search_all_morphisms
-from globop.pasting import DOT, PastingDiagram, cells, chain, enumerate_trees, unit_tree
+from globop.pasting import DOT, PastingDiagram, chain, enumerate_trees, unit_tree
 from globop.serialize import slice_json
 from globop.util import canonical_json
 from globop.verify import DEFAULT_BOUNDS, check_substitution_laws
@@ -53,7 +54,7 @@ def _loop_with_three_generators():
         [{"e": DOT}, {"g0": chain(0), "g1": chain(1), "g2": chain(2)}],
     )
     return OperadStructure(
-        coll, {0: "e"}, (lambda op, d, a, phi: phi.label_of(cells(phi.shape, 0)[0]),)
+        coll, {0: "e"}, (lambda op, d, a: itemgetter(0),)
     )
 
 
@@ -70,11 +71,11 @@ def _hand_two_dimensional_input():
         ],
     )
 
-    def mult_fn(op, d, a, phi):
+    def mult_fn(op, d, a):
         if d == 0:
-            return phi.label_of(cells(phi.shape, 0)[0])
-        top = phi.label_of(cells(phi.shape, 1)[0])
-        return top if a == "i" else "f"
+            return itemgetter(0)
+        # every 1-cell has one arrow as its arity, and the arrow comes last
+        return lambda labels: labels[-1] if a == "i" else "f"
 
     return OperadStructure(coll, {0: "w", 1: "i"}, (mult_fn,) * 2)
 

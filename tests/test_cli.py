@@ -100,9 +100,43 @@ def test_invalid_bounds_exit_2_with_one_line(capsys, argv, message):
 
 
 def test_verify_empty_suite_list(capsys):
-    code, out, _ = run(capsys, "verify")
-    assert code == 0
-    assert out == ""
+    """Without ``--suite`` a verify checked nothing and passed; argparse
+    exits 2 instead."""
+    with pytest.raises(SystemExit) as exc:
+        main(["verify"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "the following arguments are required: --suite" in out.err
+
+
+def test_verify_without_a_suite_does_not_pass_a_corrupted_fixture(tmp_path, capsys):
+    reports = tmp_path / "reports.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--input", str(FIXTURES / "corrupt_state_mult.json"), "--out", str(reports)])
+    assert exc.value.code == 2
+    assert "required: --suite" in capsys.readouterr().err
+    assert not reports.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["trees", "--dim", "1", "--max-size", "3"],
+        ["build-initial", "--dim", "0", "--max-arity-size", "1", "--max-term-size", "1"],
+        ["verify", "--suite", "monoid-laws", "--input", str(FIXTURES / "valid_subst_vectors.json")],
+    ],
+    ids=["trees", "build-initial", "verify"],
+)
+def test_unwritable_out_exits_2_with_one_line(tmp_path, capsys, argv):
+    """An ``--out`` that cannot be written is a usage error, not a traceback
+    and, for ``verify``, not a failed suite."""
+    out = tmp_path / "missing" / "out.json"
+    code, _, err = run(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert err.startswith("cannot write output: ") and str(out) in err
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_verify_unknown_suite(capsys):

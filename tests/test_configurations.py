@@ -93,6 +93,24 @@ def _unit_argument(op: OperadStructure, d: int, t) -> LabelledDiagram:
     return LabelledDiagram(unit_tree(d), operad._unit_argument(op, d, t))
 
 
+def _plan_builder(mult):
+    """A multiplication of a labelling, ``mult(op, d, a, phi)``, as the plan
+    builder ``OperadStructure.mults`` holds: its plan builds the labelling
+    over the arity of ``a``."""
+
+    def build(op, d, a):
+        arity = cell_arity(op, d, a)
+        return lambda labels: mult(op, d, a, LabelledDiagram(arity, labels))
+
+    return build
+
+
+def _four_argument(build):
+    """A plan builder as a multiplication of a labelling whose product is
+    interned, as grafting's was when it took a labelling."""
+    return lambda op, d, a, phi: operad._intern(build(op, d, a)(phi.labels))
+
+
 def reference_tensor(a: Collection, b: Collection, bounds: Bounds) -> TensorResult:
     """Bounded tensor product of collections.
 
@@ -423,7 +441,7 @@ def test_cell_products_match_the_reference(case):
 def test_cell_products_drop_a_cut_off_the_listed_arity():
     """A node listed with a wrong arity: its cut by itself has the labels of
     the arity grafting gives it, which do not cover the listed one.  The
-    reference enumerates the listed arity and raises in ``term_mult``; the
+    reference enumerates the listed arity and raises in ``mult``; the
     cuts drop that entry and keep the valid state's others."""
 
     def edit(node, data):
@@ -460,13 +478,18 @@ def test_cell_products_multiply_about_what_they_keep(monkeypatch):
 def _broken_terminal():
     base = terminal_operad(Bounds(1, 5, 2))
 
-    def mult_fn(op, d, a, phi):
-        out = base.mult(d, a, phi)
-        if d == 1 and a == chain(2) and out == chain(2):
-            return chain(1)
-        if d == 1 and a == chain(1) and phi.labels[-1] == chain(3):
-            return chain(4)
-        return out
+    def mult_fn(op, d, a):
+        run = base.mults[d](base, d, a)
+
+        def broken(labels):
+            out = run(labels)
+            if d == 1 and a == chain(2) and out == chain(2):
+                return chain(1)
+            if d == 1 and a == chain(1) and labels[-1] == chain(3):
+                return chain(4)
+            return out
+
+        return broken
 
     return OperadStructure(base.over, dict(base.units), (mult_fn,) * 2), Bounds(1, 5, 2)
 
@@ -522,8 +545,10 @@ LAW_CASES = {
 
 def _logged(op, record):
     """``op`` with every multiplication function passing the key it was
-    asked for and its product to ``record``.  Wrapped, ``term_mult`` is
-    reached through a labelling for lower labels too."""
+    asked for and its product to ``record``.  Each plan builder is logged
+    as a multiplication of a labelling (``_four_argument``) and made a plan
+    builder again (``_plan_builder``), so wrapped grafting interns its
+    products and is reached through a labelling for lower labels too."""
 
     def logging(mult):
         def logged(view, d, a, phi):
@@ -533,7 +558,7 @@ def _logged(op, record):
 
         return logged
 
-    return dataclasses.replace(op, mults=tuple(logging(m) for m in op.mults))
+    return dataclasses.replace(op, mults=tuple(_plan_builder(logging(_four_argument(m))) for m in op.mults))
 
 
 @pytest.mark.parametrize("case", LAW_CASES)
@@ -576,10 +601,10 @@ def test_law_check_matches_the_reference(case):
 
 @pytest.mark.parametrize("case", LAW_CASES)
 def test_law_check_on_plans_matches_the_reference(case):
-    """Unwrapped, a dimension that grafts multiplies by ``term_mult`` itself,
-    so the check runs the plans of its operations.  ``_logged`` above wraps
+    """Unwrapped, a dimension that grafts multiplies by ``_plan`` itself, so
+    the check runs the plans of its operations.  ``_logged`` above wraps
     every multiplication: its check multiplies through labellings and meets
-    a plan only inside each wrapped ``term_mult``.  The violations are the
+    a plan only inside each wrapped ``_plan``.  The violations are the
     reference's, in order, and the counts those of the wrapped run."""
     make, dims = LAW_CASES[case]
     op, bounds = make()

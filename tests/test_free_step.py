@@ -17,6 +17,7 @@ src/tgt/arity tables, the stabilization depth and the overflow records
 
 import sys
 from dataclasses import replace
+from operator import itemgetter
 
 import pytest
 
@@ -313,9 +314,9 @@ def top_less_over_inputs() -> Collection:
     return make_collection(cells, ends, ends, arity)
 
 
-def _read_first_label(op, d, a, phi):
+def _read_first_label(op, d, a):
     # ``self_loop_operad``'s multiplication: the label of the first point
-    return phi.label_of(cells(phi.shape, 0)[0])
+    return itemgetter(0)
 
 
 def _checked_steps(monkeypatch, coll: Collection, lower: OperadStructure | None, bounds: Bounds) -> tuple[list, list]:

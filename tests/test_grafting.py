@@ -19,6 +19,13 @@ Plans no longer intern: a product with no live node comes back as a
 transient, and only ``_intern`` makes it a node, so the plan test interns
 each run before it compares it with the reference.
 
+Multiplications then became plan builders, ``term_mult`` went, and
+``OperadStructure.mult`` checks the shape and interns.  The references
+keep their bodies: ``term_mult`` below names grafting's plan builder, the
+reference grafting enters an operad through ``_plan_builder``, and
+``reference_mult_labels`` reads an operad whose other multiplications take
+a labelling (``_labelling_mults``).
+
 Also here: the invariant the rewrite relies on, that the arity a layer's
 table holds for a cell is its structural arity.
 """
@@ -43,7 +50,6 @@ from globop.operad import (
     cell_arity,
     cell_products,
     free_operad_step,
-    term_mult,
     terminal_operad,
 )
 from globop.pasting import (
@@ -63,6 +69,8 @@ from globop.verify import cached_initial
 from test_cell_identity import count_new_nodes
 from test_configurations import (
     _broken_terminal,
+    _four_argument,
+    _plan_builder,
     _unit_argument,
     _wrong_product,
     compose_labellings,
@@ -72,6 +80,10 @@ from test_configurations import (
 from test_operad import make_node, self_loop_operad, unit_labelling
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+# the name the references below give grafting's multiplication
+term_mult = _plan
 
 
 # --- reference: the grafting path before the rewrite, verbatim --------------
@@ -160,7 +172,7 @@ def reference_compose_labellings(op: OperadStructure, phi: LabelledDiagram, chi:
 
 def _reference(op: OperadStructure) -> OperadStructure:
     """``op`` with the reference grafting wherever it grafts terms."""
-    mults = tuple(reference_term_mult if m is term_mult else m for m in op.mults)
+    mults = tuple(_plan_builder(reference_term_mult) if m is term_mult else m for m in op.mults)
     return dataclasses.replace(op, mults=mults)
 
 
@@ -208,6 +220,12 @@ def reference_mult_labels(op: OperadStructure, j: int, a, alpha: PastingDiagram,
 def reference_node(op: OperadStructure, d: int, gen, shape: PastingDiagram, labels: tuple):
     units = op._unit_labels.get(shape) or _unit_labels(op, shape)
     return gen if labels == units else NodeTerm(d, gen, labels)
+
+
+def _labelling_mults(op: OperadStructure) -> OperadStructure:
+    """``op`` with each multiplication but grafting taking a labelling, as
+    ``reference_mult_labels`` calls it."""
+    return dataclasses.replace(op, mults=tuple(m if m is term_mult else _four_argument(m) for m in op.mults))
 
 
 # --- inputs ------------------------------------------------------------------
@@ -312,6 +330,7 @@ def test_plans_graft_as_the_reference(case, monkeypatch):
     is one that the table held before the call; any other product is a
     transient, which ``_intern`` makes a node."""
     op, bounds = CASES[case][0]()
+    ref = _labelling_mults(op)
     made = count_new_nodes(monkeypatch)
 
     def run(plan, labels):
@@ -325,17 +344,17 @@ def test_plans_graft_as_the_reference(case, monkeypatch):
     split = labelling_fits(op.over, bounds.max_arity_size)
     firsts = lhs = 0
     for d in range(op.up_to_dim + 1):
-        if op.mults[d] is not term_mult:
+        if op.mults[d] is not _plan:
             continue
         for a in op.over.cells_at(d):
             plan = _plan(op, d, a)
             for phi, mid in split(op.over.arity_of(d, a))[0]:
                 r = run(plan, phi)
-                assert r is reference_graft(op, d, a, phi)
+                assert r is reference_graft(ref, d, a, phi)
                 firsts += 1
                 plan_r = _plan(op, d, r)
                 for chi, _ in split(mid)[0]:
-                    assert run(plan_r, chi) is reference_graft(op, d, r, chi)
+                    assert run(plan_r, chi) is reference_graft(ref, d, r, chi)
                     lhs += 1
     assert firsts > 0 and lhs > firsts
 
@@ -354,13 +373,13 @@ def test_plans_collapse_units_as_the_reference():
         products[(x.dim, lab, _unit_labels(op, cell_arity(op, x.dim, lab)))] = op.units[x.dim]
     op = dataclasses.replace(op, products=products)
     units = _unit_labels(op, op.over.arity_of(d, node))
-    assert _plan(op, d, node)(units) is reference_graft(op, d, node, units) is node.gen
+    assert _plan(op, d, node)(units) is reference_graft(_labelling_mults(op), d, node, units) is node.gen
 
 
 @pytest.mark.parametrize("case", ["initial-252", "initial-371", "valid-state"])
 def test_cell_products_match_the_reference(case):
     op, bounds = CASES[case][0]()
-    # without a table of products cell_products cuts by ``term_mult``, so
+    # without a table of products cell_products cuts grafting, so
     # the reference grafting multiplies for the reference enumeration
     op = dataclasses.replace(op, products={})
     new = cell_products(op, bounds)
@@ -392,20 +411,20 @@ def test_cell_products_fall_back_to_the_table(make, dims):
 def test_make_node_collapses_as_the_reference():
     for op, _ in (CASES["initial-371"][0](), CASES["self-loop-174"][0]()):
         for d in range(op.up_to_dim + 1):
-            if op.mults[d] is not term_mult:
+            if op.mults[d] is not _plan:
                 continue
             for g in op.over.cells_at(d):
                 if isinstance(g, (UnitTerm, NodeTerm)):
                     continue
                 shape = op.over.arity_of(d, g)
                 phi = unit_labelling(op, d, shape)
-                assert make_node(op, d, g, phi) is reference_make_node(op, d, g, phi) is term_mult(op, d, g, phi) is g
+                assert make_node(op, d, g, phi) is reference_make_node(op, d, g, phi) is op.mult(d, g, phi) is g
                 # one top label that is not the unit
                 for x in cells(shape, d):
                     phi = labelled(shape, {y: (g if y == x else op.units[y.dim]) for y in all_cells(shape)})
                     node = make_node(op, d, g, phi)
                     assert isinstance(node, NodeTerm) and node is reference_make_node(op, d, g, phi)
-                    assert node is term_mult(op, d, g, phi)
+                    assert node is op.mult(d, g, phi)
 
 
 # --- the invariant the table lookup relies on ----------------------------------

@@ -1,3 +1,6 @@
+from dataclasses import replace
+from operator import itemgetter
+
 import pytest
 
 from globop.collection import Bounds, empty_collection, make_collection, one_cell_collection
@@ -15,7 +18,6 @@ from globop.operad import (
     _unit_labels,
     free_operad_step,
     mult_table,
-    term_mult,
     term_size,
     terminal_operad,
 )
@@ -71,6 +73,11 @@ def unit_labelling(op: OperadStructure, d: int, shape: PastingDiagram) -> Labell
     return labelled(shape, {a: op.units[a.dim] for a in all_cells(shape)})
 
 
+def _first_label(op, d, a):
+    # a plan builder for dimension 0, where every arity is a point
+    return itemgetter(0)
+
+
 def self_loop_operad(max_dim=1):
     """One 0-cell acting as its own unit, one 1-generator on it."""
     coll = make_collection(
@@ -80,7 +87,7 @@ def self_loop_operad(max_dim=1):
         [{"e": DOT}, {"g": unit_tree(1)}] + [{} for _ in range(max_dim - 1)],
     )
     return OperadStructure(
-        coll, {0: "e"}, (lambda op, d, a, phi: phi.label_of(cells(phi.shape, 0)[0]),)
+        coll, {0: "e"}, (_first_label,)
     )
 
 
@@ -93,11 +100,11 @@ def idempotent_one_operad():
         [{"w": DOT}, {"i": unit_tree(1), "f": unit_tree(1)}, {}],
     )
 
-    def mult_fn(op, d, a, phi):
+    def mult_fn(op, d, a):
         if d == 0:
-            return phi.label_of(cells(phi.shape, 0)[0])
-        top = phi.label_of(cells(phi.shape, 1)[0])
-        return top if a == "i" else ("f" if top in ("i", "f") else None)
+            return itemgetter(0)
+        # every 1-cell has one arrow as its arity, and the arrow comes last
+        return lambda labels: labels[-1] if a == "i" else ("f" if labels[-1] in ("i", "f") else None)
 
     return OperadStructure(coll, {0: "w", 1: "i"}, (mult_fn,) * 2)
 
@@ -146,7 +153,7 @@ def test_free_step_no_generators_adds_only_unit():
         [["e"], []], [{}, {}], [{}, {}], [{"e": DOT}, {}]
     )
     lower = OperadStructure(
-        coll, {0: "e"}, (lambda op, d, a, phi: phi.label_of(cells(phi.shape, 0)[0]),)
+        coll, {0: "e"}, (_first_label,)
     )
     res = free_operad_step(lower, Bounds(1, 3, 3))
     assert res.operad.over.cells_at(1) == (UnitTerm(1),)
@@ -193,14 +200,14 @@ def test_term_mult_chain_arities():
         [{"e": DOT}, {"g1": chain(1), "g2": chain(2)}],
     )
     lower = OperadStructure(
-        coll, {0: "e"}, (lambda op, d, a, phi: phi.label_of(cells(phi.shape, 0)[0]),)
+        coll, {0: "e"}, (_first_label,)
     )
     ctx = extend_operad(lower, coll, 1)
     sh = chain(2)
     arg = {a: "e" for a in cells(sh, 0)}
     arg[cells(sh, 1)[0]] = "g1"
     arg[cells(sh, 1)[1]] = "g1"
-    out = term_mult(ctx, 1, "g2", labelled(sh, arg))
+    out = ctx.mult(1, "g2", labelled(sh, arg))
     assert isinstance(out, NodeTerm)
     assert cell_arity(ctx, 1, out) == chain(2)
     assert term_size(ctx, 1, out) == 3
@@ -217,10 +224,41 @@ def test_term_mult_shape_mismatch():
     # a unit operation, a bare generator and a node, each of arity chain(1)
     products = {UnitTerm(1): "g", "g": node, node: NodeTerm(1, "g", ("e", "e", node))}
     for a, product in products.items():
-        assert term_mult(ctx, 1, a, over(chain(1))) == product
+        assert ctx.mult(1, a, over(chain(1))) == product
         for shape in (chain(2), chain(0)):
             with pytest.raises(ValueError):
-                term_mult(ctx, 1, a, over(shape))
+                ctx.mult(1, a, over(shape))
+
+
+@pytest.mark.parametrize("structure", ["grafting", "terminal"])
+def test_mult_checks_the_shape_on_every_structure(structure):
+    """``mult`` checks the shape ahead of ``products`` and of the plan: a
+    labelling over a shape other than the arity of the operation is a
+    ``ValueError`` with one message, whichever structure multiplies, and an
+    entry of ``products`` under its labels does not get past it."""
+    if structure == "grafting":
+        lower = self_loop_operad()
+        op = extend_operad(lower, lower.over, 1)
+        # a unit operation, a bare generator and a node, each of arity chain(1)
+        operations = [(a, chain(1)) for a in (UnitTerm(1), "g", NodeTerm(1, "g", ("e", "e", "g")))]
+        point, arrow = "e", "g"
+    else:
+        op = terminal_operad(Bounds(1, 5, 2))
+        operations = [(chain(m), chain(m)) for m in (0, 1, 2)]
+        point, arrow = DOT, chain(1)
+
+    def over(shape):
+        return labelled(shape, {x: point if x.dim == 0 else arrow for x in all_cells(shape)})
+
+    for a, arity in operations:
+        op.mult(1, a, over(arity))
+        for shape in (chain(0), chain(1), chain(2), chain(3)):
+            if shape == arity:
+                continue
+            phi = over(shape)
+            for products in ({}, {(1, a, phi.labels): a}):
+                with pytest.raises(ValueError, match="labelling shape differs from the arity of the operation"):
+                    replace(op, products=products).mult(1, a, phi)
 
 
 def test_term_mult_associativity_exhaustive():
@@ -276,7 +314,7 @@ def test_counit_is_homomorphic():
     head = NodeTerm(1, "f", ("w", "w", UnitTerm(1)))
     sh = unit_tree(1)
     arg = labelled(sh, {a: (t if a.dim == 1 else "w") for a in all_cells(sh)})
-    composed = term_mult(_term_ctx(y), 1, head, arg)
+    composed = _term_ctx(y).mult(1, head, arg)
     lhs = counit_eval(y, 1, composed)
     rhs = y.mult(
         1,
@@ -288,7 +326,7 @@ def test_counit_is_homomorphic():
 
 def _term_ctx(y):
     return extend_operad(
-        OperadStructure(y.over, {0: y.units[0]}, (lambda op, d, a, phi: y.mult(d, a, phi),)),
+        OperadStructure(y.over, {0: y.units[0]}, (lambda op, d, a: y.mults[d](y, d, a),)),
         y.over,
         1,
     )
@@ -305,11 +343,16 @@ def test_terminal_operad_laws():
 def test_corrupted_mult_located():
     base = terminal_operad(Bounds(1, 5, 2))
 
-    def mult_fn(op, d, a, phi):
-        out = base.mult(d, a, phi)
-        if d == 1 and a == chain(2) and out == chain(2):
-            return chain(1)  # wrong size on purpose
-        return out
+    def mult_fn(op, d, a):
+        run = base.mults[d](base, d, a)
+
+        def broken(labels):
+            out = run(labels)
+            if d == 1 and a == chain(2) and out == chain(2):
+                return chain(1)  # wrong size on purpose
+            return out
+
+        return broken
 
     broken = OperadStructure(base.over, dict(base.units), (mult_fn,) * 2)
     rep = check_operad_laws(broken, Bounds(1, 5, 2))

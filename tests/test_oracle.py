@@ -1,3 +1,5 @@
+from operator import itemgetter
+
 import pytest
 
 from globop.collection import Bounds, empty_collection, make_collection, one_cell_collection
@@ -88,7 +90,7 @@ def test_oracle_terms_single_slot_chain():
         [{"e": DOT}, {"g": unit_tree(1)}],
     )
     lower = OperadStructure(
-        coll, {0: "e"}, (lambda op, d, a, phi: phi.label_of(cells(phi.shape, 0)[0]),)
+        coll, {0: "e"}, (lambda op, d, a: itemgetter(0),)
     )
     got = oracle_terms(lower, coll, 1, Bounds(1, 3, 3))
     assert len(got) == 4
