@@ -9,9 +9,8 @@ from pathlib import Path
 
 from .collection import Bounds
 from .interleave import initial_owc
-from .pasting import enumerate_trees, tree_to_json
+from .pasting import enumerate_trees, tree_text
 from .serialize import state_text
-from .util import canonical_json
 from . import verify
 
 
@@ -34,7 +33,7 @@ def _write(out: str | None, text: str) -> bool:
 
 def cmd_trees(dim: int, max_size: int, out: str | None) -> int:
     trees = enumerate_trees(dim, max_size)
-    if not _write(out, "".join(canonical_json(tree_to_json(t)) + "\n" for t in trees)):
+    if not _write(out, "".join(tree_text(t) + "\n" for t in trees)):
         return 2
     print(f"count {len(trees)}", file=sys.stderr)
     return 0

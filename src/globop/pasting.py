@@ -22,7 +22,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Mapping
 
-from .util import Keyed, canonical_json, new_cell
+from .util import Keyed, new_cell
 
 
 _diagrams: dict = {}
@@ -423,7 +423,7 @@ def slicers(shape: PastingDiagram, arities: tuple) -> tuple:
 
 
 def _tree_key(t: PastingDiagram):
-    return (size(t), canonical_json(tree_to_json(t)))
+    return (size(t), tree_text(t))
 
 
 @lru_cache(maxsize=None)
@@ -471,6 +471,11 @@ def _boundary_combos(betas: tuple[PastingDiagram, ...], budget: int):
 
 def tree_to_json(pi: PastingDiagram) -> list:
     return [tree_to_json(c) for c in pi.children]
+
+
+def tree_text(pi: PastingDiagram) -> str:
+    """The canonical JSON text of ``tree_to_json(pi)``."""
+    return "[" + ",".join(map(tree_text, pi.children)) + "]"
 
 
 def tree_from_json(data, dim: int) -> PastingDiagram:

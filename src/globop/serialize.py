@@ -4,19 +4,22 @@ Cell values are tagged: {"unit": k}, {"node": {...}}, {"ctr": {...}} and
 {"atom": v}.  Where a cell is listed as a term of the free operad structure,
 a bare generator is wrapped as {"gen": <cell>}; the wrapper is accepted
 anywhere on decode.  In-table references are indices into the per-dimension
-cell lists, and all output is canonical single-line JSON.
+cell lists, and all output is canonical single-line JSON.  One writer,
+``state_text``, knows the format: it writes that text directly, and
+``state_to_json`` parses it back.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import asdict, dataclass
 
 from .collection import Bounds, Overflow, make_collection
 from .contraction import ContractionStructure, CtrCell
 from .interleave import OwcState, Provenance
 from .operad import NodeTerm, UnitTerm, cell_products, extend_operad
-from .pasting import all_cells, tree_from_json, tree_to_json
-from .util import canonical_json
+from .pasting import PastingDiagram, all_cells, tree_from_json, tree_text, tree_to_json
+from .util import Keyed, canonical_json
 
 
 def _atom_to_json(v):
@@ -36,29 +39,40 @@ def _atom_from_json(v):
     raise ValueError(f"atom {v!r} is not a string, an int or a list of them")
 
 
+def _cell_writer():
+    """A function from a cell or a tree to its canonical text.  The texts
+    are kept for the life of the function, so each distinct cell is written
+    once however often it is listed, labelled or contracted."""
+    memo = {}
+
+    def text(c) -> str:
+        # atoms compare by value, and 1 == True: key them by their repr
+        key = c if isinstance(c, Keyed) else repr(c)
+        if key in memo:
+            return memo[key]
+        if isinstance(c, UnitTerm):
+            out = '{"unit":%d}' % c.dim
+        elif isinstance(c, NodeTerm):
+            labels = ",".join(map(text, c.labels))
+            out = '{"node":{"dim":%d,"gen":%s,"labels":[%s]}}' % (c.dim, text(c.gen), labels)
+        elif isinstance(c, CtrCell):
+            # degenerate arity trees do not determine their dimension, so it
+            # is stored explicitly
+            out = '{"ctr":{"a":%s,"b":%s,"dim":%d,"theta":%s}}' % (
+                text(c.a), text(c.b), c.theta.dim, text(c.theta)
+            )
+        elif isinstance(c, PastingDiagram):
+            out = tree_text(c)
+        else:
+            out = '{"atom":%s}' % canonical_json(_atom_to_json(c))
+        memo[key] = out
+        return out
+
+    return text
+
+
 def cell_to_json(c) -> dict:
-    if isinstance(c, UnitTerm):
-        return {"unit": c.dim}
-    if isinstance(c, NodeTerm):
-        return {
-            "node": {
-                "dim": c.dim,
-                "gen": cell_to_json(c.gen),
-                "labels": [cell_to_json(l) for l in c.labels],
-            }
-        }
-    if isinstance(c, CtrCell):
-        # degenerate arity trees do not determine their dimension, so it is
-        # stored explicitly
-        return {
-            "ctr": {
-                "dim": c.theta.dim,
-                "a": cell_to_json(c.a),
-                "b": cell_to_json(c.b),
-                "theta": tree_to_json(c.theta),
-            }
-        }
-    return {"atom": _atom_to_json(c)}
+    return json.loads(_cell_writer()(c))
 
 
 def cell_from_json(data):
@@ -130,13 +144,6 @@ def _check_nodes(cells_by_dim: list, arity: list) -> None:
             check(k, c)
 
 
-def _term_json(c, is_term_dim: bool) -> dict:
-    enc = cell_to_json(c)
-    if is_term_dim and not isinstance(c, (UnitTerm, NodeTerm)):
-        return {"gen": enc}
-    return enc
-
-
 # ---------------------------------------------------------------------------
 # globular sets
 
@@ -181,74 +188,69 @@ class DecodedState:
     mult_entries: dict  # (dim, op, labels) -> result, as serialized
 
 
-def state_to_json(s: OwcState) -> dict:
-    coll = s.collection
-    index = [
-        {c: i for i, c in enumerate(coll.cells_at(k))} for k in range(coll.max_dim + 1)
-    ]
-    cells = []
-    for k in range(coll.max_dim + 1):
-        layer = []
-        for c in coll.cells_at(k):
-            prov = s.provenance.get((k, c), Provenance("input"))
-            # a shallow copy of the fields: asdict deep-copies each one, 18 times the cost
-            layer.append({"cell": _term_json(c, k <= s.operad.up_to_dim), "provenance": dict(vars(prov))})
-        cells.append(layer)
-    src, tgt = (
-        [[index[k - 1][table[k][c]] for c in coll.cells_at(k)] for k in range(1, coll.max_dim + 1)]
-        for table in (coll.src, coll.tgt)
-    )
-    arity = [
-        [tree_to_json(coll.arity_of(k, c)) for c in coll.cells_at(k)]
-        for k in range(coll.max_dim + 1)
-    ]
-    mult = []
-    for (d, a, labels), r in cell_products(s.operad, s.bounds).items():
-        shape = coll.arity_of(d, a)
-        mult.append(
-            {
-                "dim": d,
-                "op": index[d][a],
-                "labels": [
-                    [x.dim, index[x.dim][lab]]
-                    for x, lab in zip(all_cells(shape), labels)
-                ],
-                "result": index[d][r],
-            }
-        )
-    gamma = [
-        {
-            "dim": theta.dim,
-            "a": index[theta.dim - 1][a],
-            "b": index[theta.dim - 1][b],
-            "theta": tree_to_json(theta),
-            "cell": index[theta.dim][lift],
-        }
-        for (a, b, theta), lift in sorted(
-            s.contraction.gamma.items(),
-            key=lambda kv: (
-                kv[0][2].dim,
-                index[kv[0][2].dim - 1][kv[0][0]],
-                index[kv[0][2].dim - 1][kv[0][1]],
-                tree_to_json(kv[0][2]),
-            ),
-        )
-    ]
-    return {
-        "stage": list(s.stage),
-        "bounds": asdict(s.bounds),
-        "cells": cells,
-        "src": src,
-        "tgt": tgt,
-        "arity": arity,
-        "mult": mult,
-        "gamma": gamma,
-        "overflows": [dict(vars(o)) for o in s.overflows],
-    }
+def _list(texts) -> str:
+    return "[" + ",".join(texts) + "]"
 
 
 def state_text(s: OwcState) -> str:
-    return canonical_json(state_to_json(s)) + "\n"
+    """The state as canonical single-line JSON with a newline, written
+    directly: object keys in sorted order, each distinct cell's and tree's
+    text made once."""
+    coll = s.collection
+    layers = [coll.cells_at(k) for k in range(coll.max_dim + 1)]
+    index = [{c: i for i, c in enumerate(layer)} for layer in layers]
+    text = _cell_writer()
+    provenance = {}
+    cells = []
+    for k, layer in enumerate(layers):
+        entries = []
+        for c in layer:
+            p = s.provenance.get((k, c), Provenance("input"))
+            if p not in provenance:
+                provenance[p] = canonical_json(dict(vars(p)))
+            cell = text(c)
+            if k <= s.operad.up_to_dim and not isinstance(c, (UnitTerm, NodeTerm)):
+                cell = '{"gen":%s}' % cell
+            entries.append('{"cell":%s,"provenance":%s}' % (cell, provenance[p]))
+        cells.append(_list(entries))
+    src, tgt = (
+        [[index[k - 1][table[k][c]] for c in layers[k]] for k in range(1, len(layers))]
+        for table in (coll.src, coll.tgt)
+    )
+    arity = (_list(text(coll.arity_of(k, c)) for c in layer) for k, layer in enumerate(layers))
+    ref = [{c: "[%d,%d]" % (k, i) for i, c in enumerate(layer)} for k, layer in enumerate(layers)]
+    mult = []
+    for (d, a, labels), r in cell_products(s.operad, s.bounds).items():
+        refs = ",".join([ref[x.dim][lab] for x, lab in zip(all_cells(coll.arity_of(d, a)), labels)])
+        mult.append('{"dim":%d,"labels":[%s],"op":%d,"result":%d}' % (d, refs, index[d][a], index[d][r]))
+    # ordered by the tree as nested lists, which text order is not: "[[]]"
+    # sorts after "[[],[]]"
+    gamma = []
+    for (a, b, theta), lift in s.contraction.gamma.items():
+        k = theta.dim
+        ends = (index[k - 1][a], index[k - 1][b])
+        entry = '{"a":%d,"b":%d,"cell":%d,"dim":%d,"theta":%s}' % (*ends, index[k][lift], k, text(theta))
+        gamma.append(((k, *ends, tree_to_json(theta)), entry))
+    gamma.sort()
+    return (
+        '{"arity":%s,"bounds":%s,"cells":%s,"gamma":%s,"mult":%s,"overflows":%s,'
+        '"src":%s,"stage":%s,"tgt":%s}\n'
+        % (
+            _list(arity),
+            canonical_json(asdict(s.bounds)),
+            _list(cells),
+            _list(entry for _, entry in gamma),
+            _list(mult),
+            canonical_json([dict(vars(o)) for o in s.overflows]),
+            canonical_json(src),
+            canonical_json(list(s.stage)),
+            canonical_json(tgt),
+        )
+    )
+
+
+def state_to_json(s: OwcState) -> dict:
+    return json.loads(state_text(s))
 
 
 def state_from_json(data: dict) -> DecodedState:

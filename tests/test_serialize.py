@@ -1,13 +1,16 @@
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from globop.collection import Bounds, empty_collection, one_cell_collection
+from globop.collection import Bounds, empty_collection, make_collection, one_cell_collection
 from globop.contraction import CtrCell
-from globop.interleave import free_owc, free_owc_trace, initial_owc
-from globop.operad import NodeTerm, UnitTerm
-from globop.pasting import DOT, PastingDiagram, chain
+from globop.interleave import OwcState, Provenance, free_owc, free_owc_trace, initial_owc
+from globop.operad import NodeTerm, UnitTerm, cell_products
+from globop.pasting import DOT, PastingDiagram, all_cells, chain, tree_to_json
 from globop.serialize import (
     _atom_to_json,
     cell_from_json,
@@ -19,6 +22,112 @@ from globop.serialize import (
     state_to_json,
 )
 from globop.globset import glob_set
+from globop.util import canonical_json
+
+
+# --- reference: the dict encoder that state_text replaced, verbatim ----------
+# (its recursive call and its helper ``_term_json`` carry the reference_ prefix)
+
+
+def reference_cell_to_json(c) -> dict:
+    if isinstance(c, UnitTerm):
+        return {"unit": c.dim}
+    if isinstance(c, NodeTerm):
+        return {
+            "node": {
+                "dim": c.dim,
+                "gen": reference_cell_to_json(c.gen),
+                "labels": [reference_cell_to_json(l) for l in c.labels],
+            }
+        }
+    if isinstance(c, CtrCell):
+        # degenerate arity trees do not determine their dimension, so it is
+        # stored explicitly
+        return {
+            "ctr": {
+                "dim": c.theta.dim,
+                "a": reference_cell_to_json(c.a),
+                "b": reference_cell_to_json(c.b),
+                "theta": tree_to_json(c.theta),
+            }
+        }
+    return {"atom": _atom_to_json(c)}
+
+
+def reference_term_json(c, is_term_dim: bool) -> dict:
+    enc = reference_cell_to_json(c)
+    if is_term_dim and not isinstance(c, (UnitTerm, NodeTerm)):
+        return {"gen": enc}
+    return enc
+
+
+def reference_state_to_json(s: OwcState) -> dict:
+    coll = s.collection
+    index = [
+        {c: i for i, c in enumerate(coll.cells_at(k))} for k in range(coll.max_dim + 1)
+    ]
+    cells = []
+    for k in range(coll.max_dim + 1):
+        layer = []
+        for c in coll.cells_at(k):
+            prov = s.provenance.get((k, c), Provenance("input"))
+            # a shallow copy of the fields: asdict deep-copies each one, 18 times the cost
+            layer.append({"cell": reference_term_json(c, k <= s.operad.up_to_dim), "provenance": dict(vars(prov))})
+        cells.append(layer)
+    src, tgt = (
+        [[index[k - 1][table[k][c]] for c in coll.cells_at(k)] for k in range(1, coll.max_dim + 1)]
+        for table in (coll.src, coll.tgt)
+    )
+    arity = [
+        [tree_to_json(coll.arity_of(k, c)) for c in coll.cells_at(k)]
+        for k in range(coll.max_dim + 1)
+    ]
+    mult = []
+    for (d, a, labels), r in cell_products(s.operad, s.bounds).items():
+        shape = coll.arity_of(d, a)
+        mult.append(
+            {
+                "dim": d,
+                "op": index[d][a],
+                "labels": [
+                    [x.dim, index[x.dim][lab]]
+                    for x, lab in zip(all_cells(shape), labels)
+                ],
+                "result": index[d][r],
+            }
+        )
+    gamma = [
+        {
+            "dim": theta.dim,
+            "a": index[theta.dim - 1][a],
+            "b": index[theta.dim - 1][b],
+            "theta": tree_to_json(theta),
+            "cell": index[theta.dim][lift],
+        }
+        for (a, b, theta), lift in sorted(
+            s.contraction.gamma.items(),
+            key=lambda kv: (
+                kv[0][2].dim,
+                index[kv[0][2].dim - 1][kv[0][0]],
+                index[kv[0][2].dim - 1][kv[0][1]],
+                tree_to_json(kv[0][2]),
+            ),
+        )
+    ]
+    return {
+        "stage": list(s.stage),
+        "bounds": asdict(s.bounds),
+        "cells": cells,
+        "src": src,
+        "tgt": tgt,
+        "arity": arity,
+        "mult": mult,
+        "gamma": gamma,
+        "overflows": [dict(vars(o)) for o in s.overflows],
+    }
+
+
+# -----------------------------------------------------------------------------
 
 
 def globset_to_json(g) -> dict:
@@ -160,3 +269,103 @@ def test_decoders_reject_indices_the_format_does_not_have(case):
     decode = globset_from_json if name == "corrupt_globset.json" else state_from_json
     with pytest.raises(ValueError):
         decode(data)
+
+
+# --- one writer: state_text is the reference encoding's canonical text --------
+
+
+def first_difference(a: str, b: str):
+    """None if ``a == b``, else the first offset where they differ and the
+    text around it in each: pytest's own diff of two long texts takes
+    minutes."""
+    if a == b:
+        return None
+    i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    return i, a[max(0, i - 40) : i + 40], b[max(0, i - 40) : i + 40]
+
+
+def assert_written_as_reference(state, label=None):
+    text = state_text(state)
+    assert first_difference(text, canonical_json(reference_state_to_json(state)) + "\n") is None, label
+    assert state_to_json(state) == json.loads(text), label
+
+
+@pytest.mark.parametrize("bounds", [Bounds(2, 5, 2), Bounds(3, 7, 1), Bounds(1, 7, 4)], ids=["252", "371", "174"])
+def test_every_state_of_a_ladder_is_written_as_the_reference_writes_it(bounds):
+    """At the stages (k + 1, k) the top layer is not yet a layer of terms,
+    so its generators are written without the {"gen"} wrapper."""
+    trace = free_owc_trace(empty_collection(), bounds)
+    assert any(state.stage[0] == state.stage[1] + 1 for _, state in trace)
+    for label, state in trace:
+        assert_written_as_reference(state, label)
+
+
+def test_a_free_state_over_an_atom_is_written_as_the_reference_writes_it():
+    assert_written_as_reference(free_owc(one_cell_collection(2), Bounds(2, 5, 1)))
+
+
+STATE_FIXTURES = sorted(p.name for p in FIXTURES.glob("*state*.json"))
+
+
+@pytest.mark.parametrize("name", STATE_FIXTURES)
+def test_every_state_fixture_is_written_as_the_reference_writes_it(name):
+    state = state_from_json(json.loads((FIXTURES / name).read_text())).state
+    if name == "corrupt_state_cells.json":
+        # its contraction cell's theta was changed, so the nodes over that
+        # cell name one no layer holds, and neither writer finds its arity
+        with pytest.raises(KeyError):
+            reference_state_to_json(state)
+        with pytest.raises(KeyError):
+            state_text(state)
+        return
+    assert_written_as_reference(state)
+
+
+# atom names JSON must escape: quotes, backslashes, control characters and
+# text beyond ASCII (one character beyond the BMP, written as a surrogate
+# pair); overflow samples are reprs of nodes over these atoms
+_chars = st.sampled_from(['"', "\\", "'", "\n", "\x00", "\x1f", "\x7f", "a", "é", "☃", "\U0001f600"])
+_atoms = st.recursive(
+    st.one_of(st.text(_chars, max_size=4), st.integers(-3, 3)),
+    lambda inner: st.lists(inner, max_size=2).map(tuple),
+    max_leaves=3,
+)
+_BUILD_BOUNDS = (Bounds(1, 3, 1), Bounds(1, 3, 2), Bounds(2, 5, 1))
+
+
+def _small_collection(bounds, points, arrows, ends, length):
+    """0-cells ``points`` and 1-cells ``arrows`` with ``ends``, each of arity
+    the chain of ``length`` arrows, padded with empty layers to
+    ``bounds.max_dim``."""
+    pad = [{} for _ in range(bounds.max_dim - 1)]
+    return make_collection(
+        [points, arrows] + [[] for _ in pad],
+        [{}, {f: s for f, (s, _) in zip(arrows, ends)}] + pad,
+        [{}, {f: t for f, (_, t) in zip(arrows, ends)}] + pad,
+        [{p: DOT for p in points}, {f: chain(length) for f in arrows}] + pad,
+    )
+
+
+@st.composite
+def small_collections(draw):
+    """One or two 0-cells and at most one 1-cell, which may share its name
+    with a 0-cell, and the bounds to build the free structure at."""
+    bounds = draw(st.sampled_from(_BUILD_BOUNDS))
+    points = draw(st.lists(_atoms, min_size=1, max_size=2, unique=True))
+    arrows = draw(st.lists(st.one_of(_atoms, st.sampled_from(points)), max_size=1))
+    ends = [(draw(st.sampled_from(points)), draw(st.sampled_from(points))) for _ in arrows]
+    length = draw(st.integers(0, (bounds.max_arity_size - 1) // 2))
+    return _small_collection(bounds, points, arrows, ends, length), bounds
+
+
+HOSTILE_NAME = 'q"\\\n\x01é☃\U0001f600'
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(small_collections())
+@example((_small_collection(Bounds(1, 3, 2), [HOSTILE_NAME, ("n", (1,))], [HOSTILE_NAME], [(HOSTILE_NAME, ("n", (1,)))], 1), Bounds(1, 3, 2)))
+def test_free_states_over_names_that_need_escaping_are_written_as_the_reference_writes_them(case):
+    coll, bounds = case
+    state = free_owc(coll, bounds)
+    assert state.overflows
+    assert_written_as_reference(state)
