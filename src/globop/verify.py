@@ -10,12 +10,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import time
-from functools import cache
+from functools import cache, cached_property
 from pathlib import Path
 
 from .collection import (
     Bounds,
-    Collection,
     check_collection,
     collection_labellings,
     empty_collection,
@@ -98,19 +97,33 @@ def cached_trace(bounds: Bounds) -> list:
     return free_owc_trace(empty_collection(), bounds)
 
 
-def input_collection_of(state: OwcState) -> Collection:
-    """The sub-collection of cells the ladder started from."""
-    coll = state.collection
-    keep = [
-        [c for c in coll.cells_at(k) if state.provenance.get((k, c), Provenance("input")).step == "input"]
-        for k in range(coll.max_dim + 1)
-    ]
-    # src and tgt start at dimension 1; a cell missing from a table is a KeyError
-    src, tgt, arity = (
-        [{c: table[k][c] for c in keep[k]} if k >= low else {} for k in range(len(keep))]
-        for table, low in ((coll.src, 1), (coll.tgt, 1), (coll.arity, 0))
-    )
-    return make_collection(keep, src, tgt, arity)
+class Fixture:
+    """A fixture file's parsed JSON.  A state's decoding and its ladder
+    rebuilt from its input cells are made on first use and kept, so every
+    suite given this object reads one decode and one rebuild."""
+
+    def __init__(self, data) -> None:
+        self.data = data
+
+    @cached_property
+    def decoded(self) -> DecodedState:
+        return state_from_json(self.data)
+
+    @cached_property
+    def rebuilt(self) -> OwcState:
+        """The free structure over the state's input cells, at its bounds."""
+        state = self.decoded.state
+        coll = state.collection
+        keep = [
+            [c for c in coll.cells_at(k) if state.provenance.get((k, c), Provenance("input")).step == "input"]
+            for k in range(coll.max_dim + 1)
+        ]
+        # src and tgt start at dimension 1; a cell missing from a table is a KeyError
+        src, tgt, arity = (
+            [{c: table[k][c] for c in keep[k]} if k >= low else {} for k in range(len(keep))]
+            for table, low in ((coll.src, 1), (coll.tgt, 1), (coll.arity, 0))
+        )
+        return free_owc(make_collection(keep, src, tgt, arity), state.bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -168,14 +181,14 @@ def check_substitution_laws(max_shape_size: int, max_label_size: int, max_dim: i
 
 def _suite_globularity(bounds: Bounds, fixture) -> Report:
     rep = Report("globularity")
-    if isinstance(fixture, dict) and "stage" in fixture:
+    if fixture is not None and isinstance(fixture.data, dict) and "stage" in fixture.data:
         # a state: its collection is a globular set with arities
-        coll = state_from_json(fixture).state.collection
+        coll = fixture.decoded.state.collection
         rep.extend(check_globularity(coll))
         rep.extend(check_collection(coll))
         return rep
     if fixture is not None:
-        rep.extend(check_globularity(globset_from_json(fixture)))
+        rep.extend(check_globularity(globset_from_json(fixture.data)))
         return rep
     rep.extend(check_globularity(unit_collection(3)))
     rep.extend(check_globularity(terminal_collection(bounds)))
@@ -192,7 +205,7 @@ def _suite_monoid_laws(bounds: Bounds, fixture) -> Report:
     if fixture is None:
         return check_substitution_laws(7, 5)
     rep = Report("monoid-laws")
-    for case in fixture["cases"]:
+    for case in fixture.data["cases"]:
         d = case["dim"]
         shape = tree_from_json(case["shape"], d)
         labels = tuple(
@@ -202,14 +215,14 @@ def _suite_monoid_laws(bounds: Bounds, fixture) -> Report:
         expected = tree_from_json(case["expected"], d)
         if substitute(LabelledDiagram(shape, labels)) != expected:
             rep.add("substitution differs from recorded value", witness=case)
-    rep.counts["cases"] = len(fixture["cases"])
+    rep.counts["cases"] = len(fixture.data["cases"])
     return rep
 
 
 def _suite_operad_laws(bounds: Bounds, fixture) -> Report:
     rep = Report("operad-laws")
     if fixture is not None:
-        decoded = state_from_json(fixture)
+        decoded = fixture.decoded
         op = dataclasses.replace(decoded.state.operad, products=decoded.mult_entries)
         rep.extend(check_operad_laws(op, decoded.state.bounds))
         return rep
@@ -222,7 +235,7 @@ def _suite_operad_laws(bounds: Bounds, fixture) -> Report:
 def _suite_contraction_laws(bounds: Bounds, fixture) -> Report:
     rep = Report("contraction-laws")
     if fixture is not None:
-        state = state_from_json(fixture).state
+        state = fixture.decoded.state
         rep.extend(check_contraction(state.collection, state.contraction, state.bounds))
         return rep
     state = cached_initial(STABILITY_BOUNDS)
@@ -237,7 +250,7 @@ def _suite_contraction_laws(bounds: Bounds, fixture) -> Report:
 def _suite_triangle(bounds: Bounds, fixture) -> Report:
     rep = Report("triangle-identities")
     if fixture is not None:
-        decoded = state_from_json(fixture)
+        decoded = fixture.decoded
         state = decoded.state
         op = dataclasses.replace(state.operad, products=decoded.mult_entries)
     else:
@@ -261,12 +274,6 @@ def _suite_triangle(bounds: Bounds, fixture) -> Report:
     return rep
 
 
-def _rebuild(fixture) -> tuple[DecodedState, OwcState]:
-    """Decode a state fixture and rebuild its ladder from its input cells."""
-    decoded = state_from_json(fixture)
-    return decoded, free_owc(input_collection_of(decoded.state), decoded.state.bounds)
-
-
 def _table_diffs(before, after) -> list:
     keys = set(before) | set(after)
     return [k for k in sorted(keys, key=repr) if before.get(k) != after.get(k)]
@@ -275,7 +282,7 @@ def _table_diffs(before, after) -> list:
 def _suite_stability_contraction(bounds: Bounds, fixture) -> Report:
     rep = Report("stability-contraction")
     if fixture is not None:
-        decoded, rebuilt = _rebuild(fixture)
+        decoded, rebuilt = fixture.decoded, fixture.rebuilt
         want = cell_products(rebuilt.operad, rebuilt.bounds)
         for key in _table_diffs(want, decoded.mult_entries):
             rep.add("fixture multiplication table differs from a fresh build", witness=repr(key))
@@ -302,8 +309,7 @@ def _suite_stability_contraction(bounds: Bounds, fixture) -> Report:
 def _suite_stability_operad(bounds: Bounds, fixture) -> Report:
     rep = Report("stability-operad")
     if fixture is not None:
-        decoded, rebuilt = _rebuild(fixture)
-        want, got = rebuilt.contraction.gamma, decoded.state.contraction.gamma
+        want, got = fixture.rebuilt.contraction.gamma, fixture.decoded.state.contraction.gamma
         for key in _table_diffs(want, got):
             rep.add("fixture gamma table differs from a fresh build", witness=repr(key))
         rep.counts["gamma_entries"] = len(want.keys() | got.keys())
@@ -328,14 +334,13 @@ def _suite_stability_operad(bounds: Bounds, fixture) -> Report:
 def _suite_ladder(bounds: Bounds, fixture) -> Report:
     rep = Report("ladder-coherence")
     if fixture is not None:
-        decoded, rebuilt = _rebuild(fixture)
-        data = state_to_json(rebuilt)
-        for k in range(decoded.state.stage[1] + 1):
-            if canonical_json(slice_of_data(fixture, k)) != canonical_json(
+        data, stage = state_to_json(fixture.rebuilt), fixture.decoded.state.stage
+        for k in range(stage[1] + 1):
+            if canonical_json(slice_of_data(fixture.data, k)) != canonical_json(
                 slice_of_data(data, k)
             ):
                 rep.add("fixture slice differs from a fresh build", witness=k)
-        rep.counts["slices"] = decoded.state.stage[1] + 1
+        rep.counts["slices"] = stage[1] + 1
         return rep
     rep.counts["slices"] = len(LADDER_PAIRS)
     for k, (small, large) in LADDER_PAIRS.items():
@@ -351,8 +356,7 @@ def _suite_ladder(bounds: Bounds, fixture) -> Report:
 def _suite_oracle(bounds: Bounds, fixture) -> Report:
     rep = Report("oracle-equivalence")
     if fixture is not None:
-        decoded, rebuilt = _rebuild(fixture)
-        state = decoded.state
+        state, rebuilt = fixture.decoded.state, fixture.rebuilt
         for k in range(state.collection.max_dim + 1):
             if set(state.collection.cells_at(k)) != set(rebuilt.collection.cells_at(k)):
                 rep.add("fixture cells differ from a fresh build", witness=k)
@@ -456,34 +460,29 @@ def _suite_initiality(bounds: Bounds, fixture) -> Report:
     totality and shape of gamma, and for a fixture the serialized
     multiplication table) and reports any failure without counting
     morphisms.  On a valid codomain the induced morphism out of the initial
-    object must be the only structure-preserving one."""
+    object at its bounds must be the only structure-preserving one."""
     rep = Report("initiality-probe")
-    s = cached_initial(PROBE_BOUNDS)
-    if fixture is not None:
-        decoded = state_from_json(fixture)
-        t = decoded.state
-        if t.bounds != PROBE_BOUNDS:
-            rep.add("fixture bounds differ from the probe bounds")
-            return rep
-    else:
-        decoded = None
-        t = free_owc(one_cell_collection(PROBE_BOUNDS.max_dim), PROBE_BOUNDS)
+    decoded = None if fixture is None else fixture.decoded
+    t = free_owc(one_cell_collection(PROBE_BOUNDS.max_dim), PROBE_BOUNDS) if decoded is None else decoded.state
     rep.extend(check_collection(t.collection))
     rep.extend(check_contraction(t.collection, t.contraction, t.bounds))
     if decoded is not None:
         _check_serialized_mult(rep, decoded)
     if not rep.passed:
         return rep
+    s = cached_initial(t.bounds)
     result = induced_morphism(s, t)
     if not result.receptive:
         rep.add("codomain is not receptive", witness=result.missing[:3])
         return rep
     for sub in result.reports:
         rep.extend(sub)
+    # the search covers the dimensions up to 1, the induced morphism all
+    dims = range(min(1, t.bounds.max_dim) + 1)
     found = search_all_morphisms(s, t, up_to=1)
     if len(found) != 1:
         rep.add("structure-preserving morphism count differs from one", witness=len(found))
-    elif found[0].maps != result.morphism.maps:
+    elif any(found[0].maps[k] != result.morphism.maps[k] for k in dims):
         rep.add("search result differs from the induced morphism")
     return rep
 
@@ -504,11 +503,14 @@ SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str, bounds: Bounds | None = None, fixture=None) -> Report:
-    """Run one named suite.  ``fixture`` may be a path or parsed JSON."""
+    """Run one named suite.  ``fixture`` may be a ``Fixture``, or a path or
+    parsed JSON, which is read into a new one."""
     if name not in _SUITES:
         raise KeyError(f"unknown suite {name!r}")
     if isinstance(fixture, (str, Path)):
-        fixture = json.loads(Path(fixture).read_text())
+        fixture = Fixture(json.loads(Path(fixture).read_text()))
+    elif fixture is not None and not isinstance(fixture, Fixture):
+        fixture = Fixture(fixture)
     start = time.perf_counter()
     rep = _SUITES[name](bounds or DEFAULT_BOUNDS, fixture)
     rep.suite = name

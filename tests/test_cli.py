@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from globop import verify
 from globop.cli import main
 from globop.verify import SUITE_NAMES
 
@@ -394,13 +395,28 @@ def test_verify_rejects_a_cell_listed_twice_in_a_layer(tmp_path, capsys):
 
 @pytest.mark.parametrize("suite", ["contraction-laws", "all"])
 def test_verify_rejects_a_fixture_that_is_json_null(tmp_path, capsys, suite):
-    """A parsed ``null`` is no fixture: the suites used to build their own
-    structures instead and pass."""
+    """A parsed ``null`` fails to decode like any other malformed file; the
+    suites once read it as no file, built their own structures and passed."""
     fixture = tmp_path / "null.json"
     fixture.write_text("null\n")
     code, out, err = run(capsys, "verify", "--suite", suite, "--input", str(fixture))
     assert code == 2
     assert err.startswith("malformed fixture") and err.count("\n") == 1 and out == ""
+
+
+def test_verify_all_decodes_and_rebuilds_a_state_once(capsys, monkeypatch):
+    """The suites of one run share one ``Fixture``: the state is decoded once
+    and its ladder rebuilt from its input cells once, not once per suite."""
+    calls = dict.fromkeys(("state_from_json", "free_owc"), 0)
+    for name in calls:
+        def spy(*args, name=name, original=getattr(verify, name)):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(verify, name, spy)
+    code, out, err = run(capsys, "verify", "--suite", "all", "--input", str(FIXTURES / "valid_state.json"))
+    assert code == 0, out
+    assert calls == {"state_from_json": 1, "free_owc": 1}
 
 
 def test_verify_rejects_a_fixture_nested_deeper_than_the_parser_goes(tmp_path, capsys):

@@ -102,6 +102,32 @@ def test_state_suites_pass_on_valid_fixture(name):
         assert rep.counts == {"rebuilt_products": 316, "fixture_entries": 316}
 
 
+def _reports(names, fixture) -> dict:
+    """Each named suite's report, with its timing removed, or the repr of
+    what it raised; ``fixture()`` gives the ``Fixture`` each suite reads."""
+    out = {}
+    for name in names:
+        try:
+            out[name] = run_suite(name, SMALL, fixture=fixture()).to_json()
+            out[name].pop("ms")
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            out[name] = repr(exc)
+    return out
+
+
+@pytest.mark.parametrize("fixture", sorted(p.name for p in FIXTURES.glob("*_state*.json")))
+def test_suites_sharing_one_fixture_report_as_each_alone(fixture):
+    """A shared decoded state keeps its nodes alive from suite to suite, and
+    the law check's table reads depend on which nodes are alive: the state
+    suites run through one ``Fixture``, in either order, must report as each
+    does with its own."""
+    data = json.loads((FIXTURES / fixture).read_text())
+    alone = _reports(STATE_SUITES, lambda: verify.Fixture(data))
+    for order in (STATE_SUITES, STATE_SUITES[::-1]):
+        shared = verify.Fixture(data)
+        assert _reports(order, lambda: shared) == alone, order
+
+
 def test_contraction_laws_count_the_triples_they_check():
     """A contraction-laws pass says how many admissible triples it checked,
     in all and at each dimension, so a pass that checked none shows: a fresh
@@ -437,6 +463,15 @@ def test_initiality_probe_validates_codomain(fixture):
         assert not rep.passed
         assert want in messages, sorted(messages)
         assert "structure-preserving morphism count differs from one" not in messages
+
+
+@pytest.mark.parametrize("bounds", [Bounds(0, 5, 2), Bounds(2, 5, 1), Bounds(3, 9, 1)], ids=str)
+def test_initiality_probe_reads_a_build_at_its_own_bounds(bounds):
+    """The probe's domain is the initial object at the state's bounds, and
+    the search is compared with the induced morphism on the dimensions it
+    covers, up to 1: at max_dim 0 it has an empty dimension-1 map."""
+    rep = run_suite("initiality-probe", SMALL, fixture=state_to_json(initial_owc(bounds)))
+    assert rep.passed, [v.message for v in rep.violations[:3]]
 
 
 def test_initiality_probe_rejects_a_missing_mult_entry():
